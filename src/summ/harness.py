@@ -176,8 +176,14 @@ def sign_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignTestR
     if trials == 0:
         return SignTestResult(1.0, wins_a, wins_b, ties)
     extreme = max(wins_a, wins_b)
-    tail = sum(math.comb(trials, t) for t in range(extreme, trials + 1))
-    p = min(1.0, 2.0 * tail / 2.0**trials)
+    # sum of C(trials, t) for t >= extreme, each term exactly from the last
+    tail = 0
+    term = math.comb(trials, extreme)
+    for t in range(extreme, trials + 1):
+        tail += term
+        term = term * (trials - t) // (t + 1)
+    # exact integer division: 2.0**trials overflows a float beyond 1023 trials
+    p = min(1.0, 2 * tail / 2**trials)
     return SignTestResult(p, wins_a, wins_b, ties)
 
 

@@ -176,42 +176,131 @@ def _graph_rank(
     return RankList.from_scores(system_id, _power_iteration(adjacency, config))
 
 
-def lexrank_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
-    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
+def _token_ids(cluster: DocumentCluster) -> tuple[Counter, dict[str, int]]:
+    """The cluster's token counts, keys in first-occurrence order, and an id
+    for each token that numbers the vocabulary in sorted token order."""
+    counts = Counter()
+    for sentence in cluster.sentences:
+        counts.update(sentence.tokens)
+    return counts, {t: i for i, t in enumerate(sorted(counts))}
+
+
+@dataclass(frozen=True)
+class _TokenEntries:
+    """A cluster's sentence x token counts, kept sparse.
+
+    One entry per distinct token of each sentence, sentence-major; as ids
+    follow sorted token order, a sentence's entries are
+    ``sorted(Counter(tokens).items())``.
+    """
+
+    counts: Counter
+    ids: dict[str, int]
+    sentence: np.ndarray
+    token: np.ndarray
+    count: np.ndarray
+
+
+def _token_entries(cluster: DocumentCluster) -> _TokenEntries:
+    counts, ids = _token_ids(cluster)
+    rows, cols, values = [], [], []
+    for row, sentence in enumerate(cluster.sentences):
+        for token, count in sorted(Counter(sentence.tokens).items()):
+            rows.append(row)
+            cols.append(ids[token])
+            values.append(count)
+    return _TokenEntries(
+        counts, ids, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+        np.array(values, dtype=np.int64),
+    )
+
+
+_BLOCK = 64  # columns of a sparse matrix made dense at a time
+
+
+def _cross_products(
+    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``M @ M.T`` off the diagonal, for the n-row ``M[rows, cols] = values``.
+
+    The diagonal is left incomplete: a column with a single entry only
+    reaches the diagonal, so it is dropped.  M is made dense a block of
+    columns at a time, so memory grows with n * n, not with the number of
+    columns.  An integer-valued M gives exact integers.
+    """
+    shared_col = np.bincount(cols) >= 2
+    shared = shared_col[cols]
+    rows, values = rows[shared], values[shared]
+    cols = (np.cumsum(shared_col) - 1)[cols[shared]]  # renumbered densely
+    products = np.zeros((n, n))
+    block = np.empty((n, _BLOCK))
+    for start in range(0, int(shared_col.sum()), _BLOCK):
+        block.fill(0.0)
+        inside = (cols >= start) & (cols < start + _BLOCK)
+        block[rows[inside], cols[inside] - start] = values[inside]
+        products += block @ block.T
+    return products
+
+
+# Gram-matrix cosines are within ~1e-13 of the fsum-exact ones; pairs this
+# close to the threshold are decided by ``cosine_similarity`` itself.
+_NEAR_THRESHOLD = 1e-9
+
+
+def _lexrank_adjacency(cluster: DocumentCluster, threshold: float) -> np.ndarray:
+    """0/1 graph of the sentence pairs whose cosine exceeds ``threshold``."""
     n = len(cluster.sentences)
     vectors = tfidf_vectors(cluster)
-    adjacency = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cosine_similarity(vectors[i], vectors[j]) > config.lexrank_threshold:
-                adjacency[i, j] = adjacency[j, i] = 1.0
+    _, ids = _token_ids(cluster)
+    rows = np.repeat(np.arange(n), [len(v.weights) for v in vectors])
+    cols = np.array([ids[t] for v in vectors for t in v.weights], dtype=np.intp)
+    values = np.array([w for v in vectors for w in v.weights.values()])
+    cosine = _cross_products(n, rows, cols, values)
+    norms = np.array([v.norm() or 1.0 for v in vectors])  # empty rows stay 0
+    cosine /= norms[:, None]
+    cosine /= norms
+    edges = np.triu(cosine > threshold, 1)
+    # an exact 0 means no shared token, which the reference also scores 0
+    near = (np.abs(cosine - threshold) <= _NEAR_THRESHOLD) & (cosine > 0.0)
+    near = np.triu(near, 1)
+    for i, j in zip(*np.nonzero(near)):
+        edges[i, j] = cosine_similarity(vectors[i], vectors[j]) > threshold
+    return (edges | edges.T).astype(float)
+
+
+def lexrank_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
+    adjacency = _lexrank_adjacency(cluster, config.lexrank_threshold)
     return _graph_rank("lexrank", adjacency, cluster, config)
 
 
-def textrank_edge_weight(a: Sequence[str], b: Sequence[str]) -> float:
-    """Shared-type count normalized by the log sentence lengths.
+def _textrank_adjacency(cluster: DocumentCluster) -> np.ndarray:
+    """Edge weight: shared-type count / (log len_i + log len_j).
 
-    Zero for sentences of length <= 1 (the normalizer would vanish).
+    Zero for sentences of length <= 1 (the normalizer would vanish) and on
+    the diagonal.
     """
-    if len(a) <= 1 or len(b) <= 1:
-        return 0.0
-    overlap = len(set(a) & set(b))
-    if overlap == 0:
-        return 0.0
-    return overlap / (math.log(len(a)) + math.log(len(b)))
+    entries = _token_entries(cluster)
+    n = len(cluster.sentences)
+    # shared-type counts, exact integers
+    weights = _cross_products(
+        n, entries.sentence, entries.token, np.ones(len(entries.token))
+    )
+    lengths = [len(s.tokens) for s in cluster.sentences]
+    # math.log, which np.log can miss by an ulp; 1.0 stands in for short
+    # sentences, whose rows and columns are zeroed below
+    log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths])
+    weights /= np.add.outer(log_len, log_len)
+    short = np.array([m <= 1 for m in lengths])
+    weights[short] = 0.0
+    weights[:, short] = 0.0
+    np.fill_diagonal(weights, 0.0)
+    return weights
 
 
 def textrank_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
     """Centrality over the content-word-overlap graph."""
-    n = len(cluster.sentences)
-    adjacency = np.zeros((n, n))
-    tokens = [s.tokens for s in cluster.sentences]
-    for i in range(n):
-        for j in range(i + 1, n):
-            weight = textrank_edge_weight(tokens[i], tokens[j])
-            if weight > 0.0:
-                adjacency[i, j] = adjacency[j, i] = weight
-    return _graph_rank("textrank", adjacency, cluster, config)
+    return _graph_rank("textrank", _textrank_adjacency(cluster), cluster, config)
 
 
 def centroid_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
@@ -362,58 +451,75 @@ def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankLis
 
     Selection continues past any length budget until every sentence is
     ordered; the stored score of a sentence is minus its selection step.
+
+    Each step scores every candidate at once and reproduces the float
+    arithmetic of a plain loop exactly: logs come from ``math.log`` tables,
+    and each candidate's sum starts from the running sum and adds its
+    tokens' gains left to right, in sorted token order (``np.bincount``
+    accumulates in input order).
     """
     sentences = cluster.sentences
     n = len(sentences)
-    cluster_counts = Counter()
-    for sentence in sentences:
-        cluster_counts.update(sentence.tokens)
+    entries = _token_entries(cluster)
+    cluster_counts = entries.counts
     total = sum(cluster_counts.values())
     if total == 0:
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
     k = _kl_smoothing(len(cluster_counts), config)
-    log_pc = {t: math.log(c / total) for t, c in cluster_counts.items()}
     vocab_size = len(cluster_counts)
+    log_pc = np.array([math.log(cluster_counts[t] / total) for t in entries.ids])
+    # gain(c, t) = (c + k) * (log(c + k) - log_pc[t]), and 0 when c + k == 0
+    # (k == 0, c == 0): the log entry 0.0 is then multiplied by a zero mass.
+    # Counts reach twice a token's count on the entries of sentences already
+    # chosen, which are scored too and ignored.
+    log_mass = np.array([
+        math.log(c + k) if c + k != 0 else 0.0
+        for c in range(2 * max(cluster_counts.values()) + 1)
+    ])
 
-    def gain(count: int, token: str) -> float:
-        mass = count + k
-        if mass == 0.0:
-            return 0.0
-        return mass * (math.log(mass) - log_pc[token])
+    def gain(counts: np.ndarray, entry_log_pc: np.ndarray) -> np.ndarray:
+        return (counts + k) * (log_mass[counts] - entry_log_pc)
 
-    base = sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
-    current: Counter = Counter()
+    zero_gains = gain(np.zeros(vocab_size, dtype=np.int64), log_pc).tolist()
+    # all-zero summary counts, summed in the cluster's first-occurrence order
+    base = sum(zero_gains[entries.ids[t]] for t in cluster_counts)
+    k_denom = k * (vocab_size + 1)
+    k_mass = k * vocab_size
+    log_denom = np.array([
+        math.log(t + k_denom) if t + k_denom != 0 else 0.0 for t in range(total + 1)
+    ])
+    token, extra = entries.token, entries.count
+    entry_log_pc = log_pc[token]
+    starts = np.searchsorted(entries.sentence, np.arange(n + 1))
+    lengths = np.array([len(s.tokens) for s in sentences])
+    # slot i first receives the running sum, then sentence i's token gains
+    slots = np.concatenate((np.arange(n), entries.sentence))
+    addends = np.empty(len(slots))
+    current = np.zeros(vocab_size, dtype=np.int64)
     current_total = 0
     current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
-    remaining = list(range(n))
-    deltas = [sorted(Counter(s.tokens).items()) for s in sentences]
+    remaining = np.arange(n)
     scores = [0.0] * n
-    step = 0
-    while remaining:
-        step += 1
-        best_idx = None
-        best_kl = math.inf
-        best_sum = 0.0
-        for idx in remaining:
-            cand_sum = current_sum
-            for token, extra in deltas[idx]:
-                have = current[token]
-                cand_sum += gain(have + extra, token) - gain(have, token)
-            cand_total = current_total + sum(c for _, c in deltas[idx])
-            denom = cand_total + k * (vocab_size + 1)
-            if denom == 0.0:
-                kl = math.inf
-            else:
-                mass = cand_total + k * vocab_size
-                kl = (base + cand_sum - mass * math.log(denom)) / denom
-            if best_idx is None or kl < best_kl:
-                best_idx, best_kl, best_sum = idx, kl, cand_sum
-        for token, extra in deltas[best_idx]:
-            current[token] += extra
-        current_total += sum(c for _, c in deltas[best_idx])
-        current_sum = best_sum
-        remaining.remove(best_idx)
-        scores[best_idx] = -float(step)
+    for step in range(1, n + 1):
+        have = current[token]
+        addends[:n] = current_sum
+        addends[n:] = gain(have + extra, entry_log_pc) - gain(have, entry_log_pc)
+        cand_sum = np.bincount(slots, weights=addends, minlength=n)[remaining]
+        cand_total = current_total + lengths[remaining]
+        denom = cand_total + k_denom
+        mass = cand_total + k_mass
+        kl = np.divide(
+            base + cand_sum - mass * log_denom[cand_total], denom,
+            out=np.full(len(remaining), math.inf), where=denom != 0.0,
+        )
+        pick = int(np.argmin(kl))  # the first minimum: ties go to the smaller index
+        best = int(remaining[pick])
+        chosen = slice(starts[best], starts[best + 1])
+        current[token[chosen]] += extra[chosen]
+        current_total += int(lengths[best])
+        current_sum = float(cand_sum[pick])
+        remaining = np.delete(remaining, pick)
+        scores[best] = -float(step)
     return RankList.from_scores("greedykl", scores)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -86,6 +87,40 @@ class TestSignTest:
             a = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
             b = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
             assert sign_test(a, b).p_value == sign_test(b, a).p_value
+
+    def test_equals_float_formula_up_to_1023_trials(self):
+        # the float formula every report so far was computed with
+        def float_formula(wins_a, wins_b):
+            trials = wins_a + wins_b
+            extreme = max(wins_a, wins_b)
+            tail = sum(math.comb(trials, t) for t in range(extreme, trials + 1))
+            return min(1.0, 2.0 * tail / 2.0**trials)
+
+        cases = [(a, t - a) for t in range(1, 120) for a in range(t + 1)]
+        cases += [(a, 1023 - a) for a in (0, 300, 480, 511, 512, 600, 1023)]
+        for wins_a, wins_b in cases:
+            result = sign_test([1.0] * wins_a + [0.0] * wins_b,
+                               [0.0] * wins_a + [1.0] * wins_b)
+            assert result.p_value == float_formula(wins_a, wins_b), (wins_a, wins_b)
+
+    @pytest.mark.parametrize("wins_a,wins_b", [
+        (560, 540), (600, 500), (1100, 0), (5100, 4900), (5000, 5000), (5300, 4700),
+    ])
+    def test_beyond_float_range(self, wins_a, wins_b):
+        # more than 1023 non-tied pairs overflowed 2.0**trials
+        trials = wins_a + wins_b
+        log_terms = [
+            math.lgamma(trials + 1) - math.lgamma(t + 1) - math.lgamma(trials - t + 1)
+            - trials * math.log(2.0)
+            for t in range(max(wins_a, wins_b), trials + 1)
+        ]
+        top = max(log_terms)
+        scaled = math.fsum(math.exp(x - top) for x in log_terms)
+        expected = min(1.0, 2.0 * math.exp(top) * scaled)
+        result = sign_test([1.0] * wins_a + [0.0] * wins_b + [0.5],
+                           [0.0] * wins_a + [1.0] * wins_b + [0.5])
+        assert result.p_value == pytest.approx(expected, rel=1e-9, abs=1e-300)
+        assert (result.wins_a, result.wins_b, result.ties) == (wins_a, wins_b, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

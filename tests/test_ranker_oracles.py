@@ -1,0 +1,246 @@
+"""Differential tests: the vectorized rankers against plain-loop references.
+
+The reference implementations below are the original pure-Python loops of
+``greedykl_rank``, ``lexrank_rank`` and ``textrank_rank``.  The package's
+numpy rankers must reproduce their scores and ranks exactly (``==``, no
+tolerance), since reports are compared byte for byte.
+"""
+
+import math
+from collections import Counter
+from typing import Sequence
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
+from summ.features import cosine_similarity, tfidf_vectors
+from summ.summarizers import (
+    RankList,
+    SummarizerConfig,
+    _graph_rank,
+    _kl_smoothing,
+    greedykl_rank,
+    lexrank_rank,
+    textrank_rank,
+)
+
+
+def reference_lexrank_rank(
+    cluster: DocumentCluster, config: SummarizerConfig
+) -> RankList:
+    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
+    n = len(cluster.sentences)
+    vectors = tfidf_vectors(cluster)
+    adjacency = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cosine_similarity(vectors[i], vectors[j]) > config.lexrank_threshold:
+                adjacency[i, j] = adjacency[j, i] = 1.0
+    return _graph_rank("lexrank", adjacency, cluster, config)
+
+
+def textrank_edge_weight(a: Sequence[str], b: Sequence[str]) -> float:
+    """Shared-type count normalized by the log sentence lengths.
+
+    Zero for sentences of length <= 1 (the normalizer would vanish).
+    """
+    if len(a) <= 1 or len(b) <= 1:
+        return 0.0
+    overlap = len(set(a) & set(b))
+    if overlap == 0:
+        return 0.0
+    return overlap / (math.log(len(a)) + math.log(len(b)))
+
+
+def reference_textrank_rank(
+    cluster: DocumentCluster, config: SummarizerConfig
+) -> RankList:
+    """Centrality over the content-word-overlap graph."""
+    n = len(cluster.sentences)
+    adjacency = np.zeros((n, n))
+    tokens = [s.tokens for s in cluster.sentences]
+    for i in range(n):
+        for j in range(i + 1, n):
+            weight = textrank_edge_weight(tokens[i], tokens[j])
+            if weight > 0.0:
+                adjacency[i, j] = adjacency[j, i] = weight
+    return _graph_rank("textrank", adjacency, cluster, config)
+
+
+def reference_greedykl_rank(
+    cluster: DocumentCluster, config: SummarizerConfig
+) -> RankList:
+    """Greedy selection minimizing the summary-to-cluster KL divergence.
+
+    Selection continues past any length budget until every sentence is
+    ordered; the stored score of a sentence is minus its selection step.
+    """
+    sentences = cluster.sentences
+    n = len(sentences)
+    cluster_counts = Counter()
+    for sentence in sentences:
+        cluster_counts.update(sentence.tokens)
+    total = sum(cluster_counts.values())
+    if total == 0:
+        return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
+    k = _kl_smoothing(len(cluster_counts), config)
+    log_pc = {t: math.log(c / total) for t, c in cluster_counts.items()}
+    vocab_size = len(cluster_counts)
+
+    def gain(count: int, token: str) -> float:
+        mass = count + k
+        if mass == 0.0:
+            return 0.0
+        return mass * (math.log(mass) - log_pc[token])
+
+    base = sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
+    current: Counter = Counter()
+    current_total = 0
+    current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
+    remaining = list(range(n))
+    deltas = [sorted(Counter(s.tokens).items()) for s in sentences]
+    scores = [0.0] * n
+    step = 0
+    while remaining:
+        step += 1
+        best_idx = None
+        best_kl = math.inf
+        best_sum = 0.0
+        for idx in remaining:
+            cand_sum = current_sum
+            for token, extra in deltas[idx]:
+                have = current[token]
+                cand_sum += gain(have + extra, token) - gain(have, token)
+            cand_total = current_total + sum(c for _, c in deltas[idx])
+            denom = cand_total + k * (vocab_size + 1)
+            if denom == 0.0:
+                kl = math.inf
+            else:
+                mass = cand_total + k * vocab_size
+                kl = (base + cand_sum - mass * math.log(denom)) / denom
+            if best_idx is None or kl < best_kl:
+                best_idx, best_kl, best_sum = idx, kl, cand_sum
+        for token, extra in deltas[best_idx]:
+            current[token] += extra
+        current_total += sum(c for _, c in deltas[best_idx])
+        current_sum = best_sum
+        remaining.remove(best_idx)
+        scores[best_idx] = -float(step)
+    return RankList.from_scores("greedykl", scores)
+
+
+PAIRS = {
+    "greedykl": (greedykl_rank, reference_greedykl_rank),
+    "lexrank": (lexrank_rank, reference_lexrank_rank),
+    "textrank": (textrank_rank, reference_textrank_rank),
+}
+WORDS = TokenizationConfig(
+    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+)
+VOCAB = ["ash", "birch", "cedar", "dune", "elm", "fern", "gale", "haze", "iris"]
+
+
+def make_cluster(docs):
+    return cluster_from_sentences(
+        "c", [(f"d{i}", sents) for i, sents in enumerate(docs)], config=WORDS
+    )
+
+
+def assert_identical(cluster, config):
+    for name, (ranker, reference) in PAIRS.items():
+        got, want = ranker(cluster, config), reference(cluster, config)
+        assert got.scores == want.scores, name
+        assert got.ranks == want.ranks, name
+
+
+# A sentence is 0-7 words from a small vocabulary, so clusters have
+# duplicate sentences, empty and one-token sentences, and many shared types;
+# "." tokenizes to nothing.
+sentence_text = st.lists(st.sampled_from(VOCAB), max_size=7).map(
+    lambda words: " ".join(words) or "."
+)
+cluster_docs = st.lists(
+    st.lists(sentence_text, min_size=1, max_size=6), min_size=1, max_size=4
+)
+configs = st.builds(
+    SummarizerConfig,
+    lexrank_threshold=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
+    kl_smoothing_k=st.sampled_from([None, 0.0, 0.01, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=cluster_docs, config=configs)
+def test_random_clusters_match_references(docs, config):
+    assert_identical(make_cluster(docs), config)
+
+
+EDGE_CASES = {
+    "single_sentence": [["ash birch cedar"]],
+    "single_token_sentence": [["ash"]],
+    "empty_sentence_only": [["."]],
+    "all_sentences_empty": [[".", "..."], ["!"]],
+    "duplicates": [["ash birch cedar", "ash birch cedar"], ["ash birch cedar", "dune"]],
+    "zero_and_one_token_mix": [[".", "ash", "ash birch"], ["birch", "ash birch ash"]],
+    "no_shared_types": [["ash birch"], ["cedar dune"], ["elm fern"]],
+    "one_repeated_type": [["ash ash", "ash"], ["ash ash ash"]],
+}
+
+
+@pytest.mark.parametrize("docs", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
+@pytest.mark.parametrize("config", [
+    SummarizerConfig(),
+    SummarizerConfig(kl_smoothing_k=0),
+    SummarizerConfig(kl_smoothing_k=0.0, lexrank_threshold=0.0),
+], ids=["default", "k0", "k0_threshold0"])
+def test_edge_cases_match_references(docs, config):
+    assert_identical(make_cluster(docs), config)
+
+
+def test_threshold_at_realised_cosine():
+    # a threshold equal to a cosine the cluster realises puts that pair at
+    # the decision boundary, where the edge is decided by the exact
+    # reference similarity; so does the threshold one ulp either side
+    docs = [
+        ["ash birch cedar", "ash dune elm elm"],
+        ["birch cedar fern", "gale haze"],
+        ["ash iris", "cedar dune gale"],
+        ["elm fern haze", "ash birch cedar"],
+        ["iris gale iris", "birch elm"],
+    ]
+    cluster = make_cluster(docs)
+    vectors = tfidf_vectors(cluster)
+    n = len(vectors)
+    realised = sorted({
+        cosine_similarity(vectors[i], vectors[j])
+        for i in range(n) for j in range(i + 1, n)
+    } - {0.0})
+    assert len(realised) > 5
+    for value in realised:
+        below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
+        for threshold in (below, value, above):
+            config = SummarizerConfig(lexrank_threshold=threshold)
+            got = lexrank_rank(cluster, config)
+            want = reference_lexrank_rank(cluster, config)
+            assert got.scores == want.scores
+            assert got.ranks == want.ranks
+
+
+def test_long_cluster_matches_references():
+    # many blocks of vocabulary columns and a few hundred greedy steps
+    rng = np.random.default_rng(7)
+    vocab = [f"w{i}" for i in range(700)]
+    weights = 1.0 / np.arange(1, len(vocab) + 1)
+    weights /= weights.sum()
+    docs = []
+    for _ in range(6):
+        doc = [
+            " ".join(rng.choice(vocab, size=int(rng.integers(0, 18)), p=weights))
+            or "."
+            for _ in range(25)
+        ]
+        docs.append(doc + doc[:2])  # copied lead sentences give exact ties
+    assert_identical(make_cluster(docs), SummarizerConfig())

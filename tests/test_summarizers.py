@@ -18,11 +18,12 @@ from summ.summarizers import (
     lexrank_rank,
     log_likelihood_ratio,
     summary_kl,
-    textrank_edge_weight,
     textrank_rank,
     topic_words,
     topicsum_rank,
 )
+
+from test_ranker_oracles import textrank_edge_weight
 
 WORDS = TokenizationConfig(
     lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
