@@ -33,11 +33,9 @@ from .corpus import (
 )
 from .features import (
     SentenceVector,
-    UnigramDistribution,
     cosine_similarity,
     ngrams,
     tfidf_vectors,
-    unigram_distribution,
 )
 from .harness import (
     EvalReport,
@@ -51,7 +49,6 @@ from .harness import (
 )
 from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .summarizers import (
-    CandidateOutput,
     LengthBudget,
     RankList,
     Summary,

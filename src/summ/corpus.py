@@ -78,7 +78,6 @@ class Document:
 class ReferenceSummary:
     author_id: str
     text: str
-    tokens: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.text.strip():
@@ -212,7 +211,7 @@ def cluster_from_sentences(
         raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
     try:
         refs = tuple(
-            ReferenceSummary(author_id=a, text=t, tokens=tuple(tokenize(t, config)))
+            ReferenceSummary(author_id=a, text=t)
             for a, t in (references or [])
         )
     except ValueError as exc:
@@ -287,7 +286,9 @@ def _parse_jsonl_record(record, source: str) -> tuple[str, list, list]:
 
 def _iter_jsonl(path: Path):
     text = _read_text(path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # split on "\n" only: str.splitlines() also breaks at U+0085, U+2028
+    # and U+2029, which JSON strings may hold unescaped
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         source = f"{path}:{lineno}"

@@ -9,22 +9,6 @@ from dataclasses import dataclass, field
 from .corpus import DocumentCluster
 
 
-@dataclass(frozen=True)
-class UnigramDistribution:
-    """Token probabilities, optionally add-k smoothed.
-
-    ``smoothing_mass`` is the per-token probability assigned to tokens
-    outside the observed vocabulary (0 without smoothing), so ``prob``
-    is total: it answers for any token.
-    """
-
-    probabilities: dict[str, float]
-    smoothing_mass: float = 0.0
-
-    def prob(self, token: str) -> float:
-        return self.probabilities.get(token, self.smoothing_mass)
-
-
 @dataclass
 class SentenceVector:
     """Sparse non-negative token weights; zero entries are never stored."""
@@ -47,36 +31,6 @@ def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
         raise ValueError("n must be >= 1")
     return Counter(
         tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
-
-
-def unigram_distribution(
-    token_lists: list[list[str]] | list[tuple[str, ...]],
-    add_k: float | None = None,
-) -> UnigramDistribution:
-    """Maximum-likelihood unigram estimate over the pooled token lists.
-
-    With ``add_k`` set, counts are smoothed over the observed vocabulary
-    plus one unseen-token slot, whose per-token mass is reported as
-    ``smoothing_mass``.
-    """
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
-    total = sum(counts.values())
-    if add_k is None or add_k == 0.0:
-        if total == 0:
-            raise ValueError("empty distribution: no tokens and no smoothing")
-        return UnigramDistribution(
-            probabilities={t: c / total for t, c in counts.items()},
-            smoothing_mass=0.0,
-        )
-    if add_k < 0:
-        raise ValueError("add_k must be >= 0")
-    denom = total + add_k * (len(counts) + 1)
-    return UnigramDistribution(
-        probabilities={t: (c + add_k) / denom for t, c in counts.items()},
-        smoothing_mass=add_k / denom,
     )
 
 

@@ -198,7 +198,7 @@ class _ClusterOutcome:
 
 
 def _rank_all(
-    cluster: DocumentCluster, background: Counter, config: RunConfig
+    cluster: DocumentCluster, corpus_counts: Counter, config: RunConfig
 ) -> tuple[dict[str, RankList], dict[str, str]]:
     rank_lists: dict[str, RankList] = {}
     failures: dict[str, str] = {}
@@ -206,7 +206,7 @@ def _rank_all(
         try:
             if name == "topicsum":
                 rank_lists[name] = topicsum_rank(
-                    cluster, background, config.summarizer
+                    cluster, corpus_counts, config.summarizer
                 )
             else:
                 rank_lists[name] = _RANKERS[name](cluster, config.summarizer)
@@ -222,11 +222,11 @@ def _rouge_streams(cluster: DocumentCluster, summary: Summary) -> list[list[str]
 
 
 def _evaluate_cluster(
-    cluster: DocumentCluster, background: Counter, config: RunConfig
+    cluster: DocumentCluster, corpus_counts: Counter, config: RunConfig
 ) -> _ClusterOutcome:
     duplicates = duplicate_stats(cluster)
     try:
-        return _evaluate_cluster_inner(cluster, background, config, duplicates)
+        return _evaluate_cluster_inner(cluster, corpus_counts, config, duplicates)
     except Exception as exc:  # a broken cluster must not abort the run
         logger.warning("cluster %s failed: %s", cluster.cluster_id, exc)
         return _ClusterOutcome(
@@ -241,12 +241,12 @@ def _evaluate_cluster(
 
 def _evaluate_cluster_inner(
     cluster: DocumentCluster,
-    background: Counter,
+    corpus_counts: Counter,
     config: RunConfig,
     duplicates: int,
 ) -> _ClusterOutcome:
     budget = config.summarizer.budget
-    rank_lists, failures = _rank_all(cluster, background, config)
+    rank_lists, failures = _rank_all(cluster, corpus_counts, config)
     ranked_systems = [s for s in config.systems if s in rank_lists]
     summaries = {
         name: extract_summary(rank_lists[name], cluster, budget)
@@ -330,23 +330,13 @@ def _evaluate_cluster_inner(
     )
 
 
-def _background_counts(clusters: Sequence[DocumentCluster]) -> list[Counter]:
-    """Leave-one-out pooled token counts for each cluster."""
-    per_cluster = []
+def _corpus_counts(clusters: Sequence[DocumentCluster]) -> Counter:
+    """Token counts pooled over every sentence of the corpus."""
     total = Counter()
     for cluster in clusters:
-        counts = Counter()
         for sentence in cluster.sentences:
-            counts.update(sentence.tokens)
-        per_cluster.append(counts)
-        total.update(counts)
-    backgrounds = []
-    for counts in per_cluster:
-        background = Counter(
-            {t: c - counts.get(t, 0) for t, c in total.items() if c > counts.get(t, 0)}
-        )
-        backgrounds.append(background)
-    return backgrounds
+            total.update(sentence.tokens)
+    return total
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -449,19 +439,18 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     ``NoSuccessfulClustersError`` when nothing could be scored.
     """
     clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
-    backgrounds = _background_counts(clusters)
+    corpus_counts = _corpus_counts(clusters)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(
                 pool.map(
-                    lambda pair: _evaluate_cluster(pair[0], pair[1], config),
-                    zip(clusters, backgrounds),
+                    lambda cluster: _evaluate_cluster(cluster, corpus_counts, config),
+                    clusters,
                 )
             )
     else:
         outcomes = [
-            _evaluate_cluster(cluster, background, config)
-            for cluster, background in zip(clusters, backgrounds)
+            _evaluate_cluster(cluster, corpus_counts, config) for cluster in clusters
         ]
     outcomes.sort(key=lambda o: o.cluster_id)
 
@@ -502,9 +491,8 @@ def summarize_cluster(
             f"no cluster {cluster_id!r} in {config.corpus}"
         )
     cluster = clusters[indices[cluster_id]]
-    background = _background_counts(clusters)[indices[cluster_id]]
 
-    rank_lists, failures = _rank_all(cluster, background, config)
+    rank_lists, failures = _rank_all(cluster, _corpus_counts(clusters), config)
     ranked_systems = [s for s in config.systems if s in rank_lists]
     for name, reason in failures.items():
         logger.warning("system %s skipped for %s: %s", name, cluster_id, reason)

@@ -8,6 +8,8 @@ by hand.  Only lowercase alphabetic words are transformed; anything else
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = "aeiou"
 
 
@@ -161,11 +163,14 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.cache
 def stem(word: str) -> str:
     """Return the Porter stem of ``word``.
 
     Words shorter than three letters and words containing anything but
-    lowercase ASCII letters are returned unchanged.
+    lowercase ASCII letters are returned unchanged.  Results are cached
+    for the life of the process; the cache holds one entry per distinct
+    word, so it is bounded by the vocabulary seen.
     """
     if len(word) <= 2 or not word.isascii() or not word.isalpha() or not word.islower():
         return word

@@ -130,12 +130,6 @@ class Summary:
     byte_count: int
 
 
-@dataclass(frozen=True)
-class CandidateOutput:
-    rank_list: RankList
-    summary: Summary
-
-
 def _uniform_ranklist(system_id: str, n: int) -> RankList:
     return RankList.from_scores(system_id, [1.0 / n] * n)
 
@@ -365,22 +359,29 @@ def log_likelihood_ratio(k1: int, n1: int, k2: int, n2: int) -> float:
 
 def topic_words(
     cluster: DocumentCluster,
-    background: Mapping[str, int],
+    corpus_counts: Mapping[str, int],
     threshold: float,
 ) -> set[str]:
-    """Tokens significantly over-represented in the cluster vs background."""
-    n2 = sum(background.values())
-    if n2 == 0:
-        raise ValueError("background required: no background token counts")
+    """Tokens significantly over-represented in the cluster vs background.
+
+    ``corpus_counts`` are the pooled token counts of the whole corpus,
+    this cluster included; the background is the corpus minus the
+    cluster's own counts.
+    """
     counts = Counter()
     for sentence in cluster.sentences:
         counts.update(sentence.tokens)
     n1 = sum(counts.values())
+    n2 = sum(corpus_counts.values()) - n1
+    if n2 == 0:
+        raise ValueError("background required: no background token counts")
     if n1 == 0:
         return set()
     result = set()
     for token, k1 in counts.items():
-        k2 = background.get(token, 0)
+        k2 = corpus_counts.get(token, 0) - k1
+        if k2 < 0:
+            raise ValueError(f"corpus counts miss the cluster's {token!r} tokens")
         if k1 / n1 <= k2 / n2:
             continue
         if log_likelihood_ratio(k1, n1, k2, n2) > threshold:
@@ -390,11 +391,11 @@ def topic_words(
 
 def topicsum_rank(
     cluster: DocumentCluster,
-    background: Mapping[str, int],
+    corpus_counts: Mapping[str, int],
     config: SummarizerConfig,
 ) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = topic_words(cluster, background, config.topic_llr_threshold)
+    signature = topic_words(cluster, corpus_counts, config.topic_llr_threshold)
     scores = []
     for sentence in cluster.sentences:
         if not sentence.tokens:
@@ -409,41 +410,6 @@ def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
     if config.kl_smoothing_k is not None:
         return config.kl_smoothing_k
     return 0.0005 * cluster_vocab_size
-
-
-def summary_kl(
-    cluster: DocumentCluster,
-    sentence_indices: Sequence[int],
-    smoothing_k: float | None = None,
-) -> float:
-    """KL divergence of a summary's smoothed word distribution from the
-    cluster's distribution, evaluated over the cluster vocabulary.
-
-    The summary side is add-k smoothed with one unseen-token slot kept in
-    the normalizer; ``smoothing_k=None`` uses 0.0005 * vocabulary size.
-    """
-    cluster_counts = Counter()
-    for sentence in cluster.sentences:
-        cluster_counts.update(sentence.tokens)
-    total = sum(cluster_counts.values())
-    if total == 0:
-        return 0.0
-    k = 0.0005 * len(cluster_counts) if smoothing_k is None else smoothing_k
-    counts = Counter()
-    for idx in sentence_indices:
-        counts.update(cluster.sentences[idx].tokens)
-    t = sum(counts.values())
-    denom = t + k * (len(cluster_counts) + 1)
-    if denom == 0.0:
-        return math.inf
-    kl = 0.0
-    for token, c in cluster_counts.items():
-        mass = counts[token] + k
-        if mass == 0.0:
-            continue
-        p_summary = mass / denom
-        kl += p_summary * (math.log(p_summary) - math.log(c / total))
-    return kl
 
 
 def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:

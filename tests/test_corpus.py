@@ -1,7 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from summ.corpus import (
     ABBREVIATIONS,
@@ -18,6 +21,7 @@ from summ.corpus import (
 from summ.porter import stem
 from summ.stopwords import STOPWORDS
 
+FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 PLAIN = TokenizationConfig(
     lowercase=False, remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
@@ -135,6 +139,33 @@ class TestPorter:
         for word in ("a", "is", "42", "b2b", "Paris", ""):
             assert stem(word) == word
 
+    @given(st.one_of(
+        st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=16),
+        st.text(max_size=8),
+    ))
+    def test_cached_stem_matches_uncached(self, word):
+        assert stem(word) == stem.__wrapped__(word)
+        # the repeat is answered from the cache
+        assert stem(word) == stem.__wrapped__(word)
+
+    def test_cached_stem_matches_uncached_on_fixture(self):
+        surface = TokenizationConfig(
+            lowercase=False, remove_stopwords=False, stem=False
+        )
+        words = set()
+        for line in FIXTURE.read_text(encoding="utf-8").split("\n"):
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            texts = [d["text"] for d in record["documents"]]
+            texts += [r["text"] for r in record.get("references", [])]
+            for text in texts:
+                words.update(tokenize(text, surface))
+                words.update(tokenize(text, RAW_SEQUENCE_CONFIG))
+        assert len(words) > 100
+        for word in sorted(words):
+            assert stem(word) == stem.__wrapped__(word), word
+
 
 class TestLoading:
     def test_jsonl_two_docs_three_sentences(self, tmp_path):
@@ -184,6 +215,26 @@ class TestLoading:
         )
         with pytest.raises(CorpusError, match=r"corpus\.jsonl:2"):
             load_corpus(path, "jsonl")
+
+    def test_raw_line_separators_inside_strings(self, tmp_path):
+        # JSON strings may hold these characters unescaped; only "\n"
+        # (or "\r\n") ends a record
+        separators = "\u2028\u2029\u0085"
+        text = f"Alpha beta{separators}gamma. Delta epsilon zeta."
+        records = [
+            make_record("c1", texts=(text,), references=(("A", text),)),
+            make_record("c2"),
+        ]
+        for newline in ("\n", "\r\n"):
+            path = tmp_path / "corpus.jsonl"
+            path.write_text(
+                newline.join(json.dumps(r, ensure_ascii=False) for r in records),
+                encoding="utf-8", newline="",
+            )
+            clusters = load_corpus(path, "jsonl", PLAIN)
+            assert [c.cluster_id for c in clusters] == ["c1", "c2"]
+            assert clusters[0].references[0].text == text
+            assert clusters[0].documents[0].text.startswith("Alpha beta")
 
     def test_missing_field_reports_source(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

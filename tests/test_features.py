@@ -9,7 +9,6 @@ from summ.features import (
     cosine_similarity,
     ngrams,
     tfidf_vectors,
-    unigram_distribution,
 )
 
 PLAIN = TokenizationConfig(
@@ -45,41 +44,6 @@ class TestNgrams:
             n = rng.randint(1, 5)
             counts = ngrams(tokens, n)
             assert sum(counts.values()) == max(0, len(tokens) - n + 1)
-
-
-class TestUnigramDistribution:
-    def test_mle(self):
-        dist = unigram_distribution([["a", "a", "b"]])
-        assert dist.probabilities == {"a": 2 / 3, "b": 1 / 3}
-        assert dist.smoothing_mass == 0.0
-
-    def test_add_k(self):
-        dist = unigram_distribution([["a"]], add_k=1.0)
-        assert dist.prob("a") == pytest.approx(2 / 3)
-        assert dist.prob("unseen") == pytest.approx(1 / 3)
-
-    def test_all_empty_is_error(self):
-        with pytest.raises(ValueError, match="empty distribution"):
-            unigram_distribution([[], []])
-
-    def test_mle_sums_to_one(self):
-        rng = random.Random(9)
-        for _ in range(100):
-            lists = [
-                rng.choices("abcdefgh", k=rng.randint(1, 15))
-                for _ in range(rng.randint(1, 4))
-            ]
-            dist = unigram_distribution(lists)
-            assert sum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
-            assert all(p > 0 for p in dist.probabilities.values())
-
-    def test_smoothed_observed_mass_below_one(self):
-        rng = random.Random(10)
-        for _ in range(50):
-            lists = [rng.choices("abcd", k=rng.randint(0, 6))]
-            dist = unigram_distribution(lists, add_k=0.5)
-            assert sum(dist.probabilities.values()) <= 1.0 + 1e-12
-            assert dist.smoothing_mass > 0
 
 
 class TestTfidf:

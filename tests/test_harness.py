@@ -175,8 +175,8 @@ class TestRunEvaluation:
         write_jsonl(path, [record])
         report = run_evaluation(fixture_config(corpus=path))
         assert report.averages["oracle"]["R-1"] == 1.0
-        # single-cluster corpora have no leave-one-out background
-        assert "topicsum" in report.failures["only"]
+        # a single-cluster corpus leaves topicsum no background
+        assert "background required" in report.failures["only"]["topicsum"]
 
     def test_disabling_aggregators_leaves_candidate_rows(self):
         config = fixture_config(aggregators=())

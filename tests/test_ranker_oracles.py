@@ -3,7 +3,9 @@
 The reference implementations below are the original pure-Python loops of
 ``greedykl_rank``, ``lexrank_rank`` and ``textrank_rank``.  The package's
 numpy rankers must reproduce their scores and ranks exactly (``==``, no
-tolerance), since reports are compared byte for byte.
+tolerance), since reports are compared byte for byte.  Likewise
+``topicsum_rank``, given corpus totals, must reproduce the original
+leave-one-out background path.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
 from summ.features import cosine_similarity, tfidf_vectors
+from summ.harness import _corpus_counts
 from summ.summarizers import (
     RankList,
     SummarizerConfig,
@@ -24,7 +27,9 @@ from summ.summarizers import (
     _kl_smoothing,
     greedykl_rank,
     lexrank_rank,
+    log_likelihood_ratio,
     textrank_rank,
+    topicsum_rank,
 )
 
 
@@ -244,3 +249,133 @@ def test_long_cluster_matches_references():
         ]
         docs.append(doc + doc[:2])  # copied lead sentences give exact ties
     assert_identical(make_cluster(docs), SummarizerConfig())
+
+
+def reference_background_counts(
+    clusters: Sequence[DocumentCluster],
+) -> list[Counter]:
+    """Leave-one-out pooled token counts for each cluster."""
+    per_cluster = []
+    total = Counter()
+    for cluster in clusters:
+        counts = Counter()
+        for sentence in cluster.sentences:
+            counts.update(sentence.tokens)
+        per_cluster.append(counts)
+        total.update(counts)
+    backgrounds = []
+    for counts in per_cluster:
+        background = Counter(
+            {t: c - counts.get(t, 0) for t, c in total.items() if c > counts.get(t, 0)}
+        )
+        backgrounds.append(background)
+    return backgrounds
+
+
+def reference_topic_words(
+    cluster: DocumentCluster, background: Counter, threshold: float
+) -> set[str]:
+    """Tokens significantly over-represented in the cluster vs background."""
+    n2 = sum(background.values())
+    if n2 == 0:
+        raise ValueError("background required: no background token counts")
+    counts = Counter()
+    for sentence in cluster.sentences:
+        counts.update(sentence.tokens)
+    n1 = sum(counts.values())
+    if n1 == 0:
+        return set()
+    result = set()
+    for token, k1 in counts.items():
+        k2 = background.get(token, 0)
+        if k1 / n1 <= k2 / n2:
+            continue
+        if log_likelihood_ratio(k1, n1, k2, n2) > threshold:
+            result.add(token)
+    return result
+
+
+def reference_topicsum_rank(
+    cluster: DocumentCluster, background: Counter, config: SummarizerConfig
+) -> RankList:
+    """Fraction of a sentence's tokens that are topic-signature words."""
+    signature = reference_topic_words(cluster, background, config.topic_llr_threshold)
+    scores = []
+    for sentence in cluster.sentences:
+        if not sentence.tokens:
+            scores.append(0.0)
+            continue
+        hits = sum(1 for t in sentence.tokens if t in signature)
+        scores.append(hits / len(sentence.tokens))
+    return RankList.from_scores("topicsum", scores)
+
+
+def assert_topicsum_identical(corpus_docs, config):
+    clusters = [
+        cluster_from_sentences(
+            f"c{c}",
+            [(f"d{i}", sents) for i, sents in enumerate(docs)],
+            config=WORDS,
+        )
+        for c, docs in enumerate(corpus_docs)
+    ]
+    corpus_counts = _corpus_counts(clusters)
+    for cluster, background in zip(clusters, reference_background_counts(clusters)):
+        try:
+            want = reference_topicsum_rank(cluster, background, config)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="background required"):
+                topicsum_rank(cluster, corpus_counts, config)
+            assert "background required" in str(exc)
+            continue
+        got = topicsum_rank(cluster, corpus_counts, config)
+        assert got.scores == want.scores
+        assert got.ranks == want.ranks
+
+
+def own_words(c):
+    """Words that only cluster ``c`` of a corpus uses."""
+    return [f"{w}{c}" for w in ("kelp", "moss", "reed")]
+
+
+@st.composite
+def topic_corpora(draw):
+    # clusters share VOCAB and each adds words no other cluster uses, so
+    # tokens unique to one cluster, shared tokens and 1-cluster corpora
+    # (no background at all) all occur
+    n_clusters = draw(st.integers(1, 4))
+    corpus = []
+    for c in range(n_clusters):
+        words = st.sampled_from(VOCAB + own_words(c))
+        text = st.lists(words, max_size=9).map(lambda ws: " ".join(ws) or ".")
+        corpus.append(draw(st.lists(
+            st.lists(text, min_size=1, max_size=5), min_size=1, max_size=3
+        )))
+    return corpus
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus_docs=topic_corpora(),
+    threshold=st.sampled_from([0.5, 2.0, 3.84, 10.83]),
+)
+def test_topicsum_corpus_totals_match_leave_one_out(corpus_docs, threshold):
+    assert_topicsum_identical(
+        corpus_docs, SummarizerConfig(topic_llr_threshold=threshold)
+    )
+
+
+TOPIC_CORPORA = {
+    "one_cluster": [[["ash birch cedar", "ash dune"]]],
+    "disjoint_vocabularies": [[["kelp0 moss0 reed0"]], [["kelp1 moss1"]]],
+    "cluster_is_whole_vocabulary": [[["ash ash birch"]], [["ash birch", "birch"]]],
+    "empty_cluster_tokens": [[[".", "..."]], [["ash birch cedar"]]],
+    "only_empty_tokens": [[["."]], [["!"]]],
+}
+
+
+@pytest.mark.parametrize(
+    "corpus_docs", list(TOPIC_CORPORA.values()), ids=list(TOPIC_CORPORA)
+)
+def test_topicsum_edge_corpora_match_leave_one_out(corpus_docs):
+    assert_topicsum_identical(corpus_docs, SummarizerConfig(topic_llr_threshold=0.5))

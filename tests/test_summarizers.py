@@ -17,7 +17,6 @@ from summ.summarizers import (
     greedykl_rank,
     lexrank_rank,
     log_likelihood_ratio,
-    summary_kl,
     textrank_rank,
     topic_words,
     topicsum_rank,
@@ -35,6 +34,10 @@ def make_cluster(docs, config=WORDS):
     return cluster_from_sentences(
         "c", [(f"d{i}", sents) for i, sents in enumerate(docs)], config=config
     )
+
+
+def cluster_counts(cluster):
+    return Counter(t for s in cluster.sentences for t in s.tokens)
 
 
 class TestRankList:
@@ -205,31 +208,38 @@ class TestTopicsum:
             41.81200858685817
         )
 
+    # topicsum takes corpus totals: the cluster's own counts plus the
+    # background of every other cluster
+
     def test_background_equal_to_cluster_gives_all_zero(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
-        background = Counter()
-        for s in cluster.sentences:
-            background.update(s.tokens)
-        rl = topicsum_rank(cluster, background, CONFIG)
+        corpus = cluster_counts(cluster) + cluster_counts(cluster)
+        rl = topicsum_rank(cluster, corpus, CONFIG)
         assert rl.scores == (0.0,) * len(cluster.sentences)
 
     def test_overrepresented_token_becomes_topic_word(self):
         sentences = [["storm storm storm storm storm surge", "other words here"]]
         cluster = make_cluster(sentences)
-        background = Counter({f"w{i}": 20 for i in range(20)})
-        signature = topic_words(cluster, background, CONFIG.topic_llr_threshold)
+        corpus = cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)})
+        signature = topic_words(cluster, corpus, CONFIG.topic_llr_threshold)
         assert "storm" in signature
 
     def test_pure_topic_sentence_scores_one(self):
         cluster = make_cluster([["storm storm storm storm storm", "calm words today"]])
-        background = Counter({f"w{i}": 30 for i in range(30)})
-        rl = topicsum_rank(cluster, background, CONFIG)
+        corpus = cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)})
+        rl = topicsum_rank(cluster, corpus, CONFIG)
         assert max(rl.scores) == rl.scores[0] == 1.0
 
     def test_empty_background_is_error(self):
         cluster = make_cluster([["red fox runs"]])
         with pytest.raises(ValueError, match="background required"):
-            topicsum_rank(cluster, Counter(), CONFIG)
+            topicsum_rank(cluster, cluster_counts(cluster), CONFIG)
+
+    def test_corpus_counts_must_include_the_cluster(self):
+        cluster = make_cluster([["red fox runs", "red bird sings"]])
+        background = Counter({"red": 1, "noise": 50})
+        with pytest.raises(ValueError, match="corpus counts miss"):
+            topicsum_rank(cluster, background, CONFIG)
 
 
 def brute_force_kl(cluster, indices, k):
@@ -261,11 +271,6 @@ class TestGreedyKL:
         rl = greedykl_rank(cluster, CONFIG)
         assert rl.ranks == (1, 2, 3, 4)
 
-    def test_kl_of_full_cluster_is_zero_without_smoothing(self):
-        cluster = make_cluster([["red fox runs", "blue bird sings"]])
-        value = summary_kl(cluster, [0, 1], smoothing_k=0.0)
-        assert value == pytest.approx(0.0, abs=1e-10)
-
     def test_first_pick_matches_exhaustive_search(self):
         rng = random.Random(41)
         vocab = ["ash", "birch", "cedar", "dune", "elm", "fern"]
@@ -294,20 +299,16 @@ class TestGreedyKL:
         rl = greedykl_rank(cluster, CONFIG)
         order = rl.order()
         k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
-        # the selection prefix at each step must equal the direct KL value
-        for depth in range(1, len(order) + 1):
-            direct = brute_force_kl(cluster, order[:depth], k)
-            assert summary_kl(cluster, order[:depth]) == pytest.approx(direct)
-
-
-def test_candidate_output_bundles_ranklist_and_summary():
-    from summ.summarizers import CandidateOutput, Summary
-
-    cluster = make_cluster([["red fox runs far", "blue bird sings well"]])
-    rl = freqsum_rank(cluster, CONFIG)
-    summary = extract_summary(rl, cluster, LengthBudget("words", 4))
-    output = CandidateOutput(rank_list=rl, summary=summary)
-    assert output.summary.sentence_indices == (rl.order()[0],)
+        # each incremental pick must minimize the direct KL of the prefix
+        for depth in range(len(order)):
+            prefix = order[:depth]
+            kls = [
+                brute_force_kl(cluster, prefix + [i], k)
+                for i in order[depth:]
+            ]
+            assert brute_force_kl(cluster, prefix + [order[depth]], k) <= (
+                min(kls) + 1e-9
+            )
 
 
 class TestExtractSummary:
@@ -417,11 +418,11 @@ class TestRankerProperties:
         vocab = ["gale", "tide", "reef", "dune", "cove", "surf"]
         docs = random_cluster(rng, vocab)
         cluster = make_cluster(docs)
-        background = Counter({"noise": 50, "words": 50})
+        corpus = cluster_counts(cluster) + Counter({"noise": 50, "words": 50})
         for name, ranker in SYSTEMS.items():
             assert ranker(cluster, CONFIG) == ranker(cluster, CONFIG), name
-        assert topicsum_rank(cluster, background, CONFIG) == topicsum_rank(
-            cluster, background, CONFIG
+        assert topicsum_rank(cluster, corpus, CONFIG) == topicsum_rank(
+            cluster, corpus, CONFIG
         )
 
     def test_token_bijection_leaves_ranks_unchanged(self):
@@ -437,15 +438,17 @@ class TestRankerProperties:
                        for doc in docs]
             cluster = make_cluster(docs)
             mirrored = make_cluster(renamed)
-            background = Counter({w: 9 for w in vocab})
-            renamed_background = Counter({rename(w): 9 for w in vocab})
+            corpus = cluster_counts(cluster) + Counter({w: 9 for w in vocab})
+            renamed_corpus = cluster_counts(mirrored) + Counter(
+                {rename(w): 9 for w in vocab}
+            )
             for name, ranker in SYSTEMS.items():
                 assert (
                     ranker(cluster, CONFIG).ranks == ranker(mirrored, CONFIG).ranks
                 ), (name, trial)
             assert (
-                topicsum_rank(cluster, background, CONFIG).ranks
-                == topicsum_rank(mirrored, renamed_background, CONFIG).ranks
+                topicsum_rank(cluster, corpus, CONFIG).ranks
+                == topicsum_rank(mirrored, renamed_corpus, CONFIG).ranks
             )
 
     def test_scores_sum_to_one_for_graph_rankers(self):
