@@ -47,10 +47,11 @@ from .harness import (
     sign_test,
     summarize_cluster,
 )
-from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
+from .rouge import RougeScore, ngram_counts, pairwise_sim_matrix, rouge_n_recall
 from .summarizers import (
     LengthBudget,
     RankList,
+    RedundancyCap,
     Summary,
     SummarizerConfig,
     centroid_rank,

@@ -5,7 +5,7 @@ report; ``summ summarize`` prints one cluster's aggregate summary.  Flags
 can also come from a JSON config file (``--config``); explicit flags win.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 no successful
-clusters.
+clusters (for ``summarize``, also a cluster the aggregator cannot use).
 """
 
 from __future__ import annotations

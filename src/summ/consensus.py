@@ -21,6 +21,7 @@ peers as stand-in references.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ReferenceSummary
-from .rouge import RougeScore, TokenLists, pairwise_sim_matrix, prepare_text, rouge_n_recall
+from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
+from .rouge import prepare_text  # noqa: F401  (traced here by bench/tracing.py)
 from .summarizers import RankList
 
 AGGREGATORS = ("borda", "wcs", "cwcs", "oracle")
@@ -65,6 +67,13 @@ class WcsConfig:
 
 @dataclass(frozen=True)
 class AggregateResult:
+    """An aggregate rank list and what the method reports about it.
+
+    For wcs, ``iterations``, ``converged`` and ``objective_trace`` describe
+    the winning restart only; the other restarts' iterations are not
+    counted anywhere.
+    """
+
     method: str
     rank_list: RankList
     weights: WeightVector | None = None
@@ -102,63 +111,37 @@ def borda_aggregate(rank_lists: Sequence[RankList]) -> AggregateResult:
     return AggregateResult(method="borda", rank_list=rank_list)
 
 
-def project_simplex(y: Sequence[float]) -> WeightVector:
-    """Euclidean projection onto {w : w >= 0, sum w = 1}.
+def _project_rows(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of ``y`` onto {w : w >= 0, sum w = 1}.
 
-    Sorted-threshold method: with the entries sorted descending, find the
-    largest prefix whose running mean keeps every kept entry above the
-    water level tau, then clip at tau.
+    Sorted-threshold method: with a row's entries sorted descending, find
+    the largest prefix whose running mean keeps every kept entry above the
+    water level tau, then clip at tau.  Each row goes through the same
+    float operations as it would alone.
     """
+    u = np.sort(y, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    j = np.arange(1, y.shape[1] + 1)
+    supported = u - (cumulative - 1.0) / j > 0.0
+    # last supported position of each row; the first always is, unless the
+    # entries are so large that subtracting 1 is lost to rounding
+    rho = y.shape[1] - 1 - np.argmax(supported[:, ::-1], axis=1)
+    rows = np.arange(len(y))
+    if not supported[rows, rho].all():
+        raise ValueError("simplex projection failed: entries too large")
+    tau = (cumulative[rows, rho] - 1.0) / (rho + 1.0)
+    weights = np.maximum(y - tau[:, None], 0.0)
+    if (np.abs(weights.sum(axis=1) - 1.0) > 1e-9).any():
+        raise ValueError("weights must sum to 1")
+    return weights
+
+
+def project_simplex(y: Sequence[float]) -> WeightVector:
+    """Euclidean projection onto {w : w >= 0, sum w = 1}."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("expected a non-empty 1-D vector")
-    u = np.sort(y)[::-1]
-    cumulative = np.cumsum(u)
-    j = np.arange(1, y.size + 1)
-    supported = np.nonzero(u - (cumulative - 1.0) / j > 0.0)[0]
-    rho = supported[-1]
-    tau = (cumulative[rho] - 1.0) / (rho + 1.0)
-    return WeightVector(tuple(np.maximum(y - tau, 0.0)))
-
-
-def _alternate_minimize(ranks: np.ndarray, start: np.ndarray, config: WcsConfig):
-    """One alternating-minimization run from the given weight start."""
-    lam = config.lambda_
-
-    def objective(w: np.ndarray, distances: np.ndarray) -> float:
-        return float((1.0 - lam) * (w * distances).sum() + lam * (w * w).sum())
-
-    weights = start
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    previous = None
-    for _ in range(config.max_iter):
-        iterations += 1
-        # exact r* minimizer for fixed w
-        r_star = weights @ ranks
-        distances = ((ranks - r_star) ** 2).sum(axis=1)
-        trace.append(objective(weights, distances))
-        # exact w minimizer for fixed r*
-        if lam == 0.0:
-            at_min = distances == distances.min()
-            weights = at_min / at_min.sum()
-        else:
-            weights = np.asarray(
-                project_simplex(-(1.0 - lam) / (2.0 * lam) * distances).weights
-            )
-        current = objective(weights, distances)
-        trace.append(current)
-        if previous is not None and previous - current <= config.tol:
-            converged = True
-            break
-        previous = current
-    # leave r* optimal for the final weights
-    r_star = weights @ ranks
-    distances = ((ranks - r_star) ** 2).sum(axis=1)
-    final = objective(weights, distances)
-    trace.append(final)
-    return final, weights, r_star, iterations, converged, trace
+    return WeightVector(tuple(_project_rows(y[None, :])[0]))
 
 
 def wcs_aggregate(
@@ -172,6 +155,11 @@ def wcs_aggregate(
     first, then each vertex and each edge midpoint) and the best final
     iterate wins; ties keep the earliest start, so the uniform run is
     preferred whenever it reaches the optimum.
+
+    The restarts run together, one row of a weight matrix each; a row
+    leaves the active set once it converges or reaches ``max_iter``.
+    ``iterations``, ``converged`` and ``objective_trace`` of the result
+    describe the winning restart only, not the work of all restarts.
     """
     config = config or WcsConfig()
     n = _common_length(rank_lists)
@@ -183,48 +171,95 @@ def wcs_aggregate(
     else:
         rows = [np.zeros(1) for _ in rank_lists]
     ranks = np.vstack(rows)
+    lam = config.lambda_
 
-    starts = [np.full(k, 1.0 / k)]
-    starts.extend(np.eye(k)[i] for i in range(k))
-    starts.extend(
-        (np.eye(k)[i] + np.eye(k)[j]) / 2.0 for i in range(k) for j in range(i + 1, k)
+    def consensus(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact r* minimizer of each row, and its distances to the systems.
+
+        One ``w @ ranks`` product per row: a single matrix product over all
+        rows can round differently in the last bit."""
+        r_star = np.array([w @ ranks for w in weights])
+        return r_star, ((ranks - r_star[:, None, :]) ** 2).sum(axis=2)
+
+    def objective(weights: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        spread = (weights * distances).sum(axis=1)
+        return (1.0 - lam) * spread + lam * (weights * weights).sum(axis=1)
+
+    eye = np.eye(k)
+    weights = np.vstack(
+        [np.full(k, 1.0 / k), eye]
+        + [(eye[i] + eye[j]) / 2.0 for i in range(k) for j in range(i + 1, k)]
     )
-    best = None
-    for start in starts:
-        run = _alternate_minimize(ranks, start, config)
-        if best is None or run[0] < best[0]:
-            best = run
-    final, weights, r_star, iterations, converged, trace = best
-    rank_list = RankList.from_scores("wcs", [-v for v in r_star])
+    restarts = len(weights)
+    iterations = np.full(restarts, config.max_iter)
+    converged = np.zeros(restarts, dtype=bool)
+    history = []  # (running restarts, objective before, objective after) per step
+    running = np.arange(restarts)
+    current = weights.copy()
+    previous = None
+    for step in range(config.max_iter):
+        _, distances = consensus(current)
+        before = objective(current, distances)
+        # exact w minimizer for fixed r*
+        if lam == 0.0:
+            at_min = distances == distances.min(axis=1, keepdims=True)
+            current = at_min / at_min.sum(axis=1, keepdims=True)
+        else:
+            current = _project_rows(-(1.0 - lam) / (2.0 * lam) * distances)
+        after = objective(current, distances)
+        history.append((running, before, after))
+        if previous is not None:
+            done = previous - after <= config.tol
+            if done.any():
+                finished = running[done]
+                weights[finished] = current[done]
+                iterations[finished] = step + 1
+                converged[finished] = True
+                running, current, after = running[~done], current[~done], after[~done]
+                if not running.size:
+                    break
+        previous = after
+    weights[running] = current
+    # leave r* optimal for the final weights
+    r_star, distances = consensus(weights)
+    final = objective(weights, distances).tolist()
+    best = min(range(restarts), key=final.__getitem__)
+    trace: list[float] = []
+    for ran, before, after in history[: iterations[best]]:
+        at = np.searchsorted(ran, best)
+        trace += [float(before[at]), float(after[at])]
+    trace.append(final[best])
+    rank_list = RankList.from_scores("wcs", [-v for v in r_star[best]])
     return AggregateResult(
         method="wcs",
         rank_list=rank_list,
-        weights=WeightVector(tuple(weights)),
-        iterations=iterations,
-        objective=final,
-        converged=converged,
+        weights=WeightVector(tuple(weights[best])),
+        iterations=int(iterations[best]),
+        objective=final[best],
+        converged=bool(converged[best]),
         objective_trace=tuple(trace),
     )
 
 
-def cwcs_raw_weights(summaries: Sequence[TokenLists]) -> list[float]:
-    """Mean unigram recall of each summary against its peers."""
-    k = len(summaries)
+def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
+    """Mean unigram recall of each summary against its peers, from one
+    unigram ``ngram_counts`` per summary."""
+    k = len(unigrams)
     if k < 2:
         raise ValueError("peers required: need at least two summaries")
-    matrix = pairwise_sim_matrix(summaries)
+    matrix = pairwise_sim_matrix(unigrams)
     return [
         sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
     ]
 
 
-def cwcs_weights(summaries: Sequence[TokenLists]) -> WeightVector:
-    """Peer-agreement weights, normalized to the simplex.
+def cwcs_weights(raw: Sequence[float]) -> WeightVector:
+    """Peer-agreement weights (``cwcs_raw_weights``), normalized to the
+    simplex.
 
     All-zero agreement (every summary disjoint from every other) falls
     back to uniform weights.
     """
-    raw = cwcs_raw_weights(summaries)
     total = sum(raw)
     if total == 0.0:
         return WeightVector(tuple(1.0 / len(raw) for _ in raw))
@@ -262,21 +297,19 @@ def cwcs_aggregate(
 
 
 def oracle_select(
-    candidate_summaries: Sequence[TokenLists],
-    references: Sequence[ReferenceSummary],
-    n: int = 1,
+    candidates: Sequence[Counter], references: Sequence[Counter], n: int = 1
 ) -> tuple[int, RougeScore]:
     """Index and score of the candidate scoring highest against the
-    references (ties go to the smaller index)."""
+    references (ties go to the smaller index); candidates and references
+    are given as their ``ngram_counts`` of order ``n``."""
     if not references:
         raise ValueError("oracle requires reference summaries")
-    if not candidate_summaries:
+    if not candidates:
         raise ValueError("at least one candidate summary is required")
-    reference_streams = [prepare_text(r.text) for r in references]
     best_index = 0
     best_score = None
-    for i, candidate in enumerate(candidate_summaries):
-        score = rouge_n_recall(candidate, reference_streams, n)
+    for i, candidate in enumerate(candidates):
+        score = rouge_n_recall(candidate, references, n)
         if best_score is None or score.recall > best_score.recall:
             best_index, best_score = i, score
     return best_index, best_score

@@ -29,9 +29,7 @@ def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
     """Multiset of n-grams of ``tokens``; never crosses the list boundary."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def tfidf_vectors(cluster: DocumentCluster) -> list[SentenceVector]:

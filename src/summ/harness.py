@@ -34,10 +34,11 @@ from .corpus import (
     duplicate_stats,
     load_corpus,
 )
-from .rouge import prepare_sentences, prepare_text, rouge_n_recall
+from .rouge import ngram_counts, prepare_sentences, prepare_text, rouge_n_recall
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     RankList,
+    RedundancyCap,
     Summary,
     SummarizerConfig,
     centroid_rank,
@@ -215,10 +216,28 @@ def _rank_all(
     return rank_lists, failures
 
 
-def _rouge_streams(cluster: DocumentCluster, summary: Summary) -> list[list[str]]:
-    return prepare_sentences(
+def _ngram_table(
+    cluster: DocumentCluster, summary: Summary, orders: Sequence[int]
+) -> dict[int, Counter]:
+    """The summary's n-gram counts per order, from its scoring tokens."""
+    streams = prepare_sentences(
         [cluster.sentences[i].raw_text for i in summary.sentence_indices]
     )
+    return {n: ngram_counts(streams, n) for n in orders}
+
+
+def _reference_table(
+    cluster: DocumentCluster, orders: Sequence[int]
+) -> dict[int, list[Counter]]:
+    """Each reference's n-gram counts per order, tokenized once."""
+    streams = [prepare_text(r.text) for r in cluster.references]
+    return {n: [ngram_counts([tokens], n) for tokens in streams] for n in orders}
+
+
+def _redundancy_cap(cluster: DocumentCluster, config: RunConfig) -> RedundancyCap | None:
+    if config.redundancy_cap is None:
+        return None
+    return RedundancyCap.for_cluster(cluster, config.redundancy_cap)
 
 
 def _evaluate_cluster(
@@ -248,23 +267,28 @@ def _evaluate_cluster_inner(
     budget = config.summarizer.budget
     rank_lists, failures = _rank_all(cluster, corpus_counts, config)
     ranked_systems = [s for s in config.systems if s in rank_lists]
-    summaries = {
-        name: extract_summary(rank_lists[name], cluster, budget)
+    # every unit's and reference's n-grams are counted once per order and
+    # shared by the peer matrix, the oracle and the scoring
+    orders = sorted({1, *config.rouge_orders})
+    counts = {
+        name: _ngram_table(
+            cluster, extract_summary(rank_lists[name], cluster, budget), orders
+        )
         for name in ranked_systems
     }
-    streams = {name: _rouge_streams(cluster, summaries[name]) for name in ranked_systems}
+    references = _reference_table(cluster, orders)
 
     raw_weights: dict[str, float] = {}
     weights = None
     if len(ranked_systems) >= 2:
         try:
-            peer_streams = [streams[name] for name in ranked_systems]
-            raw = cwcs_raw_weights(peer_streams)
+            raw = cwcs_raw_weights([counts[name][1] for name in ranked_systems])
             raw_weights = dict(zip(ranked_systems, raw))
-            weights = cwcs_weights(peer_streams)
+            weights = cwcs_weights(raw)
         except Exception as exc:
             failures["cwcs-weights"] = str(exc)
 
+    redundancy_cap = _redundancy_cap(cluster, config)
     system_lists = [rank_lists[name] for name in ranked_systems]
     for aggregator in config.aggregators:
         try:
@@ -283,36 +307,31 @@ def _evaluate_cluster_inner(
                 rank_list = result.rank_list
             else:  # oracle
                 best, _ = oracle_select(
-                    [streams[name] for name in ranked_systems],
-                    cluster.references,
+                    [counts[name][1] for name in ranked_systems],
+                    references[1],
                     n=1,
                 )
-                chosen = ranked_systems[best]
-                summaries[aggregator] = summaries[chosen]
-                streams[aggregator] = streams[chosen]
+                counts[aggregator] = counts[ranked_systems[best]]
                 continue
-            summaries[aggregator] = extract_summary(
-                rank_list, cluster, budget, config.redundancy_cap
-            )
-            streams[aggregator] = _rouge_streams(cluster, summaries[aggregator])
+            summary = extract_summary(rank_list, cluster, budget, redundancy_cap)
+            counts[aggregator] = _ngram_table(cluster, summary, orders)
         except Exception as exc:
             failures[aggregator] = str(exc)
 
     scores: dict[str, dict[str, float]] = {}
     scored = False
     if cluster.references:
-        reference_streams = [prepare_text(r.text) for r in cluster.references]
         for n in config.rouge_orders:
-            if not any(len(ref) >= n for ref in reference_streams):
+            if not any(references[n]):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"
         for unit in list(config.systems) + list(config.aggregators):
-            if unit not in streams:
+            if unit not in counts:
                 continue
             row = {}
             for n in config.rouge_orders:
                 if f"rouge-{n}" in failures:
                     continue
-                score = rouge_n_recall(streams[unit], reference_streams, n)
+                score = rouge_n_recall(counts[unit][n], references[n], n)
                 row[f"R-{n}"] = score.recall
             if row:
                 scores[unit] = row
@@ -501,24 +520,28 @@ def summarize_cluster(
     system_lists = [rank_lists[name] for name in ranked_systems]
     budget = config.summarizer.budget
 
-    if aggregator == "borda":
-        rank_list = borda_aggregate(system_lists).rank_list
-    elif aggregator == "wcs":
-        rank_list = wcs_aggregate(system_lists, config.wcs).rank_list
-    elif aggregator == "cwcs":
-        peers = [
-            _rouge_streams(cluster, extract_summary(rl, cluster, budget))
-            for rl in system_lists
-        ]
-        rank_list = cwcs_aggregate(system_lists, cwcs_weights(peers)).rank_list
-    else:  # oracle
-        candidates = [
-            _rouge_streams(cluster, extract_summary(rl, cluster, budget))
-            for rl in system_lists
-        ]
-        best, _ = oracle_select(candidates, cluster.references, n=1)
-        rank_list = system_lists[best]
-    summary = extract_summary(rank_list, cluster, budget, config.redundancy_cap)
+    # a cluster too poor for the aggregator (too few systems ranked it, or
+    # no references for the oracle) is a data outcome, not a usage error
+    try:
+        if aggregator == "borda":
+            rank_list = borda_aggregate(system_lists).rank_list
+        elif aggregator == "wcs":
+            rank_list = wcs_aggregate(system_lists, config.wcs).rank_list
+        else:
+            unigrams = [
+                _ngram_table(cluster, extract_summary(rl, cluster, budget), (1,))[1]
+                for rl in system_lists
+            ]
+            if aggregator == "cwcs":
+                weights = cwcs_weights(cwcs_raw_weights(unigrams))
+                rank_list = cwcs_aggregate(system_lists, weights).rank_list
+            else:  # oracle
+                references = _reference_table(cluster, (1,))[1]
+                best, _ = oracle_select(unigrams, references, n=1)
+                rank_list = system_lists[best]
+    except ValueError as exc:
+        raise NoSuccessfulClustersError(str(exc)) from exc
+    summary = extract_summary(rank_list, cluster, budget, _redundancy_cap(cluster, config))
     return [cluster.sentences[i].raw_text for i in summary.sentence_indices]
 
 

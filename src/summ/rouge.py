@@ -5,8 +5,10 @@ is min(candidate count, reference count), and recall normalizes by the
 reference's n-gram total.  Multiple references combine by the arithmetic
 mean of per-reference recalls (no jackknifing).
 
-Candidates are passed per sentence so n-grams never span the join between
-two extracted sentences; each reference is one flat token stream.
+Candidates are counted per sentence so n-grams never span the join
+between two extracted sentences; each reference is one flat token stream.
+Scoring takes n-gram counts (``ngram_counts``), so a caller counts each
+summary and reference once per order and scores it against many others.
 """
 
 from __future__ import annotations
@@ -50,16 +52,21 @@ def prepare_sentences(
     return [tokenize(t, config) for t in texts]
 
 
-def _candidate_ngrams(candidate: TokenLists, n: int) -> Counter:
+def ngram_counts(token_lists: TokenLists, n: int) -> Counter:
+    """Multiset of the ``n``-grams of ``token_lists``; no n-gram spans two
+    lists.  A candidate passes one list per sentence, a reference its flat
+    stream as the single list ``[tokens]``."""
     counts = Counter()
-    for sentence_tokens in candidate:
-        counts.update(ngrams(list(sentence_tokens), n))
+    for tokens in token_lists:
+        counts.update(ngrams(list(tokens), n))
     return counts
 
 
-def rouge_n_recall(candidate: TokenLists, references: TokenLists, n: int) -> RougeScore:
-    """ROUGE-N recall of ``candidate`` (token lists per sentence) against
-    one or more references (one flat token list each).
+def rouge_n_recall(
+    candidate: Counter, references: Sequence[Counter], n: int
+) -> RougeScore:
+    """ROUGE-N recall of a candidate against one or more references, each
+    given as its ``ngram_counts`` of order ``n``.
 
     References with no n-grams of order ``n`` are excluded from the mean;
     if every reference is excluded there is nothing to score and a
@@ -69,17 +76,15 @@ def rouge_n_recall(candidate: TokenLists, references: TokenLists, n: int) -> Rou
         raise ValueError("n must be >= 1")
     if not references:
         raise ValueError("at least one reference is required")
-    cand_counts = _candidate_ngrams(candidate, n)
     recalls = []
     match_total = 0
     reference_total = 0
-    for reference in references:
-        ref_counts = ngrams(list(reference), n)
+    for ref_counts in references:
         ref_size = sum(ref_counts.values())
         if ref_size == 0:
             continue
         match = sum(
-            min(c, cand_counts[g]) for g, c in ref_counts.items() if g in cand_counts
+            min(ref_counts[g], candidate[g]) for g in ref_counts.keys() & candidate.keys()
         )
         recalls.append(match / ref_size)
         match_total += match
@@ -94,25 +99,25 @@ def rouge_n_recall(candidate: TokenLists, references: TokenLists, n: int) -> Rou
     )
 
 
-def pairwise_sim_matrix(summaries: Sequence[TokenLists]) -> list[list[float]]:
-    """K x K matrix of unigram recalls between peer summaries.
+def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
+    """K x K matrix of unigram recalls between peer summaries, given as
+    one unigram ``ngram_counts`` each.
 
     ``M[i][j]`` scores summary i with summary j acting as the benchmark,
     so the matrix is generally asymmetric.  The diagonal is 1 by
     convention; an empty summary contributes 0 everywhere else.
     """
-    k = len(summaries)
+    k = len(unigrams)
     if k < 2:
         raise ValueError("pairwise similarity needs at least two summaries")
-    flat = [[t for sent in s for t in sent] for s in summaries]
-    for i, tokens in enumerate(flat):
-        if not tokens:
+    for i, counts in enumerate(unigrams):
+        if not counts:
             logger.warning("pairwise_sim_matrix: summary %d is empty", i)
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):
         matrix[i][i] = 1.0
         for j in range(k):
-            if i == j or not flat[i] or not flat[j]:
+            if i == j or not unigrams[i] or not unigrams[j]:
                 continue
-            matrix[i][j] = rouge_n_recall(summaries[i], [flat[j]], 1).recall
+            matrix[i][j] = rouge_n_recall(unigrams[i], [unigrams[j]], 1).recall
     return matrix

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DocumentCluster
-from .features import cosine_similarity, tfidf_vectors
+from .features import SentenceVector, cosine_similarity, tfidf_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -489,23 +489,36 @@ def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankLis
     return RankList.from_scores("greedykl", scores)
 
 
+@dataclass(frozen=True)
+class RedundancyCap:
+    """Cosine-similarity cap over one cluster's TF-IDF vectors, built once
+    and shared by every extraction from that cluster."""
+
+    limit: float
+    vectors: tuple[SentenceVector, ...]
+
+    @classmethod
+    def for_cluster(cls, cluster: DocumentCluster, limit: float) -> "RedundancyCap":
+        return cls(limit, tuple(tfidf_vectors(cluster)))
+
+
 def extract_summary(
     rank_list: RankList,
     cluster: DocumentCluster,
     budget: LengthBudget,
-    redundancy_cap: float | None = None,
+    redundancy_cap: RedundancyCap | None = None,
 ) -> Summary:
     """Greedy prefix of the rank order under the length budget.
 
     Ineligible (too short) sentences are skipped; with ``redundancy_cap``
     set, a sentence whose cosine similarity to any already selected
-    sentence exceeds the cap is skipped too.  The walk stops at the first
-    sentence that would overflow the budget, so sentences are never
+    sentence exceeds its limit is skipped too.  The walk stops at the
+    first sentence that would overflow the budget, so sentences are never
     truncated.  Word cost is the whitespace word count of the raw text;
     byte cost is its UTF-8 length plus one separator byte between
     sentences.
     """
-    vectors = tfidf_vectors(cluster) if redundancy_cap is not None else None
+    vectors = redundancy_cap.vectors if redundancy_cap is not None else None
     chosen: list[int] = []
     words = 0
     size = 0
@@ -514,7 +527,7 @@ def extract_summary(
         if not sentence.eligible:
             continue
         if vectors is not None and any(
-            cosine_similarity(vectors[idx], vectors[j]) > redundancy_cap
+            cosine_similarity(vectors[idx], vectors[j]) > redundancy_cap.limit
             for j in chosen
         ):
             continue

@@ -22,13 +22,14 @@ from summ.consensus import (
     WeightVector,
     borda_aggregate,
     cwcs_aggregate,
+    cwcs_raw_weights,
     cwcs_weights,
     project_simplex,
     wcs_aggregate,
 )
 from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.harness import RunConfig, emit_report, run_evaluation
-from summ.rouge import rouge_n_recall
+from summ.rouge import ngram_counts, rouge_n_recall
 from summ.summarizers import (
     LengthBudget,
     RankList,
@@ -88,7 +89,9 @@ def test_criterion_1_rouge_oracle_equivalence():
         reference = rng.choices(vocab, k=rng.randint(4, 30))
         for n in (1, 2, 4):
             expected = brute_force_clipped(sentences, reference, n)
-            got = rouge_n_recall(sentences, [reference], n).match_count
+            got = rouge_n_recall(
+                ngram_counts(sentences, n), [ngram_counts([reference], n)], n
+            ).match_count
             if got != expected:
                 report_line("criterion 1: rouge oracle equivalence", False,
                             f"mismatch {got} != {expected}")
@@ -242,7 +245,7 @@ def test_criterion_4_consensus_identities():
             report_line("criterion 4: consensus identities", False,
                         f"degenerate weight does not reproduce system {pick}")
     summary = [["storm", "hit", "coast"], ["crews", "fixed", "lines"]]
-    weights = cwcs_weights([summary, summary, summary])
+    weights = cwcs_weights(cwcs_raw_weights([ngram_counts(summary, 1)] * 3))
     if weights.weights != pytest.approx((1 / 3,) * 3):
         report_line("criterion 4: consensus identities", False,
                     "identical summaries did not give uniform weights")

@@ -109,3 +109,43 @@ class TestSummarizeCommand:
 
     def test_unknown_cluster_is_exit_three(self):
         assert main(["summarize", "--corpus", FIXTURE, "--cluster", "zzz"]) == 3
+
+    def _one_cluster(self, tmp_path, references=True):
+        record = {
+            "cluster_id": "solo",
+            "documents": [
+                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
+                {"id": "d1", "text": "The storm flooded roads. Crews worked all night."},
+            ],
+        }
+        if references:
+            record["references"] = [{"author": "A", "text": "A storm hit the coast."}]
+        corpus = tmp_path / "solo.jsonl"
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        return str(corpus)
+
+    # topicsum needs other clusters as its background, so on a one-cluster
+    # corpus only lexrank ranks: too few systems for wcs and cwcs
+    def test_wcs_with_one_ranked_system_is_exit_three(self, tmp_path, capsys):
+        code = main([
+            "summarize", "--corpus", self._one_cluster(tmp_path), "--cluster", "solo",
+            "--systems", "lexrank,topicsum", "--aggregator", "wcs",
+        ])
+        assert code == 3
+        assert "weighted consensus needs at least two rank lists" in capsys.readouterr().err
+
+    def test_cwcs_with_one_ranked_system_is_exit_three(self, tmp_path, capsys):
+        code = main([
+            "summarize", "--corpus", self._one_cluster(tmp_path), "--cluster", "solo",
+            "--systems", "lexrank,topicsum", "--aggregator", "cwcs",
+        ])
+        assert code == 3
+        assert "peers required" in capsys.readouterr().err
+
+    def test_oracle_without_references_is_exit_three(self, tmp_path, capsys):
+        code = main([
+            "summarize", "--corpus", self._one_cluster(tmp_path, references=False),
+            "--cluster", "solo", "--systems", "lexrank,centroid", "--aggregator", "oracle",
+        ])
+        assert code == 3
+        assert "oracle requires reference summaries" in capsys.readouterr().err

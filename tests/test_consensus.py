@@ -16,9 +16,16 @@ from summ.consensus import (
     project_simplex,
     wcs_aggregate,
 )
-from summ.corpus import ReferenceSummary
-from summ.rouge import prepare_text
+from summ.rouge import ngram_counts, prepare_text
 from summ.summarizers import RankList
+
+
+def unigrams(summaries):
+    return [ngram_counts(s, 1) for s in summaries]
+
+
+def peer_weights(summaries):
+    return cwcs_weights(cwcs_raw_weights(unigrams(summaries)))
 
 
 def ranklist_with_ranks(system_id, ranks):
@@ -245,31 +252,31 @@ class TestWcs:
 class TestCwcsWeights:
     def test_identical_summaries_uniform(self):
         s = [["storm", "hit", "coast"]]
-        weights = cwcs_weights([s, s, s, s])
+        weights = peer_weights([s, s, s, s])
         assert weights.weights == pytest.approx((0.25,) * 4)
 
     def test_disjoint_third_summary(self):
         s1 = [["storm", "hit"]]
         s3 = [["vote", "held"]]
-        weights = cwcs_weights([s1, s1, s3])
+        weights = peer_weights([s1, s1, s3])
         assert weights.weights == pytest.approx((0.5, 0.5, 0.0))
 
     def test_two_summaries_half_overlap(self):
-        weights = cwcs_weights([[["a", "b"]], [["a", "c"]]])
+        weights = peer_weights([[["a", "b"]], [["a", "c"]]])
         assert weights.weights == pytest.approx((0.5, 0.5))
 
     def test_all_disjoint_falls_back_to_uniform(self):
-        weights = cwcs_weights([[["a"]], [["b"]], [["c"]]])
+        weights = peer_weights([[["a"]], [["b"]], [["c"]]])
         assert weights.weights == pytest.approx((1 / 3,) * 3)
 
     def test_peers_required(self):
         with pytest.raises(ValueError, match="peers required"):
-            cwcs_weights([[["a"]]])
+            peer_weights([[["a"]]])
 
     def test_duplicate_system_raises_raw_weight(self):
         base = [[["a", "b", "c"]], [["x", "y", "z"]]]
-        before = cwcs_raw_weights(base)
-        after = cwcs_raw_weights(base + [base[0]])
+        before = cwcs_raw_weights(unigrams(base))
+        after = cwcs_raw_weights(unigrams(base + [base[0]]))
         assert after[0] >= before[0]
 
 
@@ -319,38 +326,42 @@ class TestCwcsAggregate:
 
 class TestOracleSelect:
     def test_verbatim_reference_wins(self):
-        reference = ReferenceSummary("r1", "The storm hit the coast hard.")
-        verbatim = [prepare_text(reference.text)]
+        reference = prepare_text("The storm hit the coast hard.")
+        verbatim = [reference]
         other = [prepare_text("Voters elected a new mayor.")]
-        index, score = oracle_select([other, verbatim], [reference], n=1)
+        index, score = oracle_select(
+            unigrams([other, verbatim]), unigrams([[reference]]), n=1
+        )
         assert index == 1
         assert score.recall == 1.0
 
     def test_tie_goes_to_first(self):
-        reference = ReferenceSummary("r1", "storm coast flood")
+        reference = prepare_text("storm coast flood")
         candidate = [["storm", "coast", "flood"]]
-        index, _ = oracle_select([candidate, candidate, candidate], [reference])
+        index, _ = oracle_select(
+            unigrams([candidate, candidate, candidate]), unigrams([[reference]])
+        )
         assert index == 0
 
     def test_matches_brute_enumeration(self):
         from summ.rouge import rouge_n_recall
 
-        reference = ReferenceSummary("r1", "storm flood rescue shelter damage")
+        reference = prepare_text("storm flood rescue shelter damage")
         candidates = [
             [["storm", "flood"]],
             [["rescue", "shelter", "damage"]],
             [["unrelated", "words"]],
         ]
-        streams = [prepare_text(reference.text)]
-        recalls = [rouge_n_recall(c, streams, 1).recall for c in candidates]
+        references = unigrams([[reference]])
+        recalls = [rouge_n_recall(c, references, 1).recall for c in unigrams(candidates)]
         expected = recalls.index(max(recalls))
-        index, score = oracle_select(candidates, [reference], n=1)
+        index, score = oracle_select(unigrams(candidates), references, n=1)
         assert index == expected
         assert score.recall == max(recalls)
 
     def test_requires_references(self):
         with pytest.raises(ValueError):
-            oracle_select([[["a"]]], [])
+            oracle_select(unigrams([[["a"]]]), [])
 
 
 class TestAggregateResultInvariants:

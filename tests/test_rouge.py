@@ -1,8 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
 
-from summ.rouge import pairwise_sim_matrix, prepare_text, rouge_n_recall
+from summ.rouge import ngram_counts, pairwise_sim_matrix, prepare_text, rouge_n_recall
+
+
+def recall(candidate, references, n):
+    """ROUGE-N of per-sentence token lists against flat token streams."""
+    return rouge_n_recall(
+        ngram_counts(candidate, n), [ngram_counts([r], n) for r in references], n
+    )
+
+
+def peer_matrix(summaries):
+    return pairwise_sim_matrix([ngram_counts(s, 1) for s in summaries])
 
 
 def brute_force_clipped_match(candidate_sentences, reference, n):
@@ -23,33 +35,33 @@ def brute_force_clipped_match(candidate_sentences, reference, n):
 class TestRougeRecall:
     def test_identity(self):
         cand = [["the", "cat", "sat"]]
-        score = rouge_n_recall(cand, [["the", "cat", "sat"]], 1)
+        score = recall(cand, [["the", "cat", "sat"]], 1)
         assert score.recall == 1.0
         assert score.match_count == score.reference_count == 3
 
     def test_clipped_unigrams(self):
         ref = ["the", "cat", "sat", "on", "the", "mat"]
         cand = [["the", "cat", "the", "dog"]]
-        score = rouge_n_recall(cand, [ref], 1)
+        score = recall(cand, [ref], 1)
         assert score.recall == pytest.approx(0.5)
         assert score.match_count == 3
         assert score.reference_count == 6
 
     def test_disjoint(self):
         for n in (1, 2, 4):
-            score = rouge_n_recall(
+            score = recall(
                 [["a", "b", "c", "d", "e"]], [["v", "w", "x", "y", "z"]], n
             )
             assert score.recall == 0.0
 
     def test_ngrams_do_not_cross_candidate_sentences(self):
         # the bigram (a, b) only exists if sentences were joined
-        score = rouge_n_recall([["x", "a"], ["b", "y"]], [["a", "b"]], 2)
+        score = recall([["x", "a"], ["b", "y"]], [["a", "b"]], 2)
         assert score.recall == 0.0
 
     def test_multi_reference_mean(self):
         cand = [["a", "b"]]
-        score = rouge_n_recall(cand, [["a", "b"], ["a", "c", "d", "e"]], 1)
+        score = recall(cand, [["a", "b"], ["a", "c", "d", "e"]], 1)
         assert score.recall == pytest.approx((1.0 + 0.25) / 2)
         assert score.match_count == 3
         assert score.reference_count == 6
@@ -57,18 +69,18 @@ class TestRougeRecall:
     def test_short_reference_excluded(self):
         cand = [["a", "b", "c", "d"]]
         # first reference has no 4-grams and must not drag the mean down
-        score = rouge_n_recall(cand, [["a", "b"], ["a", "b", "c", "d"]], 4)
+        score = recall(cand, [["a", "b"], ["a", "b", "c", "d"]], 4)
         assert score.recall == 1.0
 
     def test_all_references_unscorable(self):
         with pytest.raises(ValueError, match="no scorable reference"):
-            rouge_n_recall([["a", "b", "c", "d"]], [["a", "b"]], 4)
+            recall([["a", "b", "c", "d"]], [["a", "b"]], 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rouge_n_recall([["a"]], [["a"]], 0)
+            rouge_n_recall(Counter({("a",): 1}), [Counter({("a",): 1})], 0)
         with pytest.raises(ValueError):
-            rouge_n_recall([["a"]], [], 1)
+            rouge_n_recall(Counter({("a",): 1}), [], 1)
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
@@ -83,7 +95,7 @@ class TestRougeRecall:
             expected_match, expected_total = brute_force_clipped_match(
                 sentences, reference, n
             )
-            score = rouge_n_recall(sentences, [reference], n)
+            score = recall(sentences, [reference], n)
             assert score.match_count == expected_match
             assert score.reference_count == expected_total
 
@@ -94,10 +106,10 @@ class TestRougeRecall:
             n = rng.choice([1, 2])
             reference = rng.choices(vocab, k=rng.randint(n, 12))
             sentence = rng.choices(vocab, k=rng.randint(0, 8))
-            before = rouge_n_recall([sentence], [reference], n).match_count
+            before = recall([sentence], [reference], n).match_count
             start = rng.randint(0, len(reference) - n)
             extended = [sentence, reference[start : start + n]]
-            after = rouge_n_recall(extended, [reference], n).match_count
+            after = recall(extended, [reference], n).match_count
             assert after >= before
 
 
@@ -111,31 +123,31 @@ class TestPrepareText:
 class TestPairwiseSim:
     def test_identical_summaries(self):
         s = [["a", "b"], ["c", "d"]]
-        matrix = pairwise_sim_matrix([s, s, s])
+        matrix = peer_matrix([s, s, s])
         assert matrix == [[1.0] * 3] * 3
 
     def test_hand_asymmetry(self):
         s1 = [["a", "a", "b"]]
         s2 = [["a"]]
-        matrix = pairwise_sim_matrix([s1, s2])
+        matrix = peer_matrix([s1, s2])
         assert matrix[0][1] == pytest.approx(1.0)
         assert matrix[1][0] == pytest.approx(1 / 3)
 
     def test_half_overlap(self):
-        matrix = pairwise_sim_matrix([[["a", "b"]], [["a", "c"]]])
+        matrix = peer_matrix([[["a", "b"]], [["a", "c"]]])
         assert matrix[0][1] == pytest.approx(0.5)
         assert matrix[1][0] == pytest.approx(0.5)
 
     def test_empty_summary_rows(self, caplog):
         with caplog.at_level("WARNING"):
-            matrix = pairwise_sim_matrix([[["a", "b"]], [], [["a"]]])
+            matrix = peer_matrix([[["a", "b"]], [], [["a"]]])
         assert "empty" in caplog.text
         assert matrix[1] == [0.0, 1.0, 0.0]
         assert [row[1] for row in matrix] == [0.0, 1.0, 0.0]
 
     def test_k_below_two(self):
         with pytest.raises(ValueError):
-            pairwise_sim_matrix([[["a"]]])
+            peer_matrix([[["a"]]])
 
     def test_bounds_and_diagonal(self):
         rng = random.Random(29)
@@ -145,7 +157,7 @@ class TestPairwiseSim:
                 [rng.choices(vocab, k=rng.randint(1, 6))]
                 for _ in range(rng.randint(2, 5))
             ]
-            matrix = pairwise_sim_matrix(summaries)
+            matrix = peer_matrix(summaries)
             for i, row in enumerate(matrix):
                 assert row[i] == 1.0
                 assert all(0.0 <= x <= 1.0 for x in row)

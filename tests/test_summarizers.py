@@ -9,6 +9,7 @@ from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.summarizers import (
     LengthBudget,
     RankList,
+    RedundancyCap,
     SummarizerConfig,
     _power_iteration,
     centroid_rank,
@@ -341,7 +342,8 @@ class TestExtractSummary:
         cluster = make_cluster(docs)
         rl = RankList.from_scores("x", [4.0, 3.0, 2.0, 1.0])
         summary = extract_summary(
-            rl, cluster, LengthBudget("words", 6), redundancy_cap=0.99
+            rl, cluster, LengthBudget("words", 6),
+            redundancy_cap=RedundancyCap.for_cluster(cluster, 0.99),
         )
         assert summary.sentence_indices == (0, 2)
 
