@@ -26,7 +26,6 @@ from .corpus import (
     TokenizationConfig,
     cluster_from_sentences,
     duplicate_stats,
-    load_cluster,
     load_corpus,
     segment_sentences,
     tokenize,

@@ -98,7 +98,9 @@ def _split_list(value) -> tuple[str, ...]:
     return tuple(part.strip() for part in str(value).split(",") if part.strip())
 
 
-def _run_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
+def _run_config(
+    args: argparse.Namespace, file_config: dict, aggregators: tuple[str, ...] = ()
+) -> RunConfig:
     corpus = _effective(args, file_config, "corpus")
     if corpus is None:
         raise UsageError("--corpus is required")
@@ -109,7 +111,7 @@ def _run_config(args: argparse.Namespace, file_config: dict) -> RunConfig:
         _effective(args, file_config, "systems",
                    "lexrank,textrank,centroid,freqsum,topicsum,greedykl")
     )
-    aggregators = _split_list(
+    aggregators = aggregators or _split_list(
         _effective(args, file_config, "aggregators", "borda,wcs,cwcs,oracle")
     )
     rouge_raw = _split_list(_effective(args, file_config, "rouge", "1,2,4"))
@@ -146,12 +148,13 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_summarize(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
-    config = _run_config(args, file_config)
+    aggregator = str(_effective(args, file_config, "aggregator", "cwcs"))
+    # validated for the one aggregator it runs, not for run's defaults
+    config = _run_config(args, file_config, aggregators=(aggregator,))
     cluster_id = _effective(args, file_config, "cluster")
     if cluster_id is None:
         raise UsageError("--cluster is required")
-    aggregator = _effective(args, file_config, "aggregator", "cwcs")
-    for sentence in summarize_cluster(config, str(cluster_id), str(aggregator)):
+    for sentence in summarize_cluster(config, str(cluster_id), aggregator):
         print(sentence)
     return 0
 

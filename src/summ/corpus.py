@@ -31,8 +31,6 @@ from pathlib import Path
 from . import porter
 from .stopwords import STOPWORDS
 
-FORMATS = ("duc-dir", "jsonl")
-
 
 class CorpusError(Exception):
     """Unreadable, malformed or empty corpus data."""
@@ -297,45 +295,6 @@ def _iter_jsonl(path: Path):
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{source}: invalid JSON ({exc.msg})") from None
         yield source, record
-
-
-def load_cluster(
-    path: str | Path,
-    format: str,
-    config: TokenizationConfig | None = None,
-    cluster_id: str | None = None,
-) -> DocumentCluster:
-    """Load a single cluster from ``path``.
-
-    For ``duc-dir`` the path is one cluster directory.  For ``jsonl`` the
-    file must contain exactly one record unless ``cluster_id`` selects one.
-    """
-    path = Path(path)
-    config = config or TokenizationConfig()
-    if format == "duc-dir":
-        if not path.is_dir():
-            raise CorpusError(f"{path}: not a directory")
-        return _load_duc_dir(path, config)
-    if format == "jsonl":
-        if not path.is_file():
-            raise CorpusError(f"{path}: not a file")
-        records = list(_iter_jsonl(path))
-        if cluster_id is not None:
-            records = [
-                (src, rec)
-                for src, rec in records
-                if isinstance(rec, dict) and rec.get("cluster_id") == cluster_id
-            ]
-            if not records:
-                raise CorpusError(f"{path}: no cluster {cluster_id!r}")
-        if len(records) != 1:
-            raise CorpusError(
-                f"{path}: expected exactly one cluster, found {len(records)}"
-            )
-        source, record = records[0]
-        cid, documents, references = _parse_jsonl_record(record, source)
-        return _build_cluster(cid, documents, references, config, source)
-    raise ValueError(f"unknown corpus format {format!r}")
 
 
 def load_corpus(

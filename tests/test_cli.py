@@ -104,6 +104,15 @@ class TestSummarizeCommand:
         assert main(["summarize", "--corpus", FIXTURE, "--cluster", "c02-election"]) == 0
         assert capsys.readouterr().out.strip()
 
+    def test_one_system_is_enough_for_borda(self, capsys):
+        # validated for the aggregator summarize runs, not run's defaults
+        code = main([
+            "summarize", "--corpus", FIXTURE, "--cluster", "c01-storm",
+            "--systems", "lexrank", "--aggregator", "borda",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.strip()
+
     def test_missing_cluster_flag(self, capsys):
         assert main(["summarize", "--corpus", FIXTURE]) == 1
 

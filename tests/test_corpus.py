@@ -13,7 +13,6 @@ from summ.corpus import (
     TokenizationConfig,
     cluster_from_sentences,
     duplicate_stats,
-    load_cluster,
     load_corpus,
     segment_sentences,
     tokenize,
@@ -25,6 +24,11 @@ FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 PLAIN = TokenizationConfig(
     lowercase=False, remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
+
+
+def load_one(path, format, config=None):
+    [cluster] = load_corpus(path, format, config)
+    return cluster
 
 
 def write_jsonl(path, records):
@@ -172,7 +176,7 @@ class TestLoading:
         path = tmp_path / "corpus.jsonl"
         text = "Alpha beta gamma. Delta epsilon zeta. Eta theta iota."
         write_jsonl(path, [make_record(texts=(text, text))])
-        cluster = load_cluster(path, "jsonl", PLAIN)
+        cluster = load_one(path, "jsonl", PLAIN)
         assert len(cluster.sentences) == 6
         assert [s.index for s in cluster.sentences] == list(range(6))
         assert {s.doc_id for s in cluster.sentences} == {"d0", "d1"}
@@ -182,7 +186,7 @@ class TestLoading:
         docs = tmp_path / "cl1" / "docs"
         docs.mkdir(parents=True)
         (docs / "a.txt").write_text("One two three. Four five six.", encoding="utf-8")
-        cluster = load_cluster(tmp_path / "cl1", "duc-dir")
+        cluster = load_one(tmp_path, "duc-dir")
         assert cluster.cluster_id == "cl1"
         assert cluster.references == ()
         assert len(cluster.sentences) == 2
@@ -193,20 +197,20 @@ class TestLoading:
         (root / "models").mkdir()
         (root / "docs" / "a.txt").write_text("Red fox runs far.", encoding="utf-8")
         (root / "models" / "ref1.txt").write_text("A fox ran.", encoding="utf-8")
-        cluster = load_cluster(root, "duc-dir")
+        cluster = load_one(tmp_path, "duc-dir")
         assert [r.author_id for r in cluster.references] == ["ref1"]
 
     def test_whitespace_document_is_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [make_record(texts=("Fine text here.", "   \n "))])
         with pytest.raises(CorpusError, match="empty document"):
-            load_cluster(path, "jsonl")
+            load_one(path, "jsonl")
 
     def test_zero_sentence_cluster_is_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [{"cluster_id": "c1", "documents": []}])
         with pytest.raises(CorpusError, match="empty cluster"):
-            load_cluster(path, "jsonl")
+            load_one(path, "jsonl")
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -250,16 +254,9 @@ class TestLoading:
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(CorpusError):
-            load_cluster(tmp_path / "missing.jsonl", "jsonl")
+            load_corpus(tmp_path / "missing.jsonl", "jsonl")
         with pytest.raises(CorpusError):
             load_corpus(tmp_path / "missing-dir", "duc-dir")
-
-    def test_jsonl_cluster_selection(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [make_record("c1"), make_record("c2")])
-        assert load_cluster(path, "jsonl", cluster_id="c2").cluster_id == "c2"
-        with pytest.raises(CorpusError, match="exactly one"):
-            load_cluster(path, "jsonl")
 
     def test_load_corpus_sorted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -285,7 +282,7 @@ class TestLoading:
             ]
             path = tmp_path / "corpus.jsonl"
             write_jsonl(path, [record])
-            cluster = load_cluster(path, "jsonl", PLAIN)
+            cluster = load_one(path, "jsonl", PLAIN)
             assert sorted(s.index for s in cluster.sentences) == list(
                 range(len(cluster.sentences))
             )

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from summ import harness
+from summ.corpus import load_corpus
 from summ.harness import (
     EvalReport,
     NoSuccessfulClustersError,
@@ -15,6 +17,7 @@ from summ.harness import (
     sign_test,
     summarize_cluster,
 )
+from summ.rouge import ngram_counts, prepare_sentences, prepare_text, rouge_n_recall
 from summ.summarizers import LengthBudget, SummarizerConfig
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
@@ -266,6 +269,40 @@ class TestSummarizeCluster:
         with pytest.raises(ValueError):
             summarize_cluster(fixture_config(), "c01-storm", "magic")
 
+    @pytest.mark.parametrize("cap", [None, 0.95])
+    def test_agrees_with_run(self, cap):
+        # summarize prints the summary that run scores: equal ROUGE-1 recall
+        config = fixture_config(redundancy_cap=cap)
+        report = run_evaluation(config)
+        for cluster in load_corpus(FIXTURE, "jsonl"):
+            references = [
+                ngram_counts([prepare_text(r.text)], 1) for r in cluster.references
+            ]
+            # under a cap, summarize re-extracts the oracle's pick capped
+            # while run scores it uncapped
+            aggregators = config.aggregators if cap is None else ("borda", "wcs", "cwcs")
+            for aggregator in aggregators:
+                sentences = summarize_cluster(config, cluster.cluster_id, aggregator)
+                counts = ngram_counts(prepare_sentences(sentences), 1)
+                recall = rouge_n_recall(counts, references, 1).recall
+                row = report.per_cluster[cluster.cluster_id][aggregator]
+                assert recall == row["R-1"], (cluster.cluster_id, aggregator)
+
+    @pytest.mark.parametrize("aggregator, calls", [
+        ("borda", 1), ("wcs", 1), ("cwcs", 4), ("oracle", 4),
+    ])
+    def test_builds_only_what_the_aggregator_needs(self, monkeypatch, aggregator, calls):
+        # one extraction for the printed summary, plus one per ranked
+        # system where the aggregator reads the systems' own summaries
+        made = []
+        original = harness.extract_summary
+        monkeypatch.setattr(
+            harness, "extract_summary", lambda *a, **k: made.append(a) or original(*a, **k)
+        )
+        config = fixture_config(systems=("lexrank", "centroid", "freqsum"))
+        assert summarize_cluster(config, "c01-storm", aggregator)
+        assert len(made) == calls
+
 
 class TestEmitReport:
     def test_csv_shape(self, tmp_path):
@@ -288,8 +325,7 @@ class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         report = run_evaluation(fixture_config())
         path = emit_report(report, "json", tmp_path / "report.json")
-        parsed = EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        assert parsed == report
+        assert json.loads(path.read_text(encoding="utf-8")) == report.to_dict()
 
     def test_unknown_format(self, tmp_path):
         report = run_evaluation(fixture_config())
