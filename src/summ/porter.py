@@ -4,57 +4,53 @@ Implements the original 1980 algorithm (steps 1a through 5b) without the
 later revisions some libraries add, so stems are stable and easy to check
 by hand.  Only lowercase alphabetic words are transformed; anything else
 (numbers, mixed case, very short words) is returned unchanged.
+
+Each form of the word gets one consonant map: a string with ``c`` for a
+consonant and ``v`` for a vowel at each position.  A letter's class
+depends only on the letters before it, so the map of a prefix is the
+prefix of the map, and the measure, vowel and cvc tests on a stem are
+slices of it.  Steps 2-4 pick their candidate suffixes by the word's last
+two letters, as Porter's reference implementation dispatches on a letter
+instead of trying every suffix.
 """
 
 from __future__ import annotations
 
 import functools
+import string
 
-_VOWELS = "aeiou"
-
-
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+# "y" stays "y" here; _consonant_map resolves it by its left neighbour
+_CV_CLASSES = str.maketrans(
+    {c: "v" if c in "aeiou" else "c" for c in string.ascii_lowercase if c != "y"}
+)
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-to-consonant transitions ([C](VC){m}[V])."""
-    m = 0
-    prev_cons = None
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if prev_cons is False and cons:
-            m += 1
-        prev_cons = cons
-    return m
+def _consonant_map(word: str) -> str:
+    """``c``/``v`` per letter; ``y`` is a consonant first or after a vowel."""
+    cv = word.translate(_CV_CLASSES)
+    if "y" not in cv:
+        return cv
+    classes = []
+    prev = "v"
+    for c in cv:
+        if c == "y":
+            c = "c" if prev == "v" else "v"
+        classes.append(c)
+        prev = c
+    return "".join(classes)
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+def _measure(cv: str, end: int) -> int:
+    """Number of vowel-to-consonant transitions ([C](VC){m}[V]) in ``cv[:end]``."""
+    return cv.count("vc", 0, end)
 
 
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+def _ends_double_consonant(word: str, cv: str, end: int) -> bool:
+    return end >= 2 and word[end - 1] == word[end - 2] and cv[end - 1] == "c"
 
 
-def _ends_cvc(word: str) -> bool:
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+def _ends_cvc(word: str, cv: str, end: int) -> bool:
+    return end >= 3 and cv[end - 3 : end] == "cvc" and word[end - 1] not in "wxy"
 
 
 # (suffix, replacement) pairs; within a step the longest matching suffix
@@ -79,88 +75,87 @@ _STEP4 = (
 )
 
 
+def _by_ending(rules) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Rules keyed by their last two letters, longest suffix first."""
+    buckets: dict[str, list[tuple[str, str]]] = {}
+    for rule in sorted(rules, key=lambda rule: -len(rule[0])):
+        buckets.setdefault(rule[0][-2:], []).append(rule)
+    return {ending: tuple(bucket) for ending, bucket in buckets.items()}
+
+
 def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
+    if not word.endswith("s"):
         return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+    if word.endswith(("sses", "ies")):
+        return word[:-2]
+    return word if word.endswith("ss") else word[:-1]
 
 
-def _step1b(word: str) -> str:
+def _step1b(word: str, cv: str) -> str:
+    if not word.endswith(("ed", "ing")):
+        return word
     if word.endswith("eed"):
-        stem = word[:-3]
-        return word[:-1] if _measure(stem) > 0 else word
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        word = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        word = word[:-3]
+        return word[:-1] if _measure(cv, len(word) - 3) > 0 else word
+    if word.endswith("ed") and "v" in cv[:-2]:
+        end = len(word) - 2
+    elif word.endswith("ing") and "v" in cv[:-3]:
+        end = len(word) - 3
     else:
         return word
-    # cleanup after a stripped -ed / -ing
+    # cleanup after a stripped -ed / -ing; cv[:end] maps the stripped word
+    word = word[:end]
     if word.endswith(("at", "bl", "iz")):
         return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
+    if _ends_double_consonant(word, cv, end) and word[-1] not in "lsz":
         return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
+    if _measure(cv, end) == 1 and _ends_cvc(word, cv, end):
         return word + "e"
     return word
 
 
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
+def _step1c(word: str, cv: str) -> str:
+    if word.endswith("y") and "v" in cv[:-1]:
         return word[:-1] + "i"
     return word
 
 
-def _apply_rules(word: str, rules) -> str:
-    longest = None
-    for suffix, repl in rules:
+def _replace_suffix(rules, min_measure: int, word: str, cv: str) -> str:
+    for suffix, repl in rules.get(word[-2:], ()):
         if word.endswith(suffix):
-            if longest is None or len(suffix) > len(longest[0]):
-                longest = (suffix, repl)
-    if longest is None:
-        return word
-    suffix, repl = longest
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) > 0:
-        return stem + repl
+            end = len(word) - len(suffix)
+            if _measure(cv, end) < min_measure:
+                return word
+            # step 4 strips -ion only after s or t
+            if suffix == "ion" and word[end - 1] not in "st":
+                return word
+            return word[:end] + repl
     return word
 
 
-def _step4(word: str) -> str:
-    longest = None
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            if longest is None or len(suffix) > len(longest):
-                longest = suffix
-    if longest is None:
-        return word
-    stem = word[: len(word) - len(longest)]
-    if _measure(stem) <= 1:
-        return word
-    if longest == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
-
-
-def _step5a(word: str) -> str:
+def _step5a(word: str, cv: str) -> str:
     if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
+        end = len(word) - 1
+        m = _measure(cv, end)
+        if m > 1 or (m == 1 and not _ends_cvc(word, cv, end)):
+            return word[:end]
     return word
 
 
-def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+def _step5b(word: str, cv: str) -> str:
+    if word.endswith("ll") and _measure(cv, len(word)) > 1:
         return word[:-1]
     return word
+
+
+_STEPS = (
+    _step1b,
+    _step1c,
+    functools.partial(_replace_suffix, _by_ending(_STEP2), 1),
+    functools.partial(_replace_suffix, _by_ending(_STEP3), 1),
+    functools.partial(_replace_suffix, _by_ending((s, "") for s in _STEP4), 2),
+    _step5a,
+    _step5b,
+)
 
 
 @functools.cache
@@ -175,11 +170,9 @@ def stem(word: str) -> str:
     if len(word) <= 2 or not word.isascii() or not word.isalpha() or not word.islower():
         return word
     word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _apply_rules(word, _STEP2)
-    word = _apply_rules(word, _STEP3)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    cv = _consonant_map(word)
+    for step in _STEPS:
+        stepped = step(word, cv)
+        if stepped is not word:  # a step that keeps the word returns it as is
+            word, cv = stepped, _consonant_map(stepped)
     return word

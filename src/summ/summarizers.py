@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -52,7 +53,7 @@ class LengthBudget:
     def parse(cls, text: str) -> "LengthBudget":
         """Parse ``words:100`` / ``bytes:665``."""
         kind, sep, limit = text.partition(":")
-        if not sep or not limit.lstrip("-").isdigit():
+        if not sep or not re.fullmatch(r"-?[0-9]+", limit):
             raise ValueError(f"bad budget {text!r}, expected kind:limit")
         return cls(kind=kind, limit=int(limit))
 

@@ -68,6 +68,22 @@ class TestRunCommand:
         ])
         assert code == 3
 
+    def test_long_y_run_does_not_crash(self, tmp_path):
+        # a y's class depends on the letter before it, so a 1 500-letter
+        # run of y once exhausted the recursion limit while loading
+        corpus = tmp_path / "yyy.jsonl"
+        corpus.write_text(json.dumps({
+            "cluster_id": "c1",
+            "documents": [
+                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
+                {"id": "d1", "text": f"Crews heard {'y' * 1500} all night. Roads flooded."},
+            ],
+            "references": [{"author": "A", "text": "A storm hit the coast."}],
+        }) + "\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("system,")
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"
         out = tmp_path / "report.md"

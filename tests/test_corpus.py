@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import string
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,19 @@ FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 PLAIN = TokenizationConfig(
     lowercase=False, remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
+
+
+# text built from sentence punctuation, abbreviations, initials, numbers,
+# line breaks and arbitrary characters, so boundaries of every kind occur
+TEXT_PIECES = st.one_of(
+    st.sampled_from([
+        " ", "  ", "\n", "\n\n", "\t", ".", "!", "?", "...", '"', "'", "(", ")",
+        "[", "]", "Mr.", "u.s.", "J.", "Jan.", "3.5", "The", "storm", "was", "and",
+    ]),
+    st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=8),
+    st.text(max_size=4),
+)
+texts = st.lists(TEXT_PIECES, max_size=40).map("".join)
 
 
 def load_one(path, format, config=None):
@@ -93,7 +108,26 @@ class TestSegmentation:
             )
 
 
+    @given(texts)
+    def test_segments_keep_non_whitespace_in_order(self, text):
+        segments = segment_sentences(text)
+        assert "".join(text.split()) == "".join("".join(s.split()) for s in segments)
+
+
 class TestTokenize:
+    @given(texts, st.sampled_from([PLAIN, TokenizationConfig()]))
+    def test_tokens_of_text_are_tokens_of_segments(self, text, config):
+        by_segment = [t for s in segment_sentences(text) for t in tokenize(s, config)]
+        assert tokenize(text, config) == by_segment
+
+    @given(texts, st.booleans())
+    def test_lowercase_tokens(self, text, stemmed):
+        config = TokenizationConfig(lowercase=True, remove_stopwords=True, stem=stemmed)
+        tokens = tokenize(text, config)
+        assert all(re.fullmatch(r"[a-z0-9]+", t) for t in tokens)
+        if not stemmed:  # a stem may happen to spell a stopword
+            assert not STOPWORDS.intersection(tokens)
+
     def test_full_pipeline(self):
         config = TokenizationConfig(lowercase=True, remove_stopwords=True, stem=True)
         assert tokenize("The cats sat", config) == ["cat", "sat"]

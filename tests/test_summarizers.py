@@ -72,6 +72,14 @@ class TestConfigs:
             with pytest.raises(ValueError):
                 LengthBudget.parse(bad)
 
+    def test_budget_limit_is_ascii_digits(self):
+        # str.isdigit also accepts Arabic-Indic digits and superscripts
+        for bad in ("words:\u0661\u0660", "words:\u00b2", "words:--5", "words:+5", "words:5\n"):
+            with pytest.raises(ValueError, match="bad budget"):
+                LengthBudget.parse(bad)
+        with pytest.raises(ValueError, match="budget limit must be > 0"):
+            LengthBudget.parse("words:-5")
+
     def test_summarizer_config_ranges(self):
         with pytest.raises(ValueError):
             SummarizerConfig(damping=1.0)
