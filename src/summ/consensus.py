@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -244,10 +243,17 @@ def wcs_aggregate(
 def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
     """Mean unigram recall of each summary against its peers, from one
     unigram ``ngram_counts`` per summary."""
-    k = len(unigrams)
+    if len(unigrams) < 2:
+        raise ValueError("peers required: need at least two summaries")
+    return peer_agreement(pairwise_sim_matrix(unigrams))
+
+
+def peer_agreement(matrix: Sequence[Sequence[float]]) -> list[float]:
+    """Each summary's mean recall against its peers, from their K x K
+    ``pairwise_sim_matrix``: the mean of its row off the diagonal."""
+    k = len(matrix)
     if k < 2:
         raise ValueError("peers required: need at least two summaries")
-    matrix = pairwise_sim_matrix(unigrams)
     return [
         sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
     ]
@@ -273,25 +279,26 @@ def cwcs_aggregate(
 
     A sentence at rank r in a list of N contributes (N - r)/(N - 1), so
     with uniform weights the ordering coincides with Borda's.  Scores are
-    accumulated in exact rational arithmetic so that rank ties survive
-    the combination and still break by sentence index.
+    accumulated exactly, so that rank ties survive the combination and
+    still break by sentence index: every weight is a dyadic rational
+    p / 2^e, so each score is one integer numerator over the common
+    denominator D * (N - 1), D the largest 2^e, and ``int / int`` rounds
+    it correctly to the nearest float.
     """
     n = _common_length(rank_lists)
     k = len(rank_lists)
     if len(weights.weights) != k:
         raise ValueError("one weight per rank list is required")
-    exact_weights = [Fraction(w) for w in weights.weights]
-    scores = []
-    for i in range(n):
-        if n == 1:
-            score = Fraction(sum(exact_weights))
-        else:
-            score = sum(
-                (w * Fraction(n - rl.ranks[i], n - 1)
-                 for w, rl in zip(exact_weights, rank_lists)),
-                start=Fraction(0),
-            )
-        scores.append(float(score))
+    ratios = [w.as_integer_ratio() for w in weights.weights]
+    denominator = max(d for _, d in ratios)
+    numerators = [p * (denominator // d) for p, d in ratios]
+    if n == 1:
+        scores = [sum(numerators) / denominator]
+    else:
+        scores = [
+            sum(w * (n - r) for w, r in zip(numerators, ranks)) / (denominator * (n - 1))
+            for ranks in zip(*(rl.ranks for rl in rank_lists))
+        ]
     rank_list = RankList.from_scores("cwcs", scores)
     return AggregateResult(method="cwcs", rank_list=rank_list, weights=weights)
 

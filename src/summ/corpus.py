@@ -294,6 +294,8 @@ def _iter_jsonl(path: Path):
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{source}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise CorpusError(f"{source}: invalid JSON (nested too deeply)") from None
         yield source, record
 
 

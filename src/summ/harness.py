@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -23,9 +24,8 @@ from .consensus import (
     WcsConfig,
     borda_aggregate,
     cwcs_aggregate,
-    cwcs_raw_weights,
     cwcs_weights,
-    oracle_select,
+    peer_agreement,
     wcs_aggregate,
 )
 from .corpus import (
@@ -34,7 +34,7 @@ from .corpus import (
     duplicate_stats,
     load_corpus,
 )
-from .rouge import ngram_counts, prepare_sentences, prepare_text, rouge_n_recall
+from .rouge import NgramIndex, prepare_sentences, prepare_text
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     RankList,
@@ -49,6 +49,11 @@ from .summarizers import (
     textrank_rank,
     topicsum_rank,
 )
+
+# the Counter-based one-shot scorers, which bench/tracing.py wraps by these
+# names; here the cluster's NgramIndex does their work
+from .consensus import cwcs_raw_weights, oracle_select  # noqa: F401
+from .rouge import rouge_n_recall  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -102,6 +107,9 @@ class RunConfig:
             raise ValueError("rouge orders must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # nan fails this too: no similarity exceeds it, so it disables the cap
+        if self.redundancy_cap is not None and not 0.0 <= self.redundancy_cap <= 1.0:
+            raise ValueError("redundancy cap must lie in [0, 1]")
         if len(set(self.systems)) != len(self.systems):
             raise ValueError("duplicate system names")
         if len(set(self.aggregators)) != len(self.aggregators):
@@ -189,35 +197,18 @@ class _ClusterOutcome:
     scored: bool
 
 
-def _ngram_table(
-    cluster: DocumentCluster, summary: Summary, orders: Sequence[int]
-) -> dict[int, Counter]:
-    """The summary's n-gram counts per order, from its scoring tokens."""
-    streams = prepare_sentences(
-        [cluster.sentences[i].raw_text for i in summary.sentence_indices]
-    )
-    return {n: ngram_counts(streams, n) for n in orders}
-
-
-def _reference_table(
-    cluster: DocumentCluster, orders: Sequence[int]
-) -> dict[int, list[Counter]]:
-    """Each reference's n-gram counts per order, tokenized once."""
-    streams = [prepare_text(r.text) for r in cluster.references]
-    return {n: [ngram_counts([tokens], n) for tokens in streams] for n in orders}
-
-
 class _ClusterPipeline:
     """One cluster ranked once by every system and fused by any aggregator.
 
-    The peer inputs (each system summary's n-gram counts for ``orders``,
-    the references' counts, the cwcs weights, the redundancy cap) are
-    built on first use and shared from then on.
+    The peer inputs (the systems' own summaries, the cluster's n-gram
+    index and the references in it, the cwcs weights, the redundancy cap)
+    are built on first use and shared from then on.
     """
 
     def __init__(self, cluster: DocumentCluster, corpus_counts: Counter,
                  config: RunConfig, orders: Sequence[int] = (1,)):
-        self.cluster, self.config, self.orders = cluster, config, orders
+        self.cluster, self.config = cluster, config
+        self.index = NgramIndex(orders)
         self.rank_lists: dict[str, RankList] = {}
         self.failures: dict[str, str] = {}
         for name in config.systems:
@@ -237,21 +228,35 @@ class _ClusterPipeline:
             self._built[key] = build()
         return self._built[key]
 
-    def table(self, system: str) -> dict[int, Counter]:
-        """The n-gram counts of the system's own (uncapped) summary."""
-        budget = self.config.summarizer.budget
-        return self._once(system, lambda: _ngram_table(
-            self.cluster,
-            extract_summary(self.rank_lists[system], self.cluster, budget),
-            self.orders,
-        ))
+    def units(self, summaries: dict[str, Summary]) -> dict[str, tuple[str, ...]]:
+        """Each summary as its sentence texts, with the sentences the index
+        has not seen tokenized in one batch."""
+        raw = self.cluster.sentences
+        units = {
+            name: tuple(raw[i].raw_text for i in summary.sentence_indices)
+            for name, summary in summaries.items()
+        }
+        self.index.add(chain.from_iterable(units.values()), prepare_sentences)
+        return units
 
-    def references(self) -> dict[int, list[Counter]]:
-        return self._once("references", lambda: _reference_table(self.cluster, self.orders))
+    def system_units(self) -> dict[str, tuple[str, ...]]:
+        """The systems' own (uncapped) summaries, as index units."""
+        budget = self.config.summarizer.budget
+        return self._once("systems", lambda: self.units({
+            s: extract_summary(self.rank_lists[s], self.cluster, budget)
+            for s in self.systems
+        }))
+
+    def references(self) -> NgramIndex:
+        """The index, with the references tokenized into it."""
+        self._once("references", lambda: self.index.set_references(
+            [prepare_text(r.text) for r in self.cluster.references]
+        ))
+        return self.index
 
     def raw_weights(self) -> list[float]:
-        return self._once("raw-weights", lambda: cwcs_raw_weights(
-            [self.table(s)[1] for s in self.systems]
+        return self._once("raw-weights", lambda: peer_agreement(
+            self.index.peer_matrix(list(self.system_units().values()))
         ))
 
     def extract(self, rank_list: RankList) -> Summary:
@@ -277,9 +282,9 @@ class _ClusterPipeline:
             except ValueError as exc:
                 raise ValueError("peer-agreement weights unavailable") from exc
             return cwcs_aggregate(lists, weights).rank_list, None
-        best, _ = oracle_select(
-            [self.table(s)[1] for s in self.systems], self.references()[1], n=1
-        )
+        if not self.cluster.references:
+            raise ValueError("oracle requires reference summaries")
+        best, _ = self.references().best(list(self.system_units().values()))
         return lists[best], self.systems[best]
 
 
@@ -307,8 +312,8 @@ def _evaluate_cluster_inner(
     config: RunConfig,
     duplicates: int,
 ) -> _ClusterOutcome:
-    # every unit's and reference's n-grams are counted once per order and
-    # shared by the peer matrix, the oracle and the scoring
+    # every sentence and reference is tokenized once into the index, which
+    # serves the peer matrix, the oracle and the scoring
     pipeline = _ClusterPipeline(
         cluster, corpus_counts, config, sorted({1, *config.rouge_orders})
     )
@@ -321,36 +326,35 @@ def _evaluate_cluster_inner(
             raw_weights = dict(zip(pipeline.systems, pipeline.raw_weights()))
         except Exception as exc:
             failures["cwcs-weights"] = str(exc)
-    counts = {name: pipeline.table(name) for name in pipeline.systems}
+    units = dict(pipeline.system_units())
+    summaries: dict[str, Summary] = {}
     for aggregator in config.aggregators:
         try:
             rank_list, picked = pipeline.fuse(aggregator)
-            counts[aggregator] = (
-                pipeline.table(picked) if picked
-                else _ngram_table(cluster, pipeline.extract(rank_list), pipeline.orders)
-            )
+            if picked:
+                units[aggregator] = units[picked]
+            else:
+                summaries[aggregator] = pipeline.extract(rank_list)
         except Exception as exc:
             failures[aggregator] = str(exc)
+    units.update(pipeline.units(summaries))
 
     scores: dict[str, dict[str, float]] = {}
     scored = False
     if cluster.references:
-        references = pipeline.references()
+        index = pipeline.references()
         for n in config.rouge_orders:
-            if not any(references[n]):
+            if not index.scorable(n):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"
-        for unit in list(config.systems) + list(config.aggregators):
-            if unit not in counts:
+        names = [u for u in list(config.systems) + list(config.aggregators) if u in units]
+        rows: dict[str, dict[str, float]] = {name: {} for name in names}
+        for n in config.rouge_orders:
+            if f"rouge-{n}" in failures:
                 continue
-            row = {}
-            for n in config.rouge_orders:
-                if f"rouge-{n}" in failures:
-                    continue
-                score = rouge_n_recall(counts[unit][n], references[n], n)
-                row[f"R-{n}"] = score.recall
-            if row:
-                scores[unit] = row
-                scored = True
+            for name, score in zip(names, index.scores([units[u] for u in names], n)):
+                rows[name][f"R-{n}"] = score.recall
+        scores = {name: row for name, row in rows.items() if row}
+        scored = bool(scores)
     else:
         failures["cluster"] = "no reference summaries; excluded from averages"
 

@@ -100,6 +100,41 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--emit", "markdown"]) == 0
         assert out.read_text(encoding="utf-8").startswith("| System |")
 
+    def test_deeply_nested_corpus_line_is_data_error(self, tmp_path, capsys):
+        # the json decoder recurses once per bracket
+        corpus = tmp_path / "deep.jsonl"
+        corpus.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        assert main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {corpus}:1: invalid JSON" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: config file {config}: invalid JSON" in err
+        assert "Traceback" not in err
+
+    def test_redundancy_cap_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+        # nan compares false with every similarity, so it used to drop the
+        # cap silently; a negative cap kept one sentence per summary
+        for cap in ("nan", "inf", "-0.5", "1.5"):
+            out = tmp_path / "x.csv"
+            assert main(run_args(out, extra=["--redundancy-cap", cap])) == 1, cap
+            assert "redundancy cap must lie in [0, 1]" in capsys.readouterr().err
+            assert not out.exists()
+        for cap in ("0", "1"):
+            assert main(run_args(tmp_path / f"{cap}.csv", extra=["--redundancy-cap", cap])) == 0
+
+    def test_redundancy_cap_from_config_file_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": FIXTURE, "redundancy_cap": float("nan")}),
+                          encoding="utf-8")
+        assert main(["summarize", "--config", str(config), "--cluster", "c01-storm"]) == 1
+        assert "redundancy cap" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,52 @@ class TestRunEvaluation:
             fixture_config(jobs=0)
         with pytest.raises(ValueError):
             fixture_config(rouge_orders=())
+
+
+class TestTokenizeOnce:
+    @pytest.mark.parametrize("cap", [None, 0.5])
+    def test_each_summary_sentence_and_reference_once_per_cluster(self, monkeypatch, cap):
+        calls, texts, references, summaries = [], [], [], []
+        originals = harness.prepare_sentences, harness.prepare_text, harness.extract_summary
+
+        def prepare_sentences(batch):
+            calls.append(len(batch))
+            texts.extend(batch)
+            return originals[0](batch)
+
+        def extract_summary(*args, **kwargs):
+            summaries.append(originals[2](*args, **kwargs))
+            return summaries[-1]
+
+        monkeypatch.setattr(harness, "prepare_sentences", prepare_sentences)
+        monkeypatch.setattr(
+            harness, "prepare_text", lambda text: references.append(text) or originals[1](text)
+        )
+        monkeypatch.setattr(harness, "extract_summary", extract_summary)
+        config = fixture_config(redundancy_cap=cap)
+        clusters = load_corpus(FIXTURE, "jsonl")
+        for cluster in clusters:
+            for made in (calls, texts, references, summaries):
+                made.clear()
+            outcome = harness._evaluate_cluster(cluster, harness._corpus_counts(clusters), config)
+            assert outcome.scored
+            assert Counter(references) == Counter(r.text for r in cluster.references)
+            # every extracted summary is scored, each distinct sentence
+            # tokenized once: the systems' in one batch, the aggregates' in one
+            extracted = {
+                cluster.sentences[i].raw_text for s in summaries for i in s.sentence_indices
+            }
+            assert len(summaries) == len(config.systems) + 3
+            assert sorted(texts) == sorted(extracted)
+            assert 1 <= len(calls) <= 2
+
+    def test_borda_and_wcs_tokenize_nothing(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(harness, "prepare_sentences", lambda batch: made.append(batch))
+        monkeypatch.setattr(harness, "prepare_text", lambda text: made.append(text))
+        for aggregator in ("borda", "wcs"):
+            assert summarize_cluster(fixture_config(), "c01-storm", aggregator)
+        assert made == []
 
 
 class TestSummarizeCluster:

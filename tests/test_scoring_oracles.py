@@ -1,21 +1,25 @@
-"""Differential tests: batched wcs and counted ROUGE against the plain paths.
+"""Differential tests: batched wcs, integer cwcs and counted ROUGE
+against the plain paths.
 
 The reference implementations below are the original per-restart loop of
-``wcs_aggregate`` (with its 1-D simplex projection) and the original
-token-list ROUGE path, in which every recall re-counts both sides, the
-peer matrix counts each pair afresh and the oracle tokenizes the
-references itself.  The package's batched and counted versions must
-reproduce them exactly (``==``, no tolerance), since reports are compared
-byte for byte.
+``wcs_aggregate`` (with its 1-D simplex projection), the original
+``Fraction`` sums of ``cwcs_aggregate``, and the original token-list ROUGE
+path, in which every recall re-counts both sides, the peer matrix counts
+each pair afresh and the oracle tokenizes the references itself.  The
+per-cluster ``NgramIndex`` is checked against the public Counter path.
+The package's versions must reproduce their references exactly (``==``,
+no tolerance), since reports are compared byte for byte.
 """
 
 import logging
 from collections import Counter
+from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from summ.consensus import (
@@ -23,19 +27,23 @@ from summ.consensus import (
     WcsConfig,
     WeightVector,
     _common_length,
+    cwcs_aggregate,
     cwcs_raw_weights,
     cwcs_weights,
     oracle_select,
+    peer_agreement,
     project_simplex,
     wcs_aggregate,
 )
 from summ.corpus import ReferenceSummary
 from summ.features import ngrams
 from summ.rouge import (
+    NgramIndex,
     RougeScore,
     TokenLists,
     ngram_counts,
     pairwise_sim_matrix,
+    prepare_sentences,
     prepare_text,
     rouge_n_recall,
 )
@@ -143,6 +151,34 @@ def reference_wcs_aggregate(
         converged=converged,
         objective_trace=tuple(trace),
     )
+
+
+# -- reference: cwcs in exact rationals ----------------------------------------
+
+
+def reference_cwcs_aggregate(
+    rank_lists: Sequence[RankList], weights: WeightVector
+) -> AggregateResult:
+    """Weighted sum of normalized rank scores, each sentence's summed as a
+    ``Fraction`` and rounded to a float once."""
+    n = _common_length(rank_lists)
+    k = len(rank_lists)
+    if len(weights.weights) != k:
+        raise ValueError("one weight per rank list is required")
+    exact_weights = [Fraction(w) for w in weights.weights]
+    scores = []
+    for i in range(n):
+        if n == 1:
+            score = Fraction(sum(exact_weights))
+        else:
+            score = sum(
+                (w * Fraction(n - rl.ranks[i], n - 1)
+                 for w, rl in zip(exact_weights, rank_lists)),
+                start=Fraction(0),
+            )
+        scores.append(float(score))
+    rank_list = RankList.from_scores("cwcs", scores)
+    return AggregateResult(method="cwcs", rank_list=rank_list, weights=weights)
 
 
 # -- reference: ROUGE on token lists -------------------------------------------
@@ -333,6 +369,46 @@ def test_projection_of_entries_too_large_fails():
         project_simplex([1e17, 0.0])
 
 
+# -- cwcs ------------------------------------------------------------------
+
+
+@st.composite
+def weighted_rank_lists(draw):
+    k = draw(st.integers(1, 11))
+    n = draw(st.integers(1, 40))
+    values = st.sampled_from([0.0, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0, 1)
+    rank_lists = [
+        RankList.from_scores(f"s{i}", draw(st.lists(values, min_size=n, max_size=n)))
+        for i in range(k)
+    ]
+    # 1e-300 and 5e-324 need denominators far beyond a float's exponent
+    raw = draw(st.lists(st.sampled_from([0.0, 1e-300, 5e-324, 1 / 3]) | st.floats(0, 1),
+                        min_size=k, max_size=k))
+    total = sum(raw)
+    if total == 0.0:
+        return rank_lists, WeightVector(tuple(1.0 / k for _ in raw))
+    return rank_lists, WeightVector(tuple(w / total for w in raw))
+
+
+_THREE = [
+    RankList.from_scores(f"s{i}", scores)
+    for i, scores in enumerate(([0.0, 1.0, 0.5, 1.0], [1.0, 0.5, 1.0, 0.0], [0.5, 1.0, 0.0, 1.0]))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=weighted_rank_lists())
+@example(case=(_THREE, WeightVector((1 / 3, 1 / 3, 1 / 3))))
+@example(case=(_THREE, WeightVector((1.0, 0.0, 1e-300))))
+@example(case=(_THREE[:1], WeightVector((1.0,))))
+def test_integer_cwcs_matches_fractions(case):
+    rank_lists, weights = case
+    got = cwcs_aggregate(rank_lists, weights)
+    expected = reference_cwcs_aggregate(rank_lists, weights)
+    assert got.rank_list.scores == expected.rank_list.scores
+    assert got == expected
+
+
 # -- ROUGE, peer matrix, cwcs weights, oracle --------------------------------------
 
 WORDS = ["storm", "coast", "flood", "crew", "line", "vote", "the", "a"]
@@ -397,3 +473,92 @@ def test_oracle_pick_matches(candidates, texts):
         1,
     )
     assert got == expected
+
+
+# -- per-cluster n-gram index -------------------------------------------------------
+
+# "." holds no token; one or two words are shorter than the higher orders
+sentence_texts = st.lists(st.sampled_from(WORDS + ["Storms", "."]), max_size=8).map(
+    lambda words: " ".join(words) or "."
+)
+
+
+@st.composite
+def scored_clusters(draw):
+    """Units drawn from a small pool of sentences, so that summaries share
+    sentences; a unit may be empty.  References may lack some orders."""
+    pool = draw(st.lists(sentence_texts, min_size=1, max_size=8))
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=5)
+    units = [tuple(pool[i] for i in p) for p in draw(st.lists(picks, min_size=1, max_size=6))]
+    references = draw(reference_texts.filter(bool))
+    return units, references
+
+
+def indexed(units, references, orders=(1, 2, 3, 4)) -> NgramIndex:
+    index = NgramIndex(orders)
+    index.add(chain.from_iterable(units), prepare_sentences)
+    index.set_references([prepare_text(text) for text in references])
+    return index
+
+
+def counted(unit, n: int) -> Counter:
+    return ngram_counts(prepare_sentences(list(unit)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_clusters())
+def test_index_scores_match_counted_recall(case):
+    units, references = case
+    index = indexed(units, references)
+    assert sorted(index.tokens) == sorted(set(chain.from_iterable(units)))
+    for n in (1, 2, 3, 4):
+        refs = [ngram_counts([prepare_text(text)], n) for text in references]
+        expected = [outcome(rouge_n_recall, counted(unit, n), refs, n) for unit in units]
+        assert index.scorable(n) == any(refs)
+        # with no reference of this order every unit fails alike, so the
+        # batch raises that one error
+        got = outcome(index.scores, units, n)
+        assert got == (expected if index.scorable(n) else expected[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_clusters())
+def test_index_peer_matrix_matches_pairwise(case):
+    units, references = case
+    index = indexed(units, references)
+    unigrams = [counted(unit, 1) for unit in units]
+    if len(units) >= 2:
+        assert index.peer_matrix(units) == pairwise_sim_matrix(unigrams)
+    assert outcome(lambda: peer_agreement(index.peer_matrix(units))) == outcome(
+        cwcs_raw_weights, unigrams
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_clusters())
+def test_index_oracle_pick_matches_oracle_select(case):
+    units, references = case
+    index = indexed(units, references, orders=(1,))
+    expected = outcome(
+        oracle_select,
+        [counted(unit, 1) for unit in units],
+        [ngram_counts([prepare_text(text)], 1) for text in references],
+        1,
+    )
+    assert outcome(index.best, units) == expected
+
+
+def test_index_covers_the_edge_cases():
+    shared = "The storm hit the coast."
+    units = [(), ("Storm.", shared), (shared, "Crews fixed the line."), (".",)]
+    references = ["the storm", ".", "storm hit coast"]
+    index = indexed(units, references)
+    assert index.scorable(2) and index.scorable(3) and not index.scorable(4)
+    for n in (1, 2, 3):
+        refs = [ngram_counts([prepare_text(text)], n) for text in references]
+        assert index.scores(units, n) == [
+            rouge_n_recall(counted(unit, n), refs, n) for unit in units
+        ]
+    assert index.scores(units, 1)[0].recall == 0.0
+    with pytest.raises(ValueError, match="no scorable reference: none has 4-grams"):
+        index.scores(units, 4)
