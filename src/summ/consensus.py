@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ReferenceSummary
 from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .rouge import prepare_text  # noqa: F401  (traced here by bench/tracing.py)
 from .summarizers import RankList
@@ -243,17 +242,10 @@ def wcs_aggregate(
 def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
     """Mean unigram recall of each summary against its peers, from one
     unigram ``ngram_counts`` per summary."""
-    if len(unigrams) < 2:
-        raise ValueError("peers required: need at least two summaries")
-    return peer_agreement(pairwise_sim_matrix(unigrams))
-
-
-def peer_agreement(matrix: Sequence[Sequence[float]]) -> list[float]:
-    """Each summary's mean recall against its peers, from their K x K
-    ``pairwise_sim_matrix``: the mean of its row off the diagonal."""
-    k = len(matrix)
+    k = len(unigrams)
     if k < 2:
         raise ValueError("peers required: need at least two summaries")
+    matrix = pairwise_sim_matrix(unigrams)
     return [
         sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
     ]

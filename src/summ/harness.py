@@ -24,8 +24,9 @@ from .consensus import (
     WcsConfig,
     borda_aggregate,
     cwcs_aggregate,
+    cwcs_raw_weights,
     cwcs_weights,
-    peer_agreement,
+    oracle_select,
     wcs_aggregate,
 )
 from .corpus import (
@@ -34,7 +35,7 @@ from .corpus import (
     duplicate_stats,
     load_corpus,
 )
-from .rouge import NgramIndex, prepare_sentences, prepare_text
+from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     RankList,
@@ -49,11 +50,6 @@ from .summarizers import (
     textrank_rank,
     topicsum_rank,
 )
-
-# the Counter-based one-shot scorers, which bench/tracing.py wraps by these
-# names; here the cluster's NgramIndex does their work
-from .consensus import cwcs_raw_weights, oracle_select  # noqa: F401
-from .rouge import rouge_n_recall  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -255,8 +251,8 @@ class _ClusterPipeline:
         return self.index
 
     def raw_weights(self) -> list[float]:
-        return self._once("raw-weights", lambda: peer_agreement(
-            self.index.peer_matrix(list(self.system_units().values()))
+        return self._once("raw-weights", lambda: cwcs_raw_weights(
+            [self.index.unigrams(unit) for unit in self.system_units().values()]
         ))
 
     def extract(self, rank_list: RankList) -> Summary:
@@ -282,9 +278,11 @@ class _ClusterPipeline:
             except ValueError as exc:
                 raise ValueError("peer-agreement weights unavailable") from exc
             return cwcs_aggregate(lists, weights).rank_list, None
-        if not self.cluster.references:
-            raise ValueError("oracle requires reference summaries")
-        best, _ = self.references().best(list(self.system_units().values()))
+        index = self.references()
+        best, _ = oracle_select(
+            [index.counts(unit, 1) for unit in self.system_units().values()],
+            index.references(1), n=1,
+        )
         return lists[best], self.systems[best]
 
 
@@ -344,17 +342,20 @@ def _evaluate_cluster_inner(
     if cluster.references:
         index = pipeline.references()
         for n in config.rouge_orders:
-            if not index.scorable(n):
+            if not any(index.references(n)):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"
-        names = [u for u in list(config.systems) + list(config.aggregators) if u in units]
-        rows: dict[str, dict[str, float]] = {name: {} for name in names}
-        for n in config.rouge_orders:
-            if f"rouge-{n}" in failures:
+        for unit in list(config.systems) + list(config.aggregators):
+            if unit not in units:
                 continue
-            for name, score in zip(names, index.scores([units[u] for u in names], n)):
-                rows[name][f"R-{n}"] = score.recall
-        scores = {name: row for name, row in rows.items() if row}
-        scored = bool(scores)
+            row = {}
+            for n in config.rouge_orders:
+                if f"rouge-{n}" in failures:
+                    continue
+                score = rouge_n_recall(index.counts(units[unit], n), index.references(n), n)
+                row[f"R-{n}"] = score.recall
+            if row:
+                scores[unit] = row
+                scored = True
     else:
         failures["cluster"] = "no reference summaries; excluded from averages"
 

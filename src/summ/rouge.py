@@ -7,8 +7,10 @@ mean of per-reference recalls (no jackknifing).
 
 Candidates are counted per sentence so n-grams never span the join
 between two extracted sentences; each reference is one flat token stream.
-The one-shot functions take n-gram counts (``ngram_counts``); a cluster's
-many summaries are scored together through its ``NgramIndex``.
+Scoring takes n-gram counts, so a caller counts each summary and
+reference once per order and scores it against many others: one at a time
+with ``ngram_counts``, or a cluster's many summaries through its
+``NgramIndex``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .corpus import TokenizationConfig, tokenize
 from .features import ngrams
@@ -79,22 +79,16 @@ def rouge_n_recall(
         raise ValueError("n must be >= 1")
     if not references:
         raise ValueError("at least one reference is required")
-    matches = [
-        sum(min(ref[g], candidate[g]) for g in ref.keys() & candidate.keys())
-        for ref in references
-    ]
-    return _score(n, matches, [sum(ref.values()) for ref in references])
-
-
-def _score(n: int, matches: Sequence[int], sizes: Sequence[int]) -> RougeScore:
-    """Mean recall over the references with n-grams, from each one's
-    clipped match and n-gram total."""
     recalls = []
     match_total = 0
     reference_total = 0
-    for match, ref_size in zip(matches, sizes):
+    for ref_counts in references:
+        ref_size = sum(ref_counts.values())
         if ref_size == 0:
             continue
+        match = sum(
+            min(ref_counts[g], candidate[g]) for g in ref_counts.keys() & candidate.keys()
+        )
         recalls.append(match / ref_size)
         match_total += match
         reference_total += ref_size
@@ -125,10 +119,13 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):
         matrix[i][i] = 1.0
-        for j in range(k):
-            if i == j or not unigrams[i] or not unigrams[j]:
+        for j in range(i + 1, k):
+            if not unigrams[i] or not unigrams[j]:
                 continue
-            matrix[i][j] = rouge_n_recall(unigrams[i], [unigrams[j]], 1).recall
+            score = rouge_n_recall(unigrams[i], [unigrams[j]], 1)
+            matrix[i][j] = score.recall
+            # the clipped match is symmetric, so j against i shares it
+            matrix[j][i] = score.match_count / sum(unigrams[i].values())
     return matrix
 
 
@@ -137,41 +134,26 @@ def _grams(tokens: Sequence[str], n: int):
     return zip(*(tokens[i:] for i in range(n)))
 
 
-def _count_rows(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """``len(rows) x width`` matrix of id counts, one row per id list."""
-    lengths = [len(ids) for ids in rows]
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
-    flat += np.repeat(np.arange(len(rows), dtype=np.int64) * width, lengths)
-    return np.bincount(flat, minlength=len(rows) * width).reshape(len(rows), width)
-
-
-def _matches(candidates: np.ndarray, references: np.ndarray) -> list[list[int]]:
-    """Clipped match of every candidate row against every reference row."""
-    return np.minimum(candidates[:, None, :], references[None, :, :]).sum(axis=2).tolist()
-
-
 class NgramIndex:
-    """One cluster's scoring n-grams as integer ids, shared by every
-    summary scored against its references or against its peers.
+    """One cluster's scoring n-grams, shared by the many summaries scored
+    against its references and against each other.
 
     Each reference (``set_references``) and each distinct summary sentence
-    (``add``) is tokenized once.  A unit, one summary, is the
-    sequence of its sentence texts; since no n-gram spans two sentences,
-    its counts are the sum of its sentences' counts, one ``np.bincount``
-    over their concatenated ids.  Count vectors span a bounded vocabulary:
-    the references' n-grams of the order for scoring (no other n-gram can
-    match), the units' own unigrams for the peer matrix.  Clipped matches
-    are exact integer minima, and each recall is formed from them as
-    ``rouge_n_recall`` forms it, so both give the same floats.
+    (``add``) is tokenized once.  Each order numbers the references'
+    n-grams.  A unit, one summary given as its sentence texts, is counted
+    (``counts``) as the numbers of its sentences' n-grams that some
+    reference holds.  No n-gram spans two sentences and no other n-gram
+    can match, so ``rouge_n_recall`` scores these counts, against
+    ``references``, exactly as it scores the unit's ``ngram_counts``.
     """
 
     def __init__(self, orders: Sequence[int]):
         self.orders = tuple(orders)
         self.tokens: dict[str, list[str]] = {}
         self._vocab: dict[int, dict[tuple[str, ...], int]] = {}
-        self._references: dict[int, np.ndarray] = {}
-        self._sizes: dict[int, list[int]] = {}
+        self._references: dict[int, list[Counter]] = {}
         self._ids: dict[tuple[int, str], list[int]] = {}
+        self._counts: dict[tuple[int, tuple[str, ...]], Counter] = {}
 
     def add(self, texts: Iterable[str], tokenize: Callable[[list[str]], TokenLists]) -> None:
         """Tokenize the distinct texts not seen yet, in one call."""
@@ -180,56 +162,35 @@ class NgramIndex:
             self.tokens.update(zip(new, tokenize(new)))
 
     def set_references(self, streams: TokenLists) -> None:
-        """Count each reference's flat token stream at every order."""
+        """Number and count each reference's flat token stream at every order."""
         for n in self.orders:
             vocab: dict[tuple[str, ...], int] = {}
-            rows = [[vocab.setdefault(g, len(vocab)) for g in _grams(tokens, n)]
-                    for tokens in streams]
+            self._references[n] = [
+                Counter(vocab.setdefault(g, len(vocab)) for g in _grams(tokens, n))
+                for tokens in streams
+            ]
             self._vocab[n] = vocab
-            self._references[n] = _count_rows(rows, len(vocab))
-            self._sizes[n] = self._references[n].sum(axis=1).tolist()
 
-    def scorable(self, n: int) -> bool:
-        """Whether some reference has n-grams of order ``n``."""
-        return any(self._sizes[n])
+    def references(self, n: int) -> list[Counter]:
+        """Each reference's n-gram counts of order ``n``, by number."""
+        return self._references[n]
 
-    def _unit_ids(self, unit: Sequence[str], n: int) -> list[int]:
-        ids = []
-        vocab = self._vocab[n]
-        for text in unit:
-            key = (n, text)
-            if key not in self._ids:
-                grams = _grams(self.tokens[text], n)
-                self._ids[key] = [vocab[g] for g in grams if g in vocab]
-            ids += self._ids[key]
-        return ids
+    def counts(self, unit: tuple[str, ...], n: int) -> Counter:
+        """The unit's order-``n`` n-grams that some reference holds, by
+        number, counted once per unit."""
+        key = (n, unit)
+        if key not in self._counts:
+            vocab = self._vocab[n]
+            ids = []
+            for text in unit:
+                if (n, text) not in self._ids:
+                    grams = _grams(self.tokens[text], n)
+                    self._ids[n, text] = [i for i in map(vocab.get, grams) if i is not None]
+                ids += self._ids[n, text]
+            self._counts[key] = Counter(ids)
+        return self._counts[key]
 
-    def scores(self, units: Sequence[Sequence[str]], n: int) -> list[RougeScore]:
-        """Each unit's ``rouge_n_recall`` against the references."""
-        counts = _count_rows([self._unit_ids(unit, n) for unit in units], len(self._vocab[n]))
-        return [_score(n, row, self._sizes[n]) for row in _matches(counts, self._references[n])]
-
-    def best(self, units: Sequence[Sequence[str]], n: int = 1) -> tuple[int, RougeScore]:
-        """Index and score of the unit of highest recall, the first of
-        equals, as ``consensus.oracle_select`` picks it."""
-        scores = self.scores(units, n)
-        best = max(range(len(scores)), key=lambda i: scores[i].recall)
-        return best, scores[best]
-
-    def peer_matrix(self, units: Sequence[Sequence[str]]) -> list[list[float]]:
-        """``pairwise_sim_matrix`` of the units' unigram counts."""
-        vocab: dict[str, int] = {}
-        rows = [[vocab.setdefault(t, len(vocab)) for text in unit for t in self.tokens[text]]
-                for unit in units]
-        counts = _count_rows(rows, len(vocab))
-        sizes = counts.sum(axis=1).tolist()
-        for i, size in enumerate(sizes):
-            if not size:
-                logger.warning("peer matrix: summary %d is empty", i)
-        # each entry is rouge_n_recall against one reference: the mean of a
-        # single recall, which is that recall exactly
-        return [
-            [1.0 if i == j else match / sizes[j] if sizes[i] and sizes[j] else 0.0
-             for j, match in enumerate(row)]
-            for i, row in enumerate(_matches(counts, counts))
-        ]
+    def unigrams(self, unit: tuple[str, ...]) -> Counter:
+        """All of the unit's unigrams, by token: the peer summaries'
+        ``pairwise_sim_matrix`` input, which no reference bounds."""
+        return Counter(chain.from_iterable(self.tokens[text] for text in unit))

@@ -6,7 +6,8 @@ The reference implementations below are the original per-restart loop of
 ``Fraction`` sums of ``cwcs_aggregate``, and the original token-list ROUGE
 path, in which every recall re-counts both sides, the peer matrix counts
 each pair afresh and the oracle tokenizes the references itself.  The
-per-cluster ``NgramIndex`` is checked against the public Counter path.
+per-cluster ``NgramIndex`` is checked through the public Counter
+functions: its counts must score as the ``ngram_counts`` they stand for.
 The package's versions must reproduce their references exactly (``==``,
 no tolerance), since reports are compared byte for byte.
 """
@@ -31,7 +32,6 @@ from summ.consensus import (
     cwcs_raw_weights,
     cwcs_weights,
     oracle_select,
-    peer_agreement,
     project_simplex,
     wcs_aggregate,
 )
@@ -505,33 +505,36 @@ def counted(unit, n: int) -> Counter:
     return ngram_counts(prepare_sentences(list(unit)), n)
 
 
+def index_counts(index: NgramIndex, units, n: int) -> list[Counter]:
+    return [index.counts(unit, n) for unit in units]
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=scored_clusters())
-def test_index_scores_match_counted_recall(case):
+def test_index_counts_score_as_counted_ngrams(case):
     units, references = case
     index = indexed(units, references)
     assert sorted(index.tokens) == sorted(set(chain.from_iterable(units)))
     for n in (1, 2, 3, 4):
         refs = [ngram_counts([prepare_text(text)], n) for text in references]
-        expected = [outcome(rouge_n_recall, counted(unit, n), refs, n) for unit in units]
-        assert index.scorable(n) == any(refs)
-        # with no reference of this order every unit fails alike, so the
-        # batch raises that one error
-        got = outcome(index.scores, units, n)
-        assert got == (expected if index.scorable(n) else expected[0])
+        assert [sum(c.values()) for c in index.references(n)] == [
+            sum(c.values()) for c in refs
+        ]
+        for unit, counts in zip(units, index_counts(index, units, n)):
+            assert outcome(rouge_n_recall, counts, index.references(n), n) == outcome(
+                rouge_n_recall, counted(unit, n), refs, n
+            )
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=scored_clusters())
-def test_index_peer_matrix_matches_pairwise(case):
+def test_index_unigrams_give_the_peer_matrix(case):
     units, references = case
     index = indexed(units, references)
-    unigrams = [counted(unit, 1) for unit in units]
-    if len(units) >= 2:
-        assert index.peer_matrix(units) == pairwise_sim_matrix(unigrams)
-    assert outcome(lambda: peer_agreement(index.peer_matrix(units))) == outcome(
-        cwcs_raw_weights, unigrams
-    )
+    unigrams = [index.unigrams(unit) for unit in units]
+    counts = [counted(unit, 1) for unit in units]
+    assert outcome(pairwise_sim_matrix, unigrams) == outcome(pairwise_sim_matrix, counts)
+    assert outcome(cwcs_raw_weights, unigrams) == outcome(cwcs_raw_weights, counts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,7 +548,9 @@ def test_index_oracle_pick_matches_oracle_select(case):
         [ngram_counts([prepare_text(text)], 1) for text in references],
         1,
     )
-    assert outcome(index.best, units) == expected
+    assert outcome(oracle_select, index_counts(index, units, 1), index.references(1), 1) == (
+        expected
+    )
 
 
 def test_index_covers_the_edge_cases():
@@ -553,12 +558,20 @@ def test_index_covers_the_edge_cases():
     units = [(), ("Storm.", shared), (shared, "Crews fixed the line."), (".",)]
     references = ["the storm", ".", "storm hit coast"]
     index = indexed(units, references)
-    assert index.scorable(2) and index.scorable(3) and not index.scorable(4)
+    # "." has no token, so neither the last unit nor the second reference
+    # has n-grams of any order; "storm." is shorter than a bigram
+    assert [bool(c) for c in index.references(1)] == [True, False, True]
+    assert any(index.references(3)) and not any(index.references(4))
+    assert index.counts((), 1) == Counter() == index.counts((".",), 1)
+    assert index.counts(("Storm.",), 2) == Counter()
     for n in (1, 2, 3):
         refs = [ngram_counts([prepare_text(text)], n) for text in references]
-        assert index.scores(units, n) == [
-            rouge_n_recall(counted(unit, n), refs, n) for unit in units
-        ]
-    assert index.scores(units, 1)[0].recall == 0.0
+        got = [rouge_n_recall(c, index.references(n), n) for c in index_counts(index, units, n)]
+        assert got == [rouge_n_recall(counted(unit, n), refs, n) for unit in units]
+    assert rouge_n_recall(index.counts((), 1), index.references(1), 1).recall == 0.0
+    # the shared sentence's n-grams are counted once in each unit that holds it
+    assert index.counts(units[1], 1) + index.counts(units[2], 1) == index.counts(
+        (shared, shared, "Storm.", "Crews fixed the line."), 1
+    )
     with pytest.raises(ValueError, match="no scorable reference: none has 4-grams"):
-        index.scores(units, 4)
+        rouge_n_recall(index.counts(units[1], 4), index.references(4), 4)
