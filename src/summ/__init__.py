@@ -15,7 +15,6 @@ from .consensus import (
     cwcs_aggregate,
     cwcs_weights,
     oracle_select,
-    project_simplex,
     wcs_aggregate,
 )
 from .corpus import (
@@ -48,6 +47,7 @@ from .harness import (
 )
 from .rouge import RougeScore, ngram_counts, pairwise_sim_matrix, rouge_n_recall
 from .summarizers import (
+    ClusterFeatures,
     LengthBudget,
     RankList,
     RedundancyCap,

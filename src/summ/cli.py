@@ -85,13 +85,32 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# the JSON types a config file may give the keys that take no string
+# alone; flags arrive typed by argparse
+_FILE_TYPES = {
+    "lambda": ((int, float), "a number"),
+    "redundancy_cap": ((int, float), "a number"),
+    "jobs": (int, "an integer"),
+    "systems": ((str, list), "a string or a list"),
+    "aggregators": ((str, list), "a string or a list"),
+    "rouge": ((str, int, list), "a string, an integer or a list"),
+}
+
+
 def _effective(args: argparse.Namespace, file_config: dict, key: str, default=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
     # the file uses flag spelling: "lambda", not the python-safe dest
-    file_key = {"lambda_": "lambda", "format": "format"}.get(key, key)
-    return file_config.get(file_key, default)
+    file_key = "lambda" if key == "lambda_" else key
+    if file_key not in file_config:
+        return default
+    value = file_config[file_key]
+    types, expected = _FILE_TYPES.get(file_key, (str, "a string"))
+    # JSON true and false are Python ints too
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise UsageError(f"config file: {file_key!r} must be {expected}, got {json.dumps(value)}")
+    return value
 
 
 def _split_list(value) -> tuple[str, ...]:
@@ -106,9 +125,7 @@ def _run_config(
     corpus = _effective(args, file_config, "corpus")
     if corpus is None:
         raise UsageError("--corpus is required")
-    budget = LengthBudget.parse(
-        str(_effective(args, file_config, "budget", "words:100"))
-    )
+    budget = LengthBudget.parse(_effective(args, file_config, "budget", "words:100"))
     systems = _split_list(
         _effective(args, file_config, "systems",
                    "lexrank,textrank,centroid,freqsum,topicsum,greedykl")
@@ -131,9 +148,9 @@ def _run_config(
         aggregators=aggregators,
         rouge_orders=rouge_orders,
         redundancy_cap=None if redundancy_cap is None else float(redundancy_cap),
-        jobs=int(_effective(args, file_config, "jobs", 1)),
+        jobs=_effective(args, file_config, "jobs", 1),
         out=_effective(args, file_config, "out"),
-        emit=str(_effective(args, file_config, "emit", "csv")),
+        emit=_effective(args, file_config, "emit", "csv"),
     )
 
 
@@ -150,13 +167,13 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _command_summarize(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
-    aggregator = str(_effective(args, file_config, "aggregator", "cwcs"))
+    aggregator = _effective(args, file_config, "aggregator", "cwcs")
     # validated for the one aggregator it runs, not for run's defaults
     config = _run_config(args, file_config, aggregators=(aggregator,))
     cluster_id = _effective(args, file_config, "cluster")
     if cluster_id is None:
         raise UsageError("--cluster is required")
-    for sentence in summarize_cluster(config, str(cluster_id), aggregator):
+    for sentence in summarize_cluster(config, cluster_id, aggregator):
         print(sentence)
     return 0
 

@@ -134,14 +134,6 @@ def _project_rows(y: np.ndarray) -> np.ndarray:
     return weights
 
 
-def project_simplex(y: Sequence[float]) -> WeightVector:
-    """Euclidean projection onto {w : w >= 0, sum w = 1}."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    return WeightVector(tuple(_project_rows(y[None, :])[0]))
-
-
 def wcs_aggregate(
     rank_lists: Sequence[RankList], config: WcsConfig | None = None
 ) -> AggregateResult:

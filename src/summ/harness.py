@@ -38,6 +38,7 @@ from .corpus import (
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .summarizers import (
     CANDIDATE_SYSTEMS,
+    ClusterFeatures,
     RankList,
     RedundancyCap,
     Summary,
@@ -196,23 +197,25 @@ class _ClusterOutcome:
 class _ClusterPipeline:
     """One cluster ranked once by every system and fused by any aggregator.
 
+    The rankers and the redundancy cap share one ``ClusterFeatures``.
     The peer inputs (the systems' own summaries, the cluster's n-gram
-    index and the references in it, the cwcs weights, the redundancy cap)
-    are built on first use and shared from then on.
+    index and the references in it, the cwcs weights) are built on first
+    use and shared from then on.
     """
 
     def __init__(self, cluster: DocumentCluster, corpus_counts: Counter,
                  config: RunConfig, orders: Sequence[int] = (1,)):
         self.cluster, self.config = cluster, config
         self.index = NgramIndex(orders)
+        self.features = ClusterFeatures(cluster)
         self.rank_lists: dict[str, RankList] = {}
         self.failures: dict[str, str] = {}
         for name in config.systems:
             try:
                 self.rank_lists[name] = (
-                    topicsum_rank(cluster, corpus_counts, config.summarizer)
+                    topicsum_rank(self.features, corpus_counts, config.summarizer)
                     if name == "topicsum"
-                    else _RANKERS[name](cluster, config.summarizer)
+                    else _RANKERS[name](self.features, config.summarizer)
                 )
             except Exception as exc:
                 self.failures[name] = str(exc)
@@ -258,8 +261,7 @@ class _ClusterPipeline:
     def extract(self, rank_list: RankList) -> Summary:
         """The rank list's summary under the configured redundancy cap."""
         limit = self.config.redundancy_cap
-        cap = self._once("cap", lambda: None if limit is None else
-                         RedundancyCap.for_cluster(self.cluster, limit))
+        cap = None if limit is None else RedundancyCap(limit, self.features.tfidf)
         return extract_summary(rank_list, self.cluster, self.config.summarizer.budget, cap)
 
     def fuse(self, aggregator: str) -> tuple[RankList, str | None]:

@@ -2,8 +2,8 @@
 
 Every ranker scores *all* sentences of a cluster and returns a total
 order, so downstream aggregation always works with full rank vectors.
-All rankers are pure functions of (cluster, config): reruns are
-bit-identical and different clusters can be ranked concurrently.
+All rankers are pure functions of (``ClusterFeatures``, config): reruns
+are bit-identical and different clusters can be ranked concurrently.
 
 Ties are broken by the smaller sentence index everywhere.
 """
@@ -15,6 +15,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -171,43 +172,38 @@ def _graph_rank(
     return RankList.from_scores(system_id, _power_iteration(adjacency, config))
 
 
-def _token_ids(cluster: DocumentCluster) -> tuple[Counter, dict[str, int]]:
-    """The cluster's token counts, keys in first-occurrence order, and an id
-    for each token that numbers the vocabulary in sorted token order."""
-    counts = Counter()
-    for sentence in cluster.sentences:
-        counts.update(sentence.tokens)
-    return counts, {t: i for i, t in enumerate(sorted(counts))}
+class ClusterFeatures:
+    """One cluster's term statistics, each built on first use and kept, so
+    that every ranker and the redundancy cap share one copy."""
 
+    def __init__(self, cluster: DocumentCluster):
+        self.cluster = cluster
 
-@dataclass(frozen=True)
-class _TokenEntries:
-    """A cluster's sentence x token counts, kept sparse.
+    @cached_property
+    def counts(self) -> Counter:
+        """Token counts over the cluster, keys in first-occurrence order."""
+        return Counter(t for sentence in self.cluster.sentences for t in sentence.tokens)
 
-    One entry per distinct token of each sentence, sentence-major; as ids
-    follow sorted token order, a sentence's entries are
-    ``sorted(Counter(tokens).items())``.
-    """
+    @cached_property
+    def ids(self) -> dict[str, int]:
+        """An id per token, numbering the vocabulary in sorted token order."""
+        return {t: i for i, t in enumerate(sorted(self.counts))}
 
-    counts: Counter
-    ids: dict[str, int]
-    sentence: np.ndarray
-    token: np.ndarray
-    count: np.ndarray
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sentence x token counts as sparse (sentence, token id, count)
+        arrays, sentence-major, each sentence's tokens in sorted order."""
+        entries = [
+            (row, self.ids[token], count)
+            for row, sentence in enumerate(self.cluster.sentences)
+            for token, count in sorted(Counter(sentence.tokens).items())
+        ]
+        return tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
 
-
-def _token_entries(cluster: DocumentCluster) -> _TokenEntries:
-    counts, ids = _token_ids(cluster)
-    rows, cols, values = [], [], []
-    for row, sentence in enumerate(cluster.sentences):
-        for token, count in sorted(Counter(sentence.tokens).items()):
-            rows.append(row)
-            cols.append(ids[token])
-            values.append(count)
-    return _TokenEntries(
-        counts, ids, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-        np.array(values, dtype=np.int64),
-    )
+    @cached_property
+    def tfidf(self) -> tuple[SentenceVector, ...]:
+        """TF-IDF vector per sentence, aligned with sentence indices."""
+        return tuple(tfidf_vectors(self.cluster))
 
 
 _BLOCK = 64  # columns of a sparse matrix made dense at a time
@@ -242,11 +238,10 @@ def _cross_products(
 _NEAR_THRESHOLD = 1e-9
 
 
-def _lexrank_adjacency(cluster: DocumentCluster, threshold: float) -> np.ndarray:
+def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarray:
     """0/1 graph of the sentence pairs whose cosine exceeds ``threshold``."""
-    n = len(cluster.sentences)
-    vectors = tfidf_vectors(cluster)
-    _, ids = _token_ids(cluster)
+    vectors, ids = features.tfidf, features.ids
+    n = len(vectors)
     rows = np.repeat(np.arange(n), [len(v.weights) for v in vectors])
     cols = np.array([ids[t] for v in vectors for t in v.weights], dtype=np.intp)
     values = np.array([w for v in vectors for w in v.weights.values()])
@@ -263,25 +258,23 @@ def _lexrank_adjacency(cluster: DocumentCluster, threshold: float) -> np.ndarray
     return (edges | edges.T).astype(float)
 
 
-def lexrank_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+def lexrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
-    adjacency = _lexrank_adjacency(cluster, config.lexrank_threshold)
-    return _graph_rank("lexrank", adjacency, cluster, config)
+    adjacency = _lexrank_adjacency(features, config.lexrank_threshold)
+    return _graph_rank("lexrank", adjacency, features.cluster, config)
 
 
-def _textrank_adjacency(cluster: DocumentCluster) -> np.ndarray:
+def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     """Edge weight: shared-type count / (log len_i + log len_j).
 
     Zero for sentences of length <= 1 (the normalizer would vanish) and on
     the diagonal.
     """
-    entries = _token_entries(cluster)
-    n = len(cluster.sentences)
+    sentences = features.cluster.sentences
+    rows, cols, _ = features.entries
     # shared-type counts, exact integers
-    weights = _cross_products(
-        n, entries.sentence, entries.token, np.ones(len(entries.token))
-    )
-    lengths = [len(s.tokens) for s in cluster.sentences]
+    weights = _cross_products(len(sentences), rows, cols, np.ones(len(cols)))
+    lengths = [len(s.tokens) for s in sentences]
     # math.log, which np.log can miss by an ulp; 1.0 stands in for short
     # sentences, whose rows and columns are zeroed below
     log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths])
@@ -293,35 +286,33 @@ def _textrank_adjacency(cluster: DocumentCluster) -> np.ndarray:
     return weights
 
 
-def textrank_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+def textrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Centrality over the content-word-overlap graph."""
-    return _graph_rank("textrank", _textrank_adjacency(cluster), cluster, config)
+    return _graph_rank("textrank", _textrank_adjacency(features), features.cluster, config)
 
 
-def centroid_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+def centroid_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
-    vectors = tfidf_vectors(cluster)
-    n = len(cluster.sentences)
+    vectors = features.tfidf
+    n = len(vectors)
     centroid: dict[str, float] = {}
     for vector in vectors:
         for token, weight in vector.weights.items():
             centroid[token] = centroid.get(token, 0.0) + weight
     centroid = {t: w / n for t, w in centroid.items()}
     scores = []
-    for sentence in cluster.sentences:
+    for sentence in features.cluster.sentences:
         seen = dict.fromkeys(sentence.tokens)
         scores.append(sum(centroid.get(t, 0.0) for t in seen))
     return RankList.from_scores("centroid", scores)
 
 
-def freqsum_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Average cluster-frequency of a sentence's content words."""
-    counts = Counter()
-    for sentence in cluster.sentences:
-        counts.update(sentence.tokens)
+    counts = features.counts
     total = sum(counts.values())
     scores = []
-    for sentence in cluster.sentences:
+    for sentence in features.cluster.sentences:
         if total == 0 or not sentence.tokens:
             scores.append(0.0)
             continue
@@ -359,7 +350,7 @@ def log_likelihood_ratio(k1: int, n1: int, k2: int, n2: int) -> float:
 
 
 def topic_words(
-    cluster: DocumentCluster,
+    features: ClusterFeatures,
     corpus_counts: Mapping[str, int],
     threshold: float,
 ) -> set[str]:
@@ -369,9 +360,7 @@ def topic_words(
     this cluster included; the background is the corpus minus the
     cluster's own counts.
     """
-    counts = Counter()
-    for sentence in cluster.sentences:
-        counts.update(sentence.tokens)
+    counts = features.counts
     n1 = sum(counts.values())
     n2 = sum(corpus_counts.values()) - n1
     if n2 == 0:
@@ -391,14 +380,14 @@ def topic_words(
 
 
 def topicsum_rank(
-    cluster: DocumentCluster,
+    features: ClusterFeatures,
     corpus_counts: Mapping[str, int],
     config: SummarizerConfig,
 ) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = topic_words(cluster, corpus_counts, config.topic_llr_threshold)
+    signature = topic_words(features, corpus_counts, config.topic_llr_threshold)
     scores = []
-    for sentence in cluster.sentences:
+    for sentence in features.cluster.sentences:
         if not sentence.tokens:
             scores.append(0.0)
             continue
@@ -413,7 +402,7 @@ def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
     return 0.0005 * cluster_vocab_size
 
 
-def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankList:
+def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Greedy selection minimizing the summary-to-cluster KL divergence.
 
     Selection continues past any length budget until every sentence is
@@ -425,16 +414,15 @@ def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankLis
     tokens' gains left to right, in sorted token order (``np.bincount``
     accumulates in input order).
     """
-    sentences = cluster.sentences
+    sentences = features.cluster.sentences
     n = len(sentences)
-    entries = _token_entries(cluster)
-    cluster_counts = entries.counts
+    cluster_counts, ids = features.counts, features.ids
     total = sum(cluster_counts.values())
     if total == 0:
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
     k = _kl_smoothing(len(cluster_counts), config)
     vocab_size = len(cluster_counts)
-    log_pc = np.array([math.log(cluster_counts[t] / total) for t in entries.ids])
+    log_pc = np.array([math.log(cluster_counts[t] / total) for t in ids])
     # gain(c, t) = (c + k) * (log(c + k) - log_pc[t]), and 0 when c + k == 0
     # (k == 0, c == 0): the log entry 0.0 is then multiplied by a zero mass.
     # Counts reach twice a token's count on the entries of sentences already
@@ -449,18 +437,18 @@ def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankLis
 
     zero_gains = gain(np.zeros(vocab_size, dtype=np.int64), log_pc).tolist()
     # all-zero summary counts, summed in the cluster's first-occurrence order
-    base = sum(zero_gains[entries.ids[t]] for t in cluster_counts)
+    base = sum(zero_gains[ids[t]] for t in cluster_counts)
     k_denom = k * (vocab_size + 1)
     k_mass = k * vocab_size
     log_denom = np.array([
         math.log(t + k_denom) if t + k_denom != 0 else 0.0 for t in range(total + 1)
     ])
-    token, extra = entries.token, entries.count
+    entry_sentence, token, extra = features.entries
     entry_log_pc = log_pc[token]
-    starts = np.searchsorted(entries.sentence, np.arange(n + 1))
+    starts = np.searchsorted(entry_sentence, np.arange(n + 1))
     lengths = np.array([len(s.tokens) for s in sentences])
     # slot i first receives the running sum, then sentence i's token gains
-    slots = np.concatenate((np.arange(n), entries.sentence))
+    slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
     current = np.zeros(vocab_size, dtype=np.int64)
     current_total = 0
@@ -492,15 +480,11 @@ def greedykl_rank(cluster: DocumentCluster, config: SummarizerConfig) -> RankLis
 
 @dataclass(frozen=True)
 class RedundancyCap:
-    """Cosine-similarity cap over one cluster's TF-IDF vectors, built once
-    and shared by every extraction from that cluster."""
+    """Cosine-similarity cap over one cluster's TF-IDF vectors
+    (``ClusterFeatures.tfidf``), shared by every extraction from it."""
 
     limit: float
     vectors: tuple[SentenceVector, ...]
-
-    @classmethod
-    def for_cluster(cls, cluster: DocumentCluster, limit: float) -> "RedundancyCap":
-        return cls(limit, tuple(tfidf_vectors(cluster)))
 
 
 def extract_summary(

@@ -20,17 +20,18 @@ import pytest
 from summ.consensus import (
     WcsConfig,
     WeightVector,
+    _project_rows,
     borda_aggregate,
     cwcs_aggregate,
     cwcs_raw_weights,
     cwcs_weights,
-    project_simplex,
     wcs_aggregate,
 )
 from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.harness import RunConfig, emit_report, run_evaluation
 from summ.rouge import ngram_counts, rouge_n_recall
 from summ.summarizers import (
+    ClusterFeatures,
     LengthBudget,
     RankList,
     SummarizerConfig,
@@ -203,7 +204,7 @@ def test_criterion_3_simplex_projection():
         y = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
         grid = dense_simplex_points(dim)
         nearest = grid[((grid - y) ** 2).sum(axis=1).argmin()]
-        projected = np.asarray(project_simplex(y).weights)
+        projected = _project_rows(y[None, :])[0]
         gap = np.abs(projected - nearest).max()
         worst = max(worst, gap)
         if gap > 2e-3:
@@ -213,7 +214,7 @@ def test_criterion_3_simplex_projection():
         dim = rng.randint(1, 5)
         raw = np.array([rng.random() for _ in range(dim)])
         feasible = raw / raw.sum()
-        again = np.asarray(project_simplex(feasible).weights)
+        again = _project_rows(feasible[None, :])[0]
         if np.abs(again - feasible).max() > 1e-12:
             report_line("criterion 3: simplex projection vs grid search", False,
                         "not idempotent on a feasible point")
@@ -324,7 +325,7 @@ def test_criterion_7_greedykl_first_pick():
         ]
         cluster = cluster_from_sentences("c", [("d0", sentences)], config=WORDS)
         k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
-        first = greedykl_rank(cluster, config).order()[0]
+        first = greedykl_rank(ClusterFeatures(cluster), config).order()[0]
         values = [
             brute_single_sentence_kl(cluster, i, k)
             for i in range(len(cluster.sentences))

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from summ.cli import main
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
@@ -134,6 +136,30 @@ class TestRunCommand:
                           encoding="utf-8")
         assert main(["summarize", "--config", str(config), "--cluster", "c01-storm"]) == 1
         assert "redundancy cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", None),
+        ("lambda", [1]),
+        ("jobs", None),
+        ("jobs", 2.9),
+        ("jobs", True),
+        ("corpus", 5),
+        ("out", 5),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        # these crashed with a TypeError (out only after the whole run), or
+        # were silently truncated (jobs 2.9)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        settings = {"corpus": FIXTURE, "out": "report.csv", key: value}
+        config.write_text(json.dumps(settings), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: config file: {key!r} must be" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

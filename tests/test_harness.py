@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from summ import harness
+from summ import harness, summarizers
 from summ.corpus import load_corpus
 from summ.harness import (
     EvalReport,
@@ -19,7 +19,7 @@ from summ.harness import (
     summarize_cluster,
 )
 from summ.rouge import ngram_counts, prepare_sentences, prepare_text, rouge_n_recall
-from summ.summarizers import LengthBudget, SummarizerConfig
+from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget, SummarizerConfig
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 
@@ -297,6 +297,29 @@ class TestTokenizeOnce:
         for aggregator in ("borda", "wcs"):
             assert summarize_cluster(fixture_config(), "c01-storm", aggregator)
         assert made == []
+
+
+class TestFeaturesOnce:
+    @pytest.mark.parametrize("systems, cap, expected", [
+        (CANDIDATE_SYSTEMS, None, 1),
+        (CANDIDATE_SYSTEMS, 0.5, 1),
+        (("freqsum", "topicsum"), None, 0),
+    ])
+    def test_tfidf_vectors_built_once_per_cluster(self, monkeypatch, systems, cap, expected):
+        # lexrank, centroid and the redundancy cap share one set of vectors;
+        # rankers that need none build none
+        built = []
+        original = summarizers.tfidf_vectors
+        monkeypatch.setattr(
+            summarizers, "tfidf_vectors", lambda cluster: built.append(cluster) or original(cluster)
+        )
+        config = fixture_config(systems=systems, redundancy_cap=cap)
+        clusters = load_corpus(FIXTURE, "jsonl")
+        for cluster in clusters:
+            built.clear()
+            outcome = harness._evaluate_cluster(cluster, harness._corpus_counts(clusters), config)
+            assert outcome.scored
+            assert len(built) == expected
 
 
 class TestSummarizeCluster:

@@ -21,6 +21,7 @@ from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_senten
 from summ.features import cosine_similarity, tfidf_vectors
 from summ.harness import _corpus_counts
 from summ.summarizers import (
+    ClusterFeatures,
     RankList,
     SummarizerConfig,
     _graph_rank,
@@ -156,7 +157,7 @@ def make_cluster(docs):
 
 def assert_identical(cluster, config):
     for name, (ranker, reference) in PAIRS.items():
-        got, want = ranker(cluster, config), reference(cluster, config)
+        got, want = ranker(ClusterFeatures(cluster), config), reference(cluster, config)
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
 
@@ -228,7 +229,7 @@ def test_threshold_at_realised_cosine():
         below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
         for threshold in (below, value, above):
             config = SummarizerConfig(lexrank_threshold=threshold)
-            got = lexrank_rank(cluster, config)
+            got = lexrank_rank(ClusterFeatures(cluster), config)
             want = reference_lexrank_rank(cluster, config)
             assert got.scores == want.scores
             assert got.ranks == want.ranks
@@ -325,10 +326,10 @@ def assert_topicsum_identical(corpus_docs, config):
             want = reference_topicsum_rank(cluster, background, config)
         except ValueError as exc:
             with pytest.raises(ValueError, match="background required"):
-                topicsum_rank(cluster, corpus_counts, config)
+                topicsum_rank(ClusterFeatures(cluster), corpus_counts, config)
             assert "background required" in str(exc)
             continue
-        got = topicsum_rank(cluster, corpus_counts, config)
+        got = topicsum_rank(ClusterFeatures(cluster), corpus_counts, config)
         assert got.scores == want.scores
         assert got.ranks == want.ranks
 

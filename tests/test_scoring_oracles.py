@@ -28,11 +28,11 @@ from summ.consensus import (
     WcsConfig,
     WeightVector,
     _common_length,
+    _project_rows,
     cwcs_aggregate,
     cwcs_raw_weights,
     cwcs_weights,
     oracle_select,
-    project_simplex,
     wcs_aggregate,
 )
 from summ.corpus import ReferenceSummary
@@ -358,7 +358,8 @@ def test_wcs_identical_and_reversed_lists_match():
 @settings(max_examples=200, deadline=None)
 @given(y=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
 def test_row_projection_matches_the_one_dimensional_projection(y):
-    assert project_simplex(y) == reference_project_simplex(y)
+    row = tuple(_project_rows(np.array([y], dtype=float))[0])
+    assert row == reference_project_simplex(y).weights
 
 
 def test_projection_of_entries_too_large_fails():
@@ -366,7 +367,7 @@ def test_projection_of_entries_too_large_fails():
     with pytest.raises(IndexError):
         reference_project_simplex([1e17, 0.0])
     with pytest.raises(ValueError, match="too large"):
-        project_simplex([1e17, 0.0])
+        _project_rows(np.array([[1e17, 0.0]]))
 
 
 # -- cwcs ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.summarizers import (
     LengthBudget,
+    ClusterFeatures,
     RankList,
     RedundancyCap,
     SummarizerConfig,
@@ -114,12 +115,12 @@ class TestPowerIteration:
 class TestLexrank:
     def test_identical_pair(self):
         cluster = make_cluster([["red fox runs", "red fox runs"], ["other words here"]])
-        rl = lexrank_rank(cluster, CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores[0] == pytest.approx(rl.scores[1], abs=1e-9)
 
     def test_singleton(self):
         cluster = make_cluster([["only one sentence"]])
-        rl = lexrank_rank(cluster, CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores == (1.0,)
         assert rl.ranks == (1,)
 
@@ -127,7 +128,7 @@ class TestLexrank:
         # s0~s1, s1~s2, s0 and s2 disjoint: adjacency is a 3-chain and the
         # damped stationary distribution is (19/74, 18/37, 19/74)
         cluster = make_cluster([["alpha beta"], ["beta gamma"], ["gamma delta"]])
-        rl = lexrank_rank(cluster, CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.ranks[1] == 1
         assert rl.scores[0] == pytest.approx(19 / 74, abs=1e-4)
         assert rl.scores[1] == pytest.approx(18 / 37, abs=1e-4)
@@ -136,7 +137,7 @@ class TestLexrank:
     def test_isolated_graph_uniform_fallback(self, caplog):
         cluster = make_cluster([["alpha beta"], ["gamma delta"]])
         with caplog.at_level("WARNING"):
-            rl = lexrank_rank(cluster, CONFIG)
+            rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
         assert "falling back to uniform" in caplog.text
         assert rl.scores == (0.5, 0.5)
         assert rl.ranks == (1, 2)
@@ -154,13 +155,13 @@ class TestTextrank:
         cluster = make_cluster(
             [["red fox runs far", "red fox runs far"], ["more unrelated words here"]]
         )
-        rl = textrank_rank(cluster, CONFIG)
+        rl = textrank_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores[0] == pytest.approx(rl.scores[1], abs=1e-9)
 
     def test_zero_overlap_uniform_fallback(self, caplog):
         cluster = make_cluster([["alpha beta"], ["gamma delta"]])
         with caplog.at_level("WARNING"):
-            rl = textrank_rank(cluster, CONFIG)
+            rl = textrank_rank(ClusterFeatures(cluster), CONFIG)
         assert "falling back to uniform" in caplog.text
         assert rl.scores == (0.5, 0.5)
 
@@ -168,7 +169,7 @@ class TestTextrank:
 class TestCentroid:
     def test_single_document_all_zero(self):
         cluster = make_cluster([["red fox runs", "blue bird sings"]])
-        rl = centroid_rank(cluster, CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores == (0.0, 0.0)
         assert rl.ranks == (1, 2)
 
@@ -176,7 +177,7 @@ class TestCentroid:
         # d0: "alpha beta gamma", d1: "beta delta"; beta occurs in both
         # documents so it drops out; centroid = {alpha, gamma, delta: ln2/2}
         cluster = make_cluster([["alpha beta gamma"], ["beta delta"]])
-        rl = centroid_rank(cluster, CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores[0] == pytest.approx(math.log(2))
         assert rl.scores[1] == pytest.approx(math.log(2) / 2)
         assert rl.ranks == (1, 2)
@@ -185,20 +186,20 @@ class TestCentroid:
         cluster = make_cluster(
             [["alpha beta gamma delta", "alpha beta"], ["unrelated filler words"]]
         )
-        rl = centroid_rank(cluster, CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.ranks[0] == 1
 
 
 class TestFreqsum:
     def test_singleton(self):
         cluster = make_cluster([["lone sentence here"]])
-        rl = freqsum_rank(cluster, CONFIG)
+        rl = freqsum_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.ranks == (1,)
 
     def test_hand_computed(self):
         # counts: a=3, b=1; scores: [a a] -> 0.75, [a b] -> 0.5
         cluster = make_cluster([["a a", "a b"]])
-        rl = freqsum_rank(cluster, CONFIG)
+        rl = freqsum_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.scores == (0.75, 0.5)
 
     def test_duplicating_documents_is_invariant(self):
@@ -206,8 +207,8 @@ class TestFreqsum:
         cluster = make_cluster(docs)
         doubled = make_cluster(docs + docs)
         assert (
-            freqsum_rank(doubled, CONFIG).scores[: len(cluster.sentences)]
-            == freqsum_rank(cluster, CONFIG).scores
+            freqsum_rank(ClusterFeatures(doubled), CONFIG).scores[: len(cluster.sentences)]
+            == freqsum_rank(ClusterFeatures(cluster), CONFIG).scores
         )
 
 
@@ -223,32 +224,32 @@ class TestTopicsum:
     def test_background_equal_to_cluster_gives_all_zero(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
         corpus = cluster_counts(cluster) + cluster_counts(cluster)
-        rl = topicsum_rank(cluster, corpus, CONFIG)
+        rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
         assert rl.scores == (0.0,) * len(cluster.sentences)
 
     def test_overrepresented_token_becomes_topic_word(self):
         sentences = [["storm storm storm storm storm surge", "other words here"]]
         cluster = make_cluster(sentences)
         corpus = cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)})
-        signature = topic_words(cluster, corpus, CONFIG.topic_llr_threshold)
+        signature = topic_words(ClusterFeatures(cluster), corpus, CONFIG.topic_llr_threshold)
         assert "storm" in signature
 
     def test_pure_topic_sentence_scores_one(self):
         cluster = make_cluster([["storm storm storm storm storm", "calm words today"]])
         corpus = cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)})
-        rl = topicsum_rank(cluster, corpus, CONFIG)
+        rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
         assert max(rl.scores) == rl.scores[0] == 1.0
 
     def test_empty_background_is_error(self):
         cluster = make_cluster([["red fox runs"]])
         with pytest.raises(ValueError, match="background required"):
-            topicsum_rank(cluster, cluster_counts(cluster), CONFIG)
+            topicsum_rank(ClusterFeatures(cluster), cluster_counts(cluster), CONFIG)
 
     def test_corpus_counts_must_include_the_cluster(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
         background = Counter({"red": 1, "noise": 50})
         with pytest.raises(ValueError, match="corpus counts miss"):
-            topicsum_rank(cluster, background, CONFIG)
+            topicsum_rank(ClusterFeatures(cluster), background, CONFIG)
 
 
 def brute_force_kl(cluster, indices, k):
@@ -277,7 +278,7 @@ def brute_force_kl(cluster, indices, k):
 class TestGreedyKL:
     def test_identical_sentences_select_in_index_order(self):
         cluster = make_cluster([["red fox runs"] * 4])
-        rl = greedykl_rank(cluster, CONFIG)
+        rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
         assert rl.ranks == (1, 2, 3, 4)
 
     def test_first_pick_matches_exhaustive_search(self):
@@ -290,7 +291,7 @@ class TestGreedyKL:
             ]
             cluster = make_cluster([sentences])
             k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
-            rl = greedykl_rank(cluster, CONFIG)
+            rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
             first = rl.order()[0]
             kls = [
                 brute_force_kl(cluster, [i], k)
@@ -305,7 +306,7 @@ class TestGreedyKL:
             " ".join(rng.choices(vocab, k=rng.randint(1, 5))) for _ in range(5)
         ]
         cluster = make_cluster([sentences])
-        rl = greedykl_rank(cluster, CONFIG)
+        rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
         order = rl.order()
         k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
         # each incremental pick must minimize the direct KL of the prefix
@@ -351,7 +352,7 @@ class TestExtractSummary:
         rl = RankList.from_scores("x", [4.0, 3.0, 2.0, 1.0])
         summary = extract_summary(
             rl, cluster, LengthBudget("words", 6),
-            redundancy_cap=RedundancyCap.for_cluster(cluster, 0.99),
+            redundancy_cap=RedundancyCap(0.99, ClusterFeatures(cluster).tfidf),
         )
         assert summary.sentence_indices == (0, 2)
 
@@ -430,9 +431,9 @@ class TestRankerProperties:
         cluster = make_cluster(docs)
         corpus = cluster_counts(cluster) + Counter({"noise": 50, "words": 50})
         for name, ranker in SYSTEMS.items():
-            assert ranker(cluster, CONFIG) == ranker(cluster, CONFIG), name
-        assert topicsum_rank(cluster, corpus, CONFIG) == topicsum_rank(
-            cluster, corpus, CONFIG
+            assert ranker(ClusterFeatures(cluster), CONFIG) == ranker(ClusterFeatures(cluster), CONFIG), name
+        assert topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG) == topicsum_rank(
+            ClusterFeatures(cluster), corpus, CONFIG
         )
 
     def test_token_bijection_leaves_ranks_unchanged(self):
@@ -454,11 +455,11 @@ class TestRankerProperties:
             )
             for name, ranker in SYSTEMS.items():
                 assert (
-                    ranker(cluster, CONFIG).ranks == ranker(mirrored, CONFIG).ranks
+                    ranker(ClusterFeatures(cluster), CONFIG).ranks == ranker(ClusterFeatures(mirrored), CONFIG).ranks
                 ), (name, trial)
             assert (
-                topicsum_rank(cluster, corpus, CONFIG).ranks
-                == topicsum_rank(mirrored, renamed_corpus, CONFIG).ranks
+                topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG).ranks
+                == topicsum_rank(ClusterFeatures(mirrored), renamed_corpus, CONFIG).ranks
             )
 
     def test_scores_sum_to_one_for_graph_rankers(self):
@@ -467,6 +468,6 @@ class TestRankerProperties:
         for _ in range(10):
             cluster = make_cluster(random_cluster(rng, vocab))
             for ranker in (lexrank_rank, textrank_rank):
-                assert sum(ranker(cluster, CONFIG).scores) == pytest.approx(
+                assert sum(ranker(ClusterFeatures(cluster), CONFIG).scores) == pytest.approx(
                     1.0, abs=1e-6
                 )
