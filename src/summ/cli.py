@@ -82,7 +82,18 @@ def _load_config_file(path: str | None) -> dict:
         raise UsageError(f"config file {path}: invalid JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
+    unknown = sorted(set(data) - _FILE_KEYS)
+    if unknown:
+        raise UsageError(f"config file {path}: unknown keys {unknown}")
     return data
+
+
+# every key that `run` or `summarize` reads from a file, so that one file
+# can serve both commands and a misspelled key is not silently dropped
+_FILE_KEYS = frozenset({
+    "corpus", "format", "budget", "systems", "lambda", "redundancy_cap",
+    "aggregators", "rouge", "out", "emit", "jobs", "cluster", "aggregator",
+})
 
 
 # the JSON types a config file may give the keys that take no string

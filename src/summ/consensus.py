@@ -59,7 +59,13 @@ class WcsConfig:
         # lambda = 1 would drop the distance term and leave r* unconstrained
         if not 0.0 <= self.lambda_ < 1.0:
             raise ValueError("lambda must lie in [0, 1)")
-        if self.tol <= 0 or self.max_iter < 1:
+        # "not tol > 0" rejects a NaN tolerance too, which would never converge
+        if (
+            not self.tol > 0
+            or isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, int)
+            or self.max_iter < 1
+        ):
             raise ValueError("bad convergence settings")
 
 
@@ -68,8 +74,8 @@ class AggregateResult:
     """An aggregate rank list and what the method reports about it.
 
     For wcs, ``iterations``, ``converged`` and ``objective_trace`` describe
-    the winning restart only; the other restarts' iterations are not
-    counted anywhere.
+    the winning restart only (the trace from running it again alone); the
+    other restarts' iterations are not counted anywhere.
     """
 
     method: str
@@ -109,27 +115,30 @@ def borda_aggregate(rank_lists: Sequence[RankList]) -> AggregateResult:
     return AggregateResult(method="borda", rank_list=rank_list)
 
 
-def _project_rows(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of ``y`` onto {w : w >= 0, sum w = 1}.
+def _project_row(y: list[float]) -> list[float]:
+    """Euclidean projection of ``y`` onto {w : w >= 0, sum w = 1}.
 
-    Sorted-threshold method: with a row's entries sorted descending, find
-    the largest prefix whose running mean keeps every kept entry above the
-    water level tau, then clip at tau.  Each row goes through the same
-    float operations as it would alone.
+    Sorted-threshold method: with the entries sorted descending, find the
+    largest prefix whose running mean keeps every kept entry above the
+    water level tau, then clip at tau.  Plain floats cost less than numpy's
+    fixed cost per call on a row of a few weights.  Every operation is
+    elementwise or, like ``np.cumsum``, left to right, so the result has
+    the bits of the numpy projection in ``tests/test_scoring_oracles.py``
+    for any length.
     """
-    u = np.sort(y, axis=1)[:, ::-1]
-    cumulative = np.cumsum(u, axis=1)
-    j = np.arange(1, y.shape[1] + 1)
-    supported = u - (cumulative - 1.0) / j > 0.0
-    # last supported position of each row; the first always is, unless the
-    # entries are so large that subtracting 1 is lost to rounding
-    rho = y.shape[1] - 1 - np.argmax(supported[:, ::-1], axis=1)
-    rows = np.arange(len(y))
-    if not supported[rows, rho].all():
+    tau = None
+    cumulative = 0.0
+    for count, v in enumerate(sorted(y, reverse=True), 1):
+        cumulative += v
+        threshold = (cumulative - 1.0) / count
+        if v > threshold:
+            tau = threshold
+    # the first entry is always supported, unless the entries are so large
+    # that subtracting 1 is lost to rounding
+    if tau is None:
         raise ValueError("simplex projection failed: entries too large")
-    tau = (cumulative[rows, rho] - 1.0) / (rho + 1.0)
-    weights = np.maximum(y - tau[:, None], 0.0)
-    if (np.abs(weights.sum(axis=1) - 1.0) > 1e-9).any():
+    weights = [v - tau if v - tau > 0.0 else 0.0 for v in y]
+    if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
     return weights
 
@@ -148,8 +157,10 @@ def wcs_aggregate(
 
     The restarts run together, one row of a weight matrix each; a row
     leaves the active set once it converges or reaches ``max_iter``.
-    ``iterations``, ``converged`` and ``objective_trace`` of the result
-    describe the winning restart only, not the work of all restarts.
+    The winning restart is then run again alone to record its
+    ``objective_trace``.  ``iterations``, ``converged`` and
+    ``objective_trace`` of the result describe the winning restart only,
+    not the work of all restarts.
     """
     config = config or WcsConfig()
     n = _common_length(rank_lists)
@@ -166,38 +177,40 @@ def wcs_aggregate(
     def consensus(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact r* minimizer of each row, and its distances to the systems.
 
-        One ``w @ ranks`` product per row: a single matrix product over all
-        rows can round differently in the last bit."""
-        r_star = np.array([w @ ranks for w in weights])
+        The stacked product runs one vector × matrix product per row, the
+        same gemv as ``w @ ranks``; ``weights @ ranks``, one matrix
+        product over all rows, can round differently in the last bit."""
+        r_star = np.matmul(weights[:, None, :], ranks)[:, 0]
         return r_star, ((ranks - r_star[:, None, :]) ** 2).sum(axis=2)
 
     def objective(weights: np.ndarray, distances: np.ndarray) -> np.ndarray:
         spread = (weights * distances).sum(axis=1)
         return (1.0 - lam) * spread + lam * (weights * weights).sum(axis=1)
 
+    def minimize_weights(distances: np.ndarray) -> np.ndarray:
+        """Exact w minimizer of each row for fixed r*."""
+        if lam == 0.0:
+            at_min = distances == distances.min(axis=1, keepdims=True)
+            return at_min / at_min.sum(axis=1, keepdims=True)
+        scaled = -(1.0 - lam) / (2.0 * lam) * distances
+        return np.array([_project_row(row) for row in scaled.tolist()])
+
     eye = np.eye(k)
-    weights = np.vstack(
+    starts = np.vstack(
         [np.full(k, 1.0 / k), eye]
         + [(eye[i] + eye[j]) / 2.0 for i in range(k) for j in range(i + 1, k)]
     )
-    restarts = len(weights)
+    restarts = len(starts)
+    weights = starts.copy()
     iterations = np.full(restarts, config.max_iter)
     converged = np.zeros(restarts, dtype=bool)
-    history = []  # (running restarts, objective before, objective after) per step
     running = np.arange(restarts)
-    current = weights.copy()
+    current = starts
     previous = None
     for step in range(config.max_iter):
         _, distances = consensus(current)
-        before = objective(current, distances)
-        # exact w minimizer for fixed r*
-        if lam == 0.0:
-            at_min = distances == distances.min(axis=1, keepdims=True)
-            current = at_min / at_min.sum(axis=1, keepdims=True)
-        else:
-            current = _project_rows(-(1.0 - lam) / (2.0 * lam) * distances)
+        current = minimize_weights(distances)
         after = objective(current, distances)
-        history.append((running, before, after))
         if previous is not None:
             done = previous - after <= config.tol
             if done.any():
@@ -214,10 +227,15 @@ def wcs_aggregate(
     r_star, distances = consensus(weights)
     final = objective(weights, distances).tolist()
     best = min(range(restarts), key=final.__getitem__)
+    # each row's arithmetic does not depend on the rows beside it, so the
+    # winner alone retraces its batch steps bit for bit
     trace: list[float] = []
-    for ran, before, after in history[: iterations[best]]:
-        at = np.searchsorted(ran, best)
-        trace += [float(before[at]), float(after[at])]
+    current = starts[best : best + 1]
+    for _ in range(iterations[best]):
+        _, distances = consensus(current)
+        trace.append(objective(current, distances).item())
+        current = minimize_weights(distances)
+        trace.append(objective(current, distances).item())
     trace.append(final[best])
     rank_list = RankList.from_scores("wcs", [-v for v in r_star[best]])
     return AggregateResult(

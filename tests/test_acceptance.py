@@ -20,7 +20,7 @@ import pytest
 from summ.consensus import (
     WcsConfig,
     WeightVector,
-    _project_rows,
+    _project_row,
     borda_aggregate,
     cwcs_aggregate,
     cwcs_raw_weights,
@@ -204,7 +204,7 @@ def test_criterion_3_simplex_projection():
         y = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
         grid = dense_simplex_points(dim)
         nearest = grid[((grid - y) ** 2).sum(axis=1).argmin()]
-        projected = _project_rows(y[None, :])[0]
+        projected = np.array(_project_row(y.tolist()))
         gap = np.abs(projected - nearest).max()
         worst = max(worst, gap)
         if gap > 2e-3:
@@ -214,7 +214,7 @@ def test_criterion_3_simplex_projection():
         dim = rng.randint(1, 5)
         raw = np.array([rng.random() for _ in range(dim)])
         feasible = raw / raw.sum()
-        again = _project_rows(feasible[None, :])[0]
+        again = np.array(_project_row(feasible.tolist()))
         if np.abs(again - feasible).max() > 1e-12:
             report_line("criterion 3: simplex projection vs grid search", False,
                         "not idempotent on a feasible point")

@@ -161,6 +161,26 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # both keys were dropped without a word: the run wrote a report with
+        # no cap (2.5 is out of range under the right key) and one job
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "corpus": FIXTURE, "out": "report.csv", "redundancy-cap": 2.5, "job": 3,
+        }), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: config file {config}: unknown keys ['job', 'redundancy-cap']" in err
+        assert list(tmp_path.iterdir()) == [config]
+        # summarize's keys are allowed, so one file serves both commands
+        config.write_text(json.dumps({
+            "corpus": FIXTURE, "out": "report.csv", "cluster": "c01-storm",
+            "aggregator": "borda",
+        }), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        assert main(["summarize", "--config", str(config)]) == 0
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

@@ -8,7 +8,7 @@ from summ.consensus import (
     AggregateResult,
     WcsConfig,
     WeightVector,
-    _project_rows,
+    _project_row,
     borda_aggregate,
     cwcs_aggregate,
     cwcs_raw_weights,
@@ -113,8 +113,8 @@ class TestBorda:
 
 
 def project(y):
-    """``_project_rows`` on the one row ``y``."""
-    return tuple(_project_rows(np.array([y], dtype=float))[0])
+    """``_project_row`` on ``y``, as a tuple."""
+    return tuple(_project_row(y))
 
 
 def brute_force_projection(y, step=1e-3):
@@ -241,6 +241,20 @@ class TestWcs:
             WcsConfig(lambda_=1.0)
         with pytest.raises(ValueError):
             WcsConfig(lambda_=-0.1)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"tol": float("nan")},
+            {"tol": 0.0},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+            {"max_iter": 0},
+        ],
+    )
+    def test_convergence_settings_validation(self, settings):
+        with pytest.raises(ValueError, match="bad convergence settings"):
+            WcsConfig(**settings)
 
     def test_non_convergence_flag(self):
         a = ranklist_with_ranks("a", [1, 2, 3, 4])
