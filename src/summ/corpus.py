@@ -1,10 +1,11 @@
 """Document clusters: loading, sentence segmentation and tokenization.
 
 A cluster is a set of topically related documents that get summarized
-jointly.  Loading segments every document into sentences, assigns dense
-cluster-global sentence indices, runs the token pipeline and attaches any
-reference summaries found next to the documents.  Loaded clusters are
-immutable and safe to share across threads.
+jointly.  Loading runs in two steps: ``read_corpus`` parses and validates
+every record of a corpus, and ``build_cluster`` segments one record's
+documents into sentences, assigns dense cluster-global sentence indices,
+runs the token pipeline and attaches the record's reference summaries.
+Loaded clusters are immutable and safe to share across threads.
 
 Two on-disk layouts are supported:
 
@@ -27,6 +28,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import porter
 from .stopwords import STOPWORDS
@@ -82,6 +84,14 @@ class ReferenceSummary:
             raise ValueError("reference summary text must be non-empty")
 
 
+class ClusterRecord(NamedTuple):
+    """One cluster as read from disk and validated, not yet segmented."""
+
+    cluster_id: str
+    documents: tuple[Document, ...]  # raw document text
+    references: tuple[ReferenceSummary, ...]
+
+
 @dataclass(frozen=True)
 class DocumentCluster:
     cluster_id: str
@@ -116,9 +126,8 @@ _NEXT_START_RE = re.compile(r"\s+[\"'(\[]?[A-Z0-9]")
 
 def _is_abbreviation(text: str, period_pos: int) -> bool:
     """True when the word ending at ``period_pos`` (inclusive) is guarded."""
-    start = period_pos
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
+    # the caller's text is joined with single spaces, its only whitespace
+    start = text.rfind(" ", 0, period_pos) + 1
     word = text[start : period_pos + 1].lower()
     if word in ABBREVIATIONS:
         return True
@@ -186,9 +195,12 @@ def cluster_from_sentences(
     constructor behind both loaders and is handy for synthetic clusters.
     """
     config = config or TokenizationConfig()
-    doc_ids = [doc_id for doc_id, _ in doc_sentences]
-    if len(set(doc_ids)) != len(doc_ids):
-        raise CorpusError(f"cluster {cluster_id!r}: duplicate document ids")
+    refs = _checked_references(
+        cluster_id,
+        [doc_id for doc_id, _ in doc_sentences],
+        not any(sents for _, sents in doc_sentences),
+        references or [],
+    )
     documents = []
     sentences: list[Sentence] = []
     for doc_id, sents in doc_sentences:
@@ -205,15 +217,6 @@ def cluster_from_sentences(
                     eligible=len(tokens) >= config.min_sentence_tokens,
                 )
             )
-    if not sentences:
-        raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
-    try:
-        refs = tuple(
-            ReferenceSummary(author_id=a, text=t)
-            for a, t in (references or [])
-        )
-    except ValueError as exc:
-        raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
     return DocumentCluster(
         cluster_id=cluster_id,
         documents=tuple(documents),
@@ -223,19 +226,51 @@ def cluster_from_sentences(
     )
 
 
-def _build_cluster(
+def _checked_references(
+    cluster_id: str,
+    doc_ids: list[str],
+    empty: bool,
+    references: list[tuple[str, str]],
+) -> tuple[ReferenceSummary, ...]:
+    """The cluster's references, once its ids and contents pass the checks."""
+    if len(set(doc_ids)) != len(doc_ids):
+        raise CorpusError(f"cluster {cluster_id!r}: duplicate document ids")
+    if empty:
+        raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
+    try:
+        return tuple(ReferenceSummary(author_id=a, text=t) for a, t in references)
+    except ValueError as exc:
+        raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
+
+
+def _record(
     cluster_id: str,
     raw_documents: list[tuple[str, str]],
     references: list[tuple[str, str]],
-    config: TokenizationConfig,
     source: str,
-) -> DocumentCluster:
-    doc_sentences = []
+) -> ClusterRecord:
+    # a document with any non-whitespace text segments into at least one
+    # sentence, so the cluster is empty exactly when it has no documents
     for doc_id, text in raw_documents:
         if not text.strip():
             raise CorpusError(f"{source}: empty document {doc_id!r}")
-        doc_sentences.append((doc_id, segment_sentences(text)))
-    return cluster_from_sentences(cluster_id, doc_sentences, references, config)
+    refs = _checked_references(
+        cluster_id, [doc_id for doc_id, _ in raw_documents], not raw_documents, references
+    )
+    documents = tuple(Document(doc_id=d, text=t) for d, t in raw_documents)
+    return ClusterRecord(cluster_id=cluster_id, documents=documents, references=refs)
+
+
+def build_cluster(
+    record: ClusterRecord, config: TokenizationConfig | None = None
+) -> DocumentCluster:
+    """Segment and tokenize one record that ``read_corpus`` returned."""
+    return cluster_from_sentences(
+        record.cluster_id,
+        [(d.doc_id, segment_sentences(d.text)) for d in record.documents],
+        [(r.author_id, r.text) for r in record.references],
+        config,
+    )
 
 
 def _read_text(path: Path) -> str:
@@ -247,7 +282,7 @@ def _read_text(path: Path) -> str:
         raise CorpusError(f"{path}: {exc}") from None
 
 
-def _load_duc_dir(path: Path, config: TokenizationConfig) -> DocumentCluster:
+def _read_duc_dir(path: Path) -> ClusterRecord:
     docs_dir = path / "docs"
     if not docs_dir.is_dir():
         raise CorpusError(f"{path}: missing docs/ subdirectory")
@@ -262,7 +297,7 @@ def _load_duc_dir(path: Path, config: TokenizationConfig) -> DocumentCluster:
         references = [
             (p.stem, _read_text(p)) for p in sorted(models_dir.glob("*.txt"))
         ]
-    return _build_cluster(path.name, raw_documents, references, config, str(path))
+    return _record(path.name, raw_documents, references, str(path))
 
 
 def _parse_jsonl_record(record, source: str) -> tuple[str, list, list]:
@@ -299,40 +334,48 @@ def _iter_jsonl(path: Path):
         yield source, record
 
 
-def load_corpus(
-    path: str | Path,
-    format: str,
-    config: TokenizationConfig | None = None,
-) -> list[DocumentCluster]:
-    """Load every cluster under ``path``, sorted by cluster id."""
+def read_corpus(path: str | Path, format: str) -> list[ClusterRecord]:
+    """Read and validate every cluster under ``path``, sorted by cluster id.
+
+    Nothing is segmented or tokenized, but every check of the build is
+    made here, in file order, so ``build_cluster`` cannot fail on a record
+    this returns.
+    """
     path = Path(path)
-    config = config or TokenizationConfig()
     if format == "duc-dir":
         if not path.is_dir():
             raise CorpusError(f"{path}: not a directory")
         cluster_dirs = sorted(p for p in path.iterdir() if p.is_dir())
         if not cluster_dirs:
             raise CorpusError(f"{path}: no cluster directories")
-        clusters = [_load_duc_dir(p, config) for p in cluster_dirs]
+        records = [_read_duc_dir(p) for p in cluster_dirs]
     elif format == "jsonl":
         if not path.is_file():
             raise CorpusError(f"{path}: not a file")
-        clusters = []
-        for source, record in _iter_jsonl(path):
-            cid, documents, references = _parse_jsonl_record(record, source)
-            clusters.append(
-                _build_cluster(cid, documents, references, config, source)
-            )
-        if not clusters:
+        records = [
+            _record(*_parse_jsonl_record(record, source), source)
+            for source, record in _iter_jsonl(path)
+        ]
+        if not records:
             raise CorpusError(f"{path}: no clusters")
     else:
         raise ValueError(f"unknown corpus format {format!r}")
-    clusters.sort(key=lambda c: c.cluster_id)
-    seen = Counter(c.cluster_id for c in clusters)
+    records.sort(key=lambda r: r.cluster_id)
+    seen = Counter(r.cluster_id for r in records)
     dupes = [cid for cid, n in seen.items() if n > 1]
     if dupes:
         raise CorpusError(f"{path}: duplicate cluster ids {dupes}")
-    return clusters
+    return records
+
+
+def load_corpus(
+    path: str | Path,
+    format: str,
+    config: TokenizationConfig | None = None,
+) -> list[DocumentCluster]:
+    """Load every cluster under ``path``, sorted by cluster id."""
+    config = config or TokenizationConfig()
+    return [build_cluster(record, config) for record in read_corpus(path, format)]
 
 
 def duplicate_stats(cluster: DocumentCluster) -> int:

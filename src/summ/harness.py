@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .consensus import (
     AGGREGATORS,
@@ -32,8 +32,11 @@ from .consensus import (
 from .corpus import (
     DocumentCluster,
     TokenizationConfig,
+    build_cluster,
     duplicate_stats,
     load_corpus,
+    read_corpus,
+    tokenize,
 )
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .summarizers import (
@@ -371,13 +374,11 @@ def _evaluate_cluster_inner(
     )
 
 
-def _corpus_counts(clusters: Sequence[DocumentCluster]) -> Counter:
-    """Token counts pooled over every sentence of the corpus."""
-    total = Counter()
-    for cluster in clusters:
-        for sentence in cluster.sentences:
-            total.update(sentence.tokens)
-    return total
+def _token_counts(token_streams: Iterable[Iterable[str]]) -> Counter:
+    """Token counts pooled over the streams: topicsum's corpus totals, from
+    every sentence or every raw document of the corpus.  The two agree,
+    since sentences split only at whitespace and no token spans it."""
+    return Counter(chain.from_iterable(token_streams))
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -480,7 +481,7 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     ``NoSuccessfulClustersError`` when nothing could be scored.
     """
     clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
-    corpus_counts = _corpus_counts(clusters)
+    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             outcomes = list(
@@ -525,13 +526,19 @@ def summarize_cluster(
     """Aggregate summary sentences (raw text) for one cluster."""
     if aggregator not in AGGREGATORS:
         raise ValueError(f"aggregator must be one of {AGGREGATORS}")
-    clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
-    cluster = next((c for c in clusters if c.cluster_id == cluster_id), None)
-    if cluster is None:
+    # the whole corpus is read and validated, and counted for topicsum, but
+    # only the requested cluster is segmented into sentences
+    records = read_corpus(config.corpus, config.corpus_format)
+    record = next((r for r in records if r.cluster_id == cluster_id), None)
+    if record is None:
         raise NoSuccessfulClustersError(
             f"no cluster {cluster_id!r} in {config.corpus}"
         )
-    pipeline = _ClusterPipeline(cluster, _corpus_counts(clusters), config)
+    corpus_counts = _token_counts(
+        tokenize(d.text, config.tokenization) for r in records for d in r.documents
+    )
+    cluster = build_cluster(record, config.tokenization)
+    pipeline = _ClusterPipeline(cluster, corpus_counts, config)
     for name, reason in pipeline.failures.items():
         logger.warning("system %s skipped for %s: %s", name, cluster_id, reason)
     # a cluster too poor for the aggregator (no system ranked it, too few

@@ -216,6 +216,38 @@ class TestSummarizeCommand:
     def test_unknown_cluster_is_exit_three(self):
         assert main(["summarize", "--corpus", FIXTURE, "--cluster", "zzz"]) == 3
 
+    @pytest.mark.parametrize("bad_line, message", [
+        (json.dumps({"cluster_id": "c04-bad", "documents": [
+            {"id": "d0", "text": "Fine text."}, {"id": "d1", "text": " \t "}]}),
+         "{source}: empty document 'd1'"),
+        (json.dumps({"cluster_id": "c04-bad", "documents": [
+            {"id": "d0", "text": "One text."}, {"id": "d0", "text": "Two text."}]}),
+         "cluster 'c04-bad': duplicate document ids"),
+        (json.dumps({"cluster_id": "c04-bad",
+                     "documents": [{"id": "d0", "text": "Fine text."}],
+                     "references": [{"author": "A", "text": "\n"}]}),
+         "cluster 'c04-bad': reference summary text must be non-empty"),
+        ('{"cluster_id": "c04-bad", "documents": [', "{source}: invalid JSON ({reason})"),
+    ])
+    def test_other_malformed_cluster_is_data_error(self, tmp_path, capsys, bad_line, message):
+        # summarize builds one cluster but still reads and checks them all
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            Path(FIXTURE).read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8"
+        )
+        try:
+            json.loads(bad_line)
+            reason = None
+        except json.JSONDecodeError as exc:
+            reason = exc.msg
+        code = main([
+            "summarize", "--corpus", str(corpus), "--cluster", "c01-storm",
+            "--aggregator", "cwcs",
+        ])
+        assert code == 2
+        expected = message.format(source=f"{corpus}:4", reason=reason)
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+
     def _one_cluster(self, tmp_path, references=True):
         record = {
             "cluster_id": "solo",

@@ -2,10 +2,11 @@ import json
 import random
 import re
 import string
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summ.corpus import (
@@ -13,9 +14,11 @@ from summ.corpus import (
     CorpusError,
     RAW_SEQUENCE_CONFIG,
     TokenizationConfig,
+    build_cluster,
     cluster_from_sentences,
     duplicate_stats,
     load_corpus,
+    read_corpus,
     segment_sentences,
     tokenize,
 )
@@ -324,6 +327,174 @@ class TestLoading:
             if base is None:
                 base = multiset
             assert multiset == base
+
+
+def write_duc_dir(root, clusters):
+    """``clusters`` maps a cluster id to its (documents, references) dicts,
+    each mapping a file stem to its text."""
+    for cluster_id, (documents, references) in clusters.items():
+        for folder, files in (("docs", documents), ("models", references)):
+            (root / cluster_id / folder).mkdir(parents=True, exist_ok=True)
+            for stem, text in files.items():
+                (root / cluster_id / folder / f"{stem}.txt").write_text(text, encoding="utf-8")
+
+
+CONFIGS = (
+    TokenizationConfig(),
+    PLAIN,
+    TokenizationConfig(lowercase=True, remove_stopwords=False, stem=True,
+                       min_sentence_tokens=5),
+)
+
+
+class TestReadThenBuild:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_jsonl_fixture(self, config):
+        built = [build_cluster(r, config) for r in read_corpus(FIXTURE, "jsonl")]
+        assert built == load_corpus(FIXTURE, "jsonl", config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_duc_dir(self, tmp_path, config):
+        write_duc_dir(tmp_path, {
+            "b2": ({"x": "Red fox runs far. Mr. Fox rests.", "a": "Blue bird\n\nsings."},
+                   {"r1": "A fox ran."}),
+            "a1": ({"d": "One two three. Four five six."}, {}),
+        })
+        records = read_corpus(tmp_path, "duc-dir")
+        assert [r.cluster_id for r in records] == ["a1", "b2"]
+        assert [d.doc_id for d in records[1].documents] == ["a", "x"]
+        built = [build_cluster(r, config) for r in records]
+        assert built == load_corpus(tmp_path, "duc-dir", config)
+
+    def test_record_keeps_raw_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        text = "Alpha  beta.\n\nGamma\tdelta."
+        write_jsonl(path, [make_record(texts=(text,), references=(("A", "Ref."),))])
+        [record] = read_corpus(path, "jsonl")
+        assert record.documents[0].text == text
+        assert [(r.author_id, r.text) for r in record.references] == [("A", "Ref.")]
+
+
+class TestReadErrors:
+    """``read_corpus`` makes each check of the build, with the same message,
+    and reports the first failing record in file order."""
+
+    GOOD = make_record("a0")
+
+    @pytest.mark.parametrize("bad, message", [
+        (make_record("c2", texts=("Fine text.", " \t\n")), "{source}: empty document 'd1'"),
+        ({"cluster_id": "c2", "documents": [{"id": "d0", "text": "One."},
+                                            {"id": "d0", "text": "Two."}]},
+         "cluster 'c2': duplicate document ids"),
+        ({"cluster_id": "c2", "documents": []}, "empty cluster: 'c2' has no sentences"),
+        (make_record("c2", references=(("A", "  "),)),
+         "cluster 'c2': reference summary text must be non-empty"),
+        ({"cluster_id": "c2", "documents": [{"id": "d0", "text": 5}]},
+         "{source}: malformed record (non-string field)"),
+        ({"cluster_id": "c2"}, "{source}: malformed record (KeyError('documents'))"),
+        ('{"cluster_id": "c2", "documents": [', "{source}: invalid JSON (Expecting value)"),
+    ])
+    def test_jsonl_first_error_in_file_order(self, tmp_path, bad, message):
+        # a later line fails too, and a duplicate cluster id is reported
+        # only once every line reads
+        path = tmp_path / "corpus.jsonl"
+        later = json.dumps(make_record("c3", texts=("",)))
+        lines = [json.dumps(self.GOOD), bad if isinstance(bad, str) else json.dumps(bad)]
+        path.write_text("\n".join([*lines, later, lines[0]]) + "\n", encoding="utf-8")
+        expected = message.format(source=f"{path}:2")
+        for load in (read_corpus, load_corpus):
+            with pytest.raises(CorpusError) as caught:
+                load(path, "jsonl")
+            assert str(caught.value) == expected
+
+    def test_jsonl_duplicate_cluster_ids(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [make_record("b"), make_record("a"), make_record("b")])
+        for load in (read_corpus, load_corpus):
+            with pytest.raises(CorpusError) as caught:
+                load(path, "jsonl")
+            assert str(caught.value) == f"{path}: duplicate cluster ids ['b']"
+
+    @pytest.mark.parametrize("bad, message", [
+        (({"d0": "Fine text.", "d1": " \u00a0\n"}, {}), "{source}: empty document 'd1'"),
+        (({"d0": "Fine text."}, {"r1": "\u3000"}),
+         "cluster 'c2': reference summary text must be non-empty"),
+        (({}, {}), "{source}/docs: no *.txt documents"),
+    ])
+    def test_duc_dir_first_error_in_directory_order(self, tmp_path, bad, message):
+        write_duc_dir(tmp_path, {
+            "c1": ({"d0": "Good text here."}, {"r": "Good."}),
+            "c2": bad,
+            "c3": ({"d0": ""}, {}),
+        })
+        expected = message.format(source=tmp_path / "c2")
+        for load in (read_corpus, load_corpus):
+            with pytest.raises(CorpusError) as caught:
+                load(tmp_path, "duc-dir")
+            assert str(caught.value) == expected
+
+
+# jsonl lines: mostly well-formed records, some with blank texts, wrong
+# types, missing keys or duplicate ids, plus JSON of other shapes and
+# arbitrary text; raw line separators appear inside strings
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["", " \t", "\u2028"]), st.text(max_size=8), st.none(),
+    st.integers(), st.lists(st.integers(), max_size=2),
+)
+
+
+def _mostly(good, bad=FUZZ_VALUES):
+    """``good`` fifteen times in sixteen, else ``bad``."""
+    return st.integers(0, 15).flatmap(lambda k: bad if k == 0 else good)
+
+
+def _fields(**fields):
+    """Dicts holding every field, or now and then any subset of them."""
+    return _mostly(st.fixed_dictionaries(fields), st.fixed_dictionaries({}, optional=fields))
+
+
+FUZZ_TEXT = _mostly(st.sampled_from([
+    "Storm hit the coast. Mr. Lee left.", "Rain fell.\u2028It rained \"hard.\" Then (it) stopped.",
+    "a b\n\nc d", "U.S. Gov. J. Smith spoke.",
+]))
+FUZZ_RECORD = _fields(
+    cluster_id=_mostly(st.sampled_from(["a0", "a1", "b"])),
+    documents=_mostly(st.lists(
+        _mostly(_fields(id=_mostly(st.sampled_from(["d0", "d1", "d2"])), text=FUZZ_TEXT)),
+        max_size=3,
+    )),
+    references=_mostly(st.lists(
+        _mostly(_fields(author=_mostly(st.just("A")), text=FUZZ_TEXT)), max_size=2,
+    )),
+)
+FUZZ_LINES = st.lists(
+    _mostly(
+        st.tuples(FUZZ_RECORD, st.booleans()).map(
+            lambda pair: json.dumps(pair[0], ensure_ascii=pair[1])
+        ),
+        st.one_of(FUZZ_VALUES.map(json.dumps), st.text(max_size=20)),
+    ),
+    max_size=4,
+)
+
+
+class TestJsonlFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(FUZZ_LINES)
+    def test_clusters_or_corpus_error(self, lines):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "corpus.jsonl"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                records = read_corpus(path, "jsonl")
+            except CorpusError as exc:
+                with pytest.raises(CorpusError) as caught:
+                    load_corpus(path, "jsonl")
+                assert str(caught.value) == str(exc)
+                return
+            clusters = load_corpus(path, "jsonl")
+        assert clusters == [build_cluster(r) for r in records]
+        assert all(c.sentences for c in clusters)
 
 
 class TestDuplicateStats:

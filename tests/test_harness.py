@@ -5,9 +5,20 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summ import harness, summarizers
-from summ.corpus import load_corpus
+from summ.cli import main
+from summ.corpus import (
+    ClusterRecord,
+    Document,
+    TokenizationConfig,
+    build_cluster,
+    load_corpus,
+    read_corpus,
+    tokenize,
+)
 from summ.harness import (
     EvalReport,
     NoSuccessfulClustersError,
@@ -36,6 +47,68 @@ def fixture_config(**overrides):
 
 def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+
+
+def sentence_counts(clusters):
+    """Oracle: token counts pooled over every built sentence of the corpus."""
+    total = Counter()
+    for cluster in clusters:
+        for sentence in cluster.sentences:
+            total.update(sentence.tokens)
+    return total
+
+
+def document_counts(records, config):
+    """Corpus totals as ``summarize_cluster`` takes them, from raw documents."""
+    return harness._token_counts(
+        tokenize(d.text, config) for r in records for d in r.documents
+    )
+
+
+COUNT_CONFIGS = (
+    TokenizationConfig(),
+    TokenizationConfig(lowercase=False, remove_stopwords=False, stem=False),
+    TokenizationConfig(lowercase=True, remove_stopwords=False, stem=True),
+)
+
+# document text with every kind of sentence boundary and non-boundary:
+# abbreviations, initials, blank lines, quotes or brackets after a
+# period, tabs, and the Unicode spaces U+00A0 and U+3000
+DOC_PIECES = st.one_of(
+    st.sampled_from([
+        " ", "\n", "\n\n", "\n \n", "\t", "\u00a0", "\u3000", ".", ". ", '."', ".'",
+        ".)", ".]", '" ', "(", "[", "!", "?", "Mr.", "Dr. ", "u.s.", "e.g.", "J.",
+        "J. R.", "Jan.", "3.5", "No. 4", "The", "storm", "was", "and", "Running",
+    ]),
+    st.text(max_size=4),
+)
+DOC_TEXTS = st.lists(DOC_PIECES, min_size=1, max_size=30).map("".join).filter(str.strip)
+CORPORA = st.lists(st.lists(DOC_TEXTS, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+class TestCorpusCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
+    def test_documents_count_as_their_sentences(self, corpus, config):
+        records = [
+            ClusterRecord(
+                cluster_id=f"c{c}",
+                documents=tuple(Document(f"d{i}", t) for i, t in enumerate(texts)),
+                references=(),
+            )
+            for c, texts in enumerate(corpus)
+        ]
+        clusters = [build_cluster(r, config) for r in records]
+        assert document_counts(records, config) == sentence_counts(clusters)
+
+    @pytest.mark.parametrize("config", COUNT_CONFIGS)
+    def test_fixture(self, config):
+        clusters = load_corpus(FIXTURE, "jsonl", config)
+        counts = document_counts(read_corpus(FIXTURE, "jsonl"), config)
+        assert counts == sentence_counts(clusters)
+        assert harness._token_counts(
+            s.tokens for c in clusters for s in c.sentences
+        ) == counts
 
 
 class TestKendallTau:
@@ -278,7 +351,7 @@ class TestTokenizeOnce:
         for cluster in clusters:
             for made in (calls, texts, references, summaries):
                 made.clear()
-            outcome = harness._evaluate_cluster(cluster, harness._corpus_counts(clusters), config)
+            outcome = harness._evaluate_cluster(cluster, sentence_counts(clusters), config)
             assert outcome.scored
             assert Counter(references) == Counter(r.text for r in cluster.references)
             # every extracted summary is scored, each distinct sentence
@@ -317,7 +390,7 @@ class TestFeaturesOnce:
         clusters = load_corpus(FIXTURE, "jsonl")
         for cluster in clusters:
             built.clear()
-            outcome = harness._evaluate_cluster(cluster, harness._corpus_counts(clusters), config)
+            outcome = harness._evaluate_cluster(cluster, sentence_counts(clusters), config)
             assert outcome.scored
             assert len(built) == expected
 
@@ -357,6 +430,44 @@ class TestSummarizeCluster:
                 recall = rouge_n_recall(counts, references, 1).recall
                 row = report.per_cluster[cluster.cluster_id][aggregator]
                 assert recall == row["R-1"], (cluster.cluster_id, aggregator)
+
+    @pytest.mark.parametrize("cap", [None, 0.95])
+    def test_prints_what_the_whole_corpus_path_printed(self, monkeypatch, capsys, cap):
+        # the old path built every cluster and pooled their sentence tokens
+        configs = []
+        original = harness.summarize_cluster
+        monkeypatch.setattr(
+            "summ.cli.summarize_cluster",
+            lambda config, *args: configs.append(config) or original(config, *args),
+        )
+        extra = [] if cap is None else ["--redundancy-cap", str(cap)]
+        for cluster_id in ("c01-storm", "c02-election", "c03-probe"):
+            for aggregator in ("borda", "wcs", "cwcs", "oracle"):
+                code = main([
+                    "summarize", "--corpus", str(FIXTURE), "--cluster", cluster_id,
+                    "--aggregator", aggregator, *extra,
+                ])
+                assert code == 0
+                config = configs.pop()
+                clusters = load_corpus(FIXTURE, "jsonl", config.tokenization)
+                [cluster] = [c for c in clusters if c.cluster_id == cluster_id]
+                pipeline = harness._ClusterPipeline(cluster, sentence_counts(clusters), config)
+                summary = pipeline.extract(pipeline.fuse(aggregator)[0])
+                expected = "".join(
+                    cluster.sentences[i].raw_text + "\n" for i in summary.sentence_indices
+                )
+                assert expected
+                assert capsys.readouterr().out == expected, (cluster_id, aggregator)
+
+    def test_builds_only_the_requested_cluster(self, monkeypatch):
+        built = []
+        original = harness.build_cluster
+        monkeypatch.setattr(
+            harness, "build_cluster", lambda record, config: built.append(record.cluster_id)
+            or original(record, config)
+        )
+        assert summarize_cluster(fixture_config(), "c02-election", "cwcs")
+        assert built == ["c02-election"]
 
     @pytest.mark.parametrize("aggregator, calls", [
         ("borda", 1), ("wcs", 1), ("cwcs", 4), ("oracle", 4),

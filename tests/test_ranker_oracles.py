@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
 from summ.features import cosine_similarity, tfidf_vectors
-from summ.harness import _corpus_counts
+from summ.harness import _token_counts
 from summ.summarizers import (
     ClusterFeatures,
     RankList,
@@ -320,7 +320,7 @@ def assert_topicsum_identical(corpus_docs, config):
         )
         for c, docs in enumerate(corpus_docs)
     ]
-    corpus_counts = _corpus_counts(clusters)
+    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
         try:
             want = reference_topicsum_rank(cluster, background, config)
