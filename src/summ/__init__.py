@@ -32,7 +32,6 @@ from .corpus import (
 from .features import (
     SentenceVector,
     cosine_similarity,
-    ngrams,
     tfidf_vectors,
 )
 from .harness import (
@@ -45,7 +44,7 @@ from .harness import (
     sign_test,
     summarize_cluster,
 )
-from .rouge import RougeScore, ngram_counts, pairwise_sim_matrix, rouge_n_recall
+from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .summarizers import (
     ClusterFeatures,
     LengthBudget,

@@ -251,7 +251,7 @@ def wcs_aggregate(
 
 def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
     """Mean unigram recall of each summary against its peers, from one
-    unigram ``ngram_counts`` per summary."""
+    unigram ``Counter`` per summary."""
     k = len(unigrams)
     if k < 2:
         raise ValueError("peers required: need at least two summaries")
@@ -310,7 +310,7 @@ def oracle_select(
 ) -> tuple[int, RougeScore]:
     """Index and score of the candidate scoring highest against the
     references (ties go to the smaller index); candidates and references
-    are given as their ``ngram_counts`` of order ``n``."""
+    are given as ``Counter``s of their n-grams of order ``n``."""
     if not references:
         raise ValueError("oracle requires reference summaries")
     if not candidates:

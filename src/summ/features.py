@@ -25,13 +25,6 @@ class SentenceVector:
         return bool(self.weights)
 
 
-def ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
-    """Multiset of n-grams of ``tokens``; never crosses the list boundary."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
 def tfidf_vectors(cluster: DocumentCluster) -> list[SentenceVector]:
     """TF-IDF vector per sentence, aligned with sentence indices.
 

@@ -7,10 +7,9 @@ mean of per-reference recalls (no jackknifing).
 
 Candidates are counted per sentence so n-grams never span the join
 between two extracted sentences; each reference is one flat token stream.
-Scoring takes n-gram counts, so a caller counts each summary and
-reference once per order and scores it against many others: one at a time
-with ``ngram_counts``, or a cluster's many summaries through its
-``NgramIndex``.
+Scoring takes n-gram counts, a ``Counter`` per summary or reference and
+order, so a caller counts each once and scores it against many others; a
+cluster's many summaries are counted through its ``NgramIndex``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .corpus import TokenizationConfig, tokenize
-from .features import ngrams
 
 logger = logging.getLogger(__name__)
 
@@ -55,21 +53,11 @@ def prepare_sentences(
     return [tokenize(t, config) for t in texts]
 
 
-def ngram_counts(token_lists: TokenLists, n: int) -> Counter:
-    """Multiset of the ``n``-grams of ``token_lists``; no n-gram spans two
-    lists.  A candidate passes one list per sentence, a reference its flat
-    stream as the single list ``[tokens]``."""
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(ngrams(list(tokens), n))
-    return counts
-
-
 def rouge_n_recall(
     candidate: Counter, references: Sequence[Counter], n: int
 ) -> RougeScore:
     """ROUGE-N recall of a candidate against one or more references, each
-    given as its ``ngram_counts`` of order ``n``.
+    given as the ``Counter`` of its n-grams of order ``n``.
 
     References with no n-grams of order ``n`` are excluded from the mean;
     if every reference is excluded there is nothing to score and a
@@ -104,7 +92,7 @@ def rouge_n_recall(
 
 def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
     """K x K matrix of unigram recalls between peer summaries, given as
-    one unigram ``ngram_counts`` each.
+    the ``Counter`` of each one's unigrams.
 
     ``M[i][j]`` scores summary i with summary j acting as the benchmark,
     so the matrix is generally asymmetric.  The diagonal is 1 by
@@ -130,7 +118,7 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
 
 
 def _grams(tokens: Sequence[str], n: int):
-    """The n-grams of ``tokens`` in order, as ``ngrams`` counts them."""
+    """The n-grams of ``tokens`` in order; none runs past either end."""
     return zip(*(tokens[i:] for i in range(n)))
 
 
@@ -144,7 +132,8 @@ class NgramIndex:
     (``counts``) as the numbers of its sentences' n-grams that some
     reference holds.  No n-gram spans two sentences and no other n-gram
     can match, so ``rouge_n_recall`` scores these counts, against
-    ``references``, exactly as it scores the unit's ``ngram_counts``.
+    ``references``, exactly as it scores the ``Counter`` of the unit's
+    n-grams taken sentence by sentence.
     """
 
     def __init__(self, orders: Sequence[int]):

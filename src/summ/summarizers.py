@@ -98,18 +98,21 @@ class RankList:
         n = len(self.scores)
         if len(self.ranks) != n:
             raise ValueError("scores and ranks must have equal length")
-        if sorted(self.ranks) != list(range(1, n + 1)):
+        order = self.order()  # holds None for each of 1..N that ranks lack
+        if None in order:
             raise ValueError("ranks must be a permutation of 1..N")
-        expected = sorted(range(n), key=lambda i: (-self.scores[i], i))
-        if [self.ranks[i] - 1 for i in expected] != list(range(n)):
-            raise ValueError("ranks inconsistent with scores")
+        scores = self.scores
+        for a, b in zip(order, order[1:]):
+            if not (scores[a] > scores[b] or (scores[a] == scores[b] and a < b)):
+                raise ValueError("ranks inconsistent with scores")
 
     @classmethod
     def from_scores(cls, system_id: str, scores: Sequence[float]) -> "RankList":
-        scores = tuple(float(s) for s in scores)
-        if any(math.isnan(s) for s in scores):
+        scores = tuple(map(float, scores))
+        if any(map(math.isnan, scores)):
             raise ValueError("scores must not contain NaN")
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        # a stable sort, so equal scores keep ascending index
+        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
         ranks = [0] * len(scores)
         for position, idx in enumerate(order):
             ranks[idx] = position + 1
@@ -117,10 +120,8 @@ class RankList:
 
     def order(self) -> list[int]:
         """Sentence indices from best to worst."""
-        inverse = [0] * len(self.ranks)
-        for idx, rank in enumerate(self.ranks):
-            inverse[rank - 1] = idx
-        return inverse
+        position = dict(zip(self.ranks, range(len(self.ranks))))
+        return list(map(position.get, range(1, len(self.ranks) + 1)))
 
 
 @dataclass(frozen=True)
@@ -192,13 +193,14 @@ class ClusterFeatures:
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sentence x token counts as sparse (sentence, token id, count)
-        arrays, sentence-major, each sentence's tokens in sorted order."""
-        entries = [
-            (row, self.ids[token], count)
-            for row, sentence in enumerate(self.cluster.sentences)
-            for token, count in sorted(Counter(sentence.tokens).items())
-        ]
-        return tuple(np.array(entries, dtype=np.int64).reshape(-1, 3).T)
+        int64 arrays, sentence-major, each sentence's tokens in sorted order."""
+        sentences, ids = self.cluster.sentences, self.ids
+        lengths = [len(s.tokens) for s in sentences]
+        token = np.fromiter((ids[t] for s in sentences for t in s.tokens), np.int64, sum(lengths))
+        row = np.repeat(np.arange(len(sentences), dtype=np.int64), lengths)
+        width = max(len(ids), 1)
+        keys, counts = np.unique(row * width + token, return_counts=True)
+        return (*np.divmod(keys, width), counts.astype(np.int64))
 
     @cached_property
     def tfidf(self) -> tuple[SentenceVector, ...]:
@@ -408,11 +410,13 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     Selection continues past any length budget until every sentence is
     ordered; the stored score of a sentence is minus its selection step.
 
-    Each step scores every candidate at once and reproduces the float
-    arithmetic of a plain loop exactly: logs come from ``math.log`` tables,
-    and each candidate's sum starts from the running sum and adds its
-    tokens' gains left to right, in sorted token order (``np.bincount``
-    accumulates in input order).
+    Each step scores every sentence at once and reproduces the float
+    arithmetic of a plain loop exactly.  A table holds, per token and per
+    count a sentence adds to it, that count's change to the token's gain;
+    a pick recomputes only its own tokens' rows, with the loop's own
+    elementwise expression and ``math.log`` tables.  Each sentence's sum
+    starts from the running sum and adds its table cells in sorted token
+    order (``np.bincount`` accumulates in input order).
     """
     sentences = features.cluster.sentences
     n = len(sentences)
@@ -423,17 +427,25 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     k = _kl_smoothing(len(cluster_counts), config)
     vocab_size = len(cluster_counts)
     log_pc = np.array([math.log(cluster_counts[t] / total) for t in ids])
+    entry_sentence, token, extra = features.entries
+    # table columns: 0, then each distinct count a sentence adds to a token
+    steps, entry_column = np.unique(np.append(extra, 0), return_inverse=True)
     # gain(c, t) = (c + k) * (log(c + k) - log_pc[t]), and 0 when c + k == 0
     # (k == 0, c == 0): the log entry 0.0 is then multiplied by a zero mass.
-    # Counts reach twice a token's count on the entries of sentences already
-    # chosen, which are scored too and ignored.
+    # The entries of chosen sentences are scored too, and ignored, so a
+    # count reaches a token's cluster count plus the largest step.
     log_mass = np.array([
         math.log(c + k) if c + k != 0 else 0.0
-        for c in range(2 * max(cluster_counts.values()) + 1)
+        for c in range(max(cluster_counts.values()) + int(steps[-1]) + 1)
     ])
 
-    def gain(counts: np.ndarray, entry_log_pc: np.ndarray) -> np.ndarray:
-        return (counts + k) * (log_mass[counts] - entry_log_pc)
+    def gain(counts: np.ndarray, token_log_pc: np.ndarray) -> np.ndarray:
+        return (counts + k) * (log_mass[counts] - token_log_pc)
+
+    def gain_steps(have: np.ndarray, token_log_pc: np.ndarray) -> np.ndarray:
+        """gain(have + step) - gain(have) for every step, a row per token."""
+        gains = gain(have[:, None] + steps, token_log_pc[:, None])
+        return gains - gains[:, :1]
 
     zero_gains = gain(np.zeros(vocab_size, dtype=np.int64), log_pc).tolist()
     # all-zero summary counts, summed in the cluster's first-occurrence order
@@ -443,37 +455,44 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     log_denom = np.array([
         math.log(t + k_denom) if t + k_denom != 0 else 0.0 for t in range(total + 1)
     ])
-    entry_sentence, token, extra = features.entries
-    entry_log_pc = log_pc[token]
+    current = np.zeros(vocab_size, dtype=np.int64)
+    table = gain_steps(current, log_pc)
+    cells = table.reshape(-1)  # a view: row updates show through
+    cell = token * len(steps) + entry_column[:-1]
     starts = np.searchsorted(entry_sentence, np.arange(n + 1))
+    # a chosen sentence's length is 0, so its total stays inside log_denom
     lengths = np.array([len(s.tokens) for s in sentences])
-    # slot i first receives the running sum, then sentence i's token gains
+    # slot i first receives the running sum, then sentence i's addends
     slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
-    current = np.zeros(vocab_size, dtype=np.int64)
+    chosen = np.zeros(n, dtype=bool)
     current_total = 0
     current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
-    remaining = np.arange(n)
     scores = [0.0] * n
     for step in range(1, n + 1):
-        have = current[token]
         addends[:n] = current_sum
-        addends[n:] = gain(have + extra, entry_log_pc) - gain(have, entry_log_pc)
-        cand_sum = np.bincount(slots, weights=addends, minlength=n)[remaining]
-        cand_total = current_total + lengths[remaining]
+        # every cell is in range: "clip" only spares take a checking copy
+        cells.take(cell, out=addends[n:], mode="clip")
+        cand_sum = np.bincount(slots, weights=addends, minlength=n)
+        cand_total = current_total + lengths
         denom = cand_total + k_denom
         mass = cand_total + k_mass
         kl = np.divide(
             base + cand_sum - mass * log_denom[cand_total], denom,
-            out=np.full(len(remaining), math.inf), where=denom != 0.0,
+            out=np.full(n, math.inf), where=denom != 0.0,
         )
-        pick = int(np.argmin(kl))  # the first minimum: ties go to the smaller index
-        best = int(remaining[pick])
-        chosen = slice(starts[best], starts[best + 1])
-        current[token[chosen]] += extra[chosen]
+        # some sentence left scores finite (a divisor is 0 only while k == 0
+        # and the summary is empty), so a chosen one never wins
+        kl[chosen] = math.inf
+        best = int(np.argmin(kl))  # the first minimum: ties go to the smaller index
+        picked = slice(starts[best], starts[best + 1])
+        tokens = token[picked]
+        current[tokens] += extra[picked]
+        table[tokens] = gain_steps(current[tokens], log_pc[tokens])
         current_total += int(lengths[best])
-        current_sum = float(cand_sum[pick])
-        remaining = np.delete(remaining, pick)
+        current_sum = float(cand_sum[best])
+        lengths[best] = 0
+        chosen[best] = True
         scores[best] = -float(step)
     return RankList.from_scores("greedykl", scores)
 

@@ -29,7 +29,7 @@ from summ.consensus import (
 )
 from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.harness import RunConfig, emit_report, run_evaluation
-from summ.rouge import ngram_counts, rouge_n_recall
+from summ.rouge import rouge_n_recall
 from summ.summarizers import (
     ClusterFeatures,
     LengthBudget,
@@ -37,6 +37,8 @@ from summ.summarizers import (
     SummarizerConfig,
     greedykl_rank,
 )
+
+from ngram_counting import ngram_counts
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 

@@ -16,8 +16,10 @@ from summ.consensus import (
     oracle_select,
     wcs_aggregate,
 )
-from summ.rouge import ngram_counts, prepare_text
+from summ.rouge import prepare_text
 from summ.summarizers import RankList
+
+from ngram_counting import ngram_counts
 
 
 def unigrams(summaries):

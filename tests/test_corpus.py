@@ -497,6 +497,71 @@ class TestJsonlFuzz:
         assert all(c.sentences for c in clusters)
 
 
+# duc-dir trees: cluster folders, mostly with docs/ and often models/,
+# holding files, empty folders named like documents, names the *.txt glob
+# skips, blank or non-UTF-8 texts; now and then a file where a folder
+# belongs or a folder missing
+DUC_TEXT = _mostly(
+    _mostly(
+        st.sampled_from([
+            "Storm hit the coast. Mr. Lee left.", "Rain fell.\u2028It rained.",
+            "a b\n\nc d", "U.S. Gov. J. Smith spoke.",
+        ]),
+        st.one_of(st.sampled_from(["", " \t\n", "\u3000"]), st.text(max_size=8)),
+    ).map(str.encode),
+    st.binary(max_size=8),
+)
+
+
+def _folder(names, min_size=0):
+    """A folder's entries: a name maps to a file's bytes, or to ``{}`` for
+    an empty folder."""
+    return st.dictionaries(
+        st.sampled_from(names), _mostly(DUC_TEXT, st.just({})), min_size=min_size, max_size=3
+    )
+
+
+DUC_CLUSTER = _mostly(
+    st.fixed_dictionaries(
+        {"docs": _mostly(_folder(["d0.txt", "d1.txt", "D0.txt", "notes.md", ".txt"], 1),
+                         st.one_of(st.none(), DUC_TEXT, _folder(["notes.md"])))},
+        optional={"models": _mostly(_folder(["A.txt", "B.txt", "a.TXT"]), DUC_TEXT),
+                  "readme.txt": DUC_TEXT},
+    ),
+    DUC_TEXT,
+)
+DUC_TREE = st.dictionaries(st.sampled_from(["a0", "a1", "b", "notes.txt"]), DUC_CLUSTER, max_size=3)
+
+
+def write_tree(folder, tree):
+    """Write ``tree`` under ``folder``; ``None`` leaves the entry out."""
+    for name, value in tree.items():
+        if isinstance(value, bytes):
+            (folder / name).write_bytes(value)
+        elif value is not None:
+            (folder / name).mkdir()
+            write_tree(folder / name, value)
+
+
+class TestDucDirFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(DUC_TREE)
+    def test_clusters_or_corpus_error(self, tree):
+        with tempfile.TemporaryDirectory() as folder:
+            root = Path(folder)
+            write_tree(root, tree)
+            try:
+                records = read_corpus(root, "duc-dir")
+            except CorpusError as exc:
+                with pytest.raises(CorpusError) as caught:
+                    load_corpus(root, "duc-dir")
+                assert str(caught.value) == str(exc)
+                return
+            clusters = load_corpus(root, "duc-dir")
+        assert clusters == [build_cluster(r) for r in records]
+        assert all(c.sentences for c in clusters)
+
+
 class TestDuplicateStats:
     def build(self, sentences):
         return cluster_from_sentences("c", [("d0", sentences)], config=PLAIN)

@@ -7,9 +7,10 @@ from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.features import (
     SentenceVector,
     cosine_similarity,
-    ngrams,
     tfidf_vectors,
 )
+
+from ngram_counting import ngrams
 
 PLAIN = TokenizationConfig(
     lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1

@@ -29,8 +29,10 @@ from summ.harness import (
     sign_test,
     summarize_cluster,
 )
-from summ.rouge import ngram_counts, prepare_sentences, prepare_text, rouge_n_recall
+from summ.rouge import prepare_sentences, prepare_text, rouge_n_recall
 from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget, SummarizerConfig
+
+from ngram_counting import ngram_counts
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 

@@ -5,7 +5,8 @@ The reference implementations below are the original pure-Python loops of
 numpy rankers must reproduce their scores and ranks exactly (``==``, no
 tolerance), since reports are compared byte for byte.  Likewise
 ``topicsum_rank``, given corpus totals, must reproduce the original
-leave-one-out background path.
+leave-one-out background path, and ``ClusterFeatures.entries`` the
+per-sentence ``Counter``s it replaced.
 """
 
 import math
@@ -193,6 +194,12 @@ EDGE_CASES = {
     "zero_and_one_token_mix": [[".", "ash", "ash birch"], ["birch", "ash birch ash"]],
     "no_shared_types": [["ash birch"], ["cedar dune"], ["elm fern"]],
     "one_repeated_type": [["ash ash", "ash"], ["ash ash ash"]],
+    # a type counted 1, 2, 3 and 5 times in a sentence: gain-table steps 0-3 and 5
+    "type_repeated_five_times": [
+        ["ash ash ash ash ash birch", "ash birch"], ["birch birch ash", "cedar ash ash ash"],
+    ],
+    # leading empty sentences: zero denominators at the first step when k = 0
+    "empty_sentences_first": [[".", "!", "ash birch ash"], ["...", "birch cedar"]],
 }
 
 
@@ -204,6 +211,40 @@ EDGE_CASES = {
 ], ids=["default", "k0", "k0_threshold0"])
 def test_edge_cases_match_references(docs, config):
     assert_identical(make_cluster(docs), config)
+
+
+def reference_entries(cluster: DocumentCluster) -> list[list[int]]:
+    """(sentence, token id, count) columns from per-sentence Counters."""
+    vocab = sorted({t for s in cluster.sentences for t in s.tokens})
+    ids = {t: i for i, t in enumerate(vocab)}
+    entries = [
+        (row, ids[token], count)
+        for row, sentence in enumerate(cluster.sentences)
+        for token, count in sorted(Counter(sentence.tokens).items())
+    ]
+    return [[entry[c] for entry in entries] for c in range(3)]
+
+
+def assert_entries_identical(cluster):
+    got = ClusterFeatures(cluster).entries
+    assert [column.dtype for column in got] == [np.int64] * 3
+    assert [column.tolist() for column in got] == reference_entries(cluster)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=cluster_docs)
+def test_random_cluster_entries_match_reference(docs):
+    assert_entries_identical(make_cluster(docs))
+
+
+@pytest.mark.parametrize("docs", [
+    EDGE_CASES["all_sentences_empty"],
+    EDGE_CASES["zero_and_one_token_mix"],
+    EDGE_CASES["type_repeated_five_times"],
+    [["ash birch", "."], [".", "cedar ash"], ["..."]],
+], ids=["no_tokens", "zero_and_one_token_mix", "repeated_type", "empty_sentences"])
+def test_edge_cluster_entries_match_reference(docs):
+    assert_entries_identical(make_cluster(docs))
 
 
 def test_threshold_at_realised_cosine():

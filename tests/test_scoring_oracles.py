@@ -37,18 +37,18 @@ from summ.consensus import (
     wcs_aggregate,
 )
 from summ.corpus import ReferenceSummary
-from summ.features import ngrams
 from summ.rouge import (
     NgramIndex,
     RougeScore,
     TokenLists,
-    ngram_counts,
     pairwise_sim_matrix,
     prepare_sentences,
     prepare_text,
     rouge_n_recall,
 )
 from summ.summarizers import RankList
+
+from ngram_counting import ngram_counts, ngrams
 
 logger = logging.getLogger(__name__)
 

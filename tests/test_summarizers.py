@@ -64,6 +64,56 @@ class TestRankList:
             rl = RankList.from_scores("x", scores)
             assert sorted(rl.ranks) == list(range(1, n + 1))
 
+    def test_tie_ranked_against_index_order(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            RankList("x", (1.0, 1.0), (2, 1))
+
+    def test_checks_match_sorted_key_reference(self):
+        # scores with ties, signed zeros and infinities; ranks that are the
+        # derived permutation, a transposition of it, out of range, repeated
+        # or of the wrong length
+        rng = random.Random(47)
+        values = [0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf]
+        accepted = 0
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            scores = tuple(rng.choice(values) for _ in range(n))
+            derived = [0] * n
+            for position, idx in enumerate(sorted(range(n), key=lambda i: (-scores[i], i))):
+                derived[idx] = position + 1
+            kind = rng.randrange(4)
+            if kind == 0:
+                ranks = derived
+            elif kind == 1 and n >= 2:
+                i, j = rng.sample(range(n), 2)
+                ranks = derived[:]
+                ranks[i], ranks[j] = ranks[j], ranks[i]
+            elif kind == 2:
+                ranks = rng.sample(range(1, n + 1), n)
+            else:
+                ranks = [rng.randint(0, n + 1) for _ in range(n + rng.choice([-1, 0, 0, 1]))]
+            ranks = tuple(ranks)
+            try:
+                RankList("x", scores, ranks)
+            except ValueError:
+                ok = False
+            else:
+                ok = True
+            assert ok == reference_ranks_valid(scores, ranks), (scores, ranks)
+            accepted += ok
+            assert RankList.from_scores("x", scores).ranks == tuple(derived)
+        assert 0 < accepted < 3000
+
+
+def reference_ranks_valid(scores, ranks):
+    """The sorted-key check: ranks are 1..N and order sentences by
+    descending score, ties by ascending index."""
+    n = len(scores)
+    if len(ranks) != n or sorted(ranks) != list(range(1, n + 1)):
+        return False
+    expected = sorted(range(n), key=lambda i: (-scores[i], i))
+    return [ranks[i] - 1 for i in expected] == list(range(n))
+
 
 class TestConfigs:
     def test_budget_parse(self):
