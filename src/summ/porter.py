@@ -40,122 +40,54 @@ def _consonant_map(word: str) -> str:
     return "".join(classes)
 
 
-def _measure(cv: str, end: int) -> int:
-    """Number of vowel-to-consonant transitions ([C](VC){m}[V]) in ``cv[:end]``."""
-    return cv.count("vc", 0, end)
+def _by_ending(rules) -> dict[str, tuple[tuple[str, str, str], ...]]:
+    """``(suffix, replacement, replacement's map)`` keyed by the suffix's
+    last two letters, longest suffix first.
 
-
-def _ends_double_consonant(word: str, cv: str, end: int) -> bool:
-    return end >= 2 and word[end - 1] == word[end - 2] and cv[end - 1] == "c"
-
-
-def _ends_cvc(word: str, cv: str, end: int) -> bool:
-    return end >= 3 and cv[end - 3 : end] == "cvc" and word[end - 1] not in "wxy"
+    No replacement holds a ``y``, so the classes of its letters do not
+    depend on the stem they are appended to.
+    """
+    buckets: dict[str, list[tuple[str, str, str]]] = {}
+    for suffix, repl in sorted(rules, key=lambda rule: -len(rule[0])):
+        assert "y" not in repl
+        buckets.setdefault(suffix[-2:], []).append((suffix, repl, _consonant_map(repl)))
+    return {ending: tuple(bucket) for ending, bucket in buckets.items()}
 
 
 # (suffix, replacement) pairs; within a step the longest matching suffix
 # decides the rule, and if its m-condition fails no shorter suffix is tried.
-_STEP2 = (
+_STEP2 = _by_ending((
     ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
     ("fulness", "ful"), ("ousness", "ous"), ("tional", "tion"),
     ("biliti", "ble"), ("entli", "ent"), ("ousli", "ous"), ("ation", "ate"),
     ("alism", "al"), ("aliti", "al"), ("iviti", "ive"), ("enci", "ence"),
     ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
     ("ator", "ate"), ("eli", "e"),
-)
+))
 
-_STEP3 = (
+_STEP3 = _by_ending((
     ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
     ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
+))
 
-_STEP4 = (
+_STEP4 = _by_ending((suffix, "") for suffix in (
     "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion",
     "ism", "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou",
-)
+))
 
 
-def _by_ending(rules) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Rules keyed by their last two letters, longest suffix first."""
-    buckets: dict[str, list[tuple[str, str]]] = {}
-    for rule in sorted(rules, key=lambda rule: -len(rule[0])):
-        buckets.setdefault(rule[0][-2:], []).append(rule)
-    return {ending: tuple(bucket) for ending, bucket in buckets.items()}
-
-
-def _step1a(word: str) -> str:
-    if not word.endswith("s"):
-        return word
-    if word.endswith(("sses", "ies")):
-        return word[:-2]
-    return word if word.endswith("ss") else word[:-1]
-
-
-def _step1b(word: str, cv: str) -> str:
-    if not word.endswith(("ed", "ing")):
-        return word
-    if word.endswith("eed"):
-        return word[:-1] if _measure(cv, len(word) - 3) > 0 else word
-    if word.endswith("ed") and "v" in cv[:-2]:
-        end = len(word) - 2
-    elif word.endswith("ing") and "v" in cv[:-3]:
-        end = len(word) - 3
-    else:
-        return word
-    # cleanup after a stripped -ed / -ing; cv[:end] maps the stripped word
-    word = word[:end]
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word, cv, end) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(cv, end) == 1 and _ends_cvc(word, cv, end):
-        return word + "e"
-    return word
-
-
-def _step1c(word: str, cv: str) -> str:
-    if word.endswith("y") and "v" in cv[:-1]:
-        return word[:-1] + "i"
-    return word
-
-
-def _replace_suffix(rules, min_measure: int, word: str, cv: str) -> str:
-    for suffix, repl in rules.get(word[-2:], ()):
+def _replace_suffix(rules, min_measure: int, word: str, cv: str) -> tuple[str, str]:
+    """Steps 2-4: the word and its map after the longest matching rule."""
+    for suffix, repl, repl_cv in rules.get(word[-2:], ()):
         if word.endswith(suffix):
             end = len(word) - len(suffix)
-            if _measure(cv, end) < min_measure:
-                return word
+            if cv.count("vc", 0, end) < min_measure:
+                return word, cv
             # step 4 strips -ion only after s or t
             if suffix == "ion" and word[end - 1] not in "st":
-                return word
-            return word[:end] + repl
-    return word
-
-
-def _step5a(word: str, cv: str) -> str:
-    if word.endswith("e"):
-        end = len(word) - 1
-        m = _measure(cv, end)
-        if m > 1 or (m == 1 and not _ends_cvc(word, cv, end)):
-            return word[:end]
-    return word
-
-
-def _step5b(word: str, cv: str) -> str:
-    if word.endswith("ll") and _measure(cv, len(word)) > 1:
-        return word[:-1]
-    return word
-
-
-_STEPS = (
-    _step1b,
-    _step1c,
-    functools.partial(_replace_suffix, _by_ending(_STEP2), 1),
-    functools.partial(_replace_suffix, _by_ending(_STEP3), 1),
-    functools.partial(_replace_suffix, _by_ending((s, "") for s in _STEP4), 2),
-    _step5a,
-    _step5b,
-)
+                return word, cv
+            return word[:end] + repl, cv[:end] + repl_cv
+    return word, cv
 
 
 @functools.cache
@@ -166,13 +98,47 @@ def stem(word: str) -> str:
     lowercase ASCII letters are returned unchanged.  Results are cached
     for the life of the process; the cache holds one entry per distinct
     word, so it is bounded by the vocabulary seen.
+
+    The measure of a stem ending at ``end`` is ``cv.count("vc", 0, end)``,
+    its number of vowel-to-consonant transitions ([C](VC){m}[V]).
     """
     if len(word) <= 2 or not word.isascii() or not word.isalpha() or not word.islower():
         return word
-    word = _step1a(word)
+    # step 1a: plurals
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word = word[:-2]
+        elif word[-2] != "s":
+            word = word[:-1]
     cv = _consonant_map(word)
-    for step in _STEPS:
-        stepped = step(word, cv)
-        if stepped is not word:  # a step that keeps the word returns it as is
-            word, cv = stepped, _consonant_map(stepped)
+    # step 1b: -eed, -ed, -ing
+    if word.endswith("eed"):
+        if cv.count("vc", 0, len(word) - 3):
+            word, cv = word[:-1], cv[:-1]
+    elif word.endswith(("ed", "ing")):
+        end = len(word) - (2 if word[-1] == "d" else 3)
+        if "v" in cv[:end]:
+            word, cv = word[:end], cv[:end]
+            if word.endswith(("at", "bl", "iz")):
+                word, cv = word + "e", cv + "v"
+            elif end >= 2 and word[-1] == word[-2] and cv[-1] == "c":
+                if word[-1] not in "lsz":
+                    word, cv = word[:-1], cv[:-1]
+            elif cv.count("vc") == 1 and cv.endswith("cvc") and word[-1] not in "wxy":
+                word, cv = word + "e", cv + "v"
+    # step 1c: a final y becomes i when a vowel precedes it anywhere
+    if word[-1] == "y" and "v" in cv[:-1]:
+        word, cv = word[:-1] + "i", cv[:-1] + "v"
+    word, cv = _replace_suffix(_STEP2, 1, word, cv)
+    word, cv = _replace_suffix(_STEP3, 1, word, cv)
+    word, cv = _replace_suffix(_STEP4, 2, word, cv)
+    # step 5a: a final e goes after a long stem, or a short one not ending cvc
+    if word[-1] == "e":
+        end = len(word) - 1
+        m = cv.count("vc", 0, end)
+        if m > 1 or (m == 1 and not (cv.endswith("cvc", 0, end) and word[end - 1] not in "wxy")):
+            word, cv = word[:end], cv[:end]
+    # step 5b: -ll loses an l after a long stem
+    if word.endswith("ll") and cv.count("vc") > 1:
+        word = word[:-1]
     return word

@@ -22,10 +22,14 @@ from summ.corpus import (
     segment_sentences,
     tokenize,
 )
+from summ import porter
 from summ.porter import stem
+from summ.rouge import ROUGE_TOKENIZATION
 from summ.stopwords import STOPWORDS
+from test_porter import oracle_stem
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
+BOM = "\ufeff".encode()
 PLAIN = TokenizationConfig(
     lowercase=False, remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
@@ -154,6 +158,101 @@ class TestTokenize:
     def test_min_tokens_validation(self):
         with pytest.raises(ValueError):
             TokenizationConfig(min_sentence_tokens=0)
+
+
+# the word rule stated plainly, kept as the oracle for ``tokenize``
+_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+
+
+def oracle_words(text, lowercase):
+    words = _TOKEN_RE.findall(text)
+    return [w.lower() for w in words] if lowercase else words
+
+
+def oracle_tokens(text, config):
+    tokens = oracle_words(text, config.lowercase)
+    if config.remove_stopwords:
+        tokens = [t for t in tokens if t not in STOPWORDS]
+    if config.stem:
+        tokens = [oracle_stem(t) for t in tokens]
+    return tokens
+
+
+# characters that trip a finder which lowercases the text first ("İ"
+# lowers to "i" plus a combining dot) or matches with re.IGNORECASE (the
+# Kelvin sign and long s match k and s), that encode badly (lone
+# surrogates), or that str.split takes for whitespace
+TRICKY_CHARS = [
+    "\ud800", "\udbff", "\udc00", "\udfff", "\u0130", "\u212a", "\u017f",
+    "\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\x85", "\xa0", "\u2028",
+    "\u3000", "\t", "\x0b", "\x0c", "\r", "\n", "?", " ", "_", "\xe9", "\U0001d400",
+]
+WORD_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(TRICKY_CHARS),
+        st.text(alphabet=string.ascii_letters + string.digits, min_size=1, max_size=6),
+        st.text(alphabet=st.characters(exclude_categories=()), max_size=4),
+        st.sampled_from(["The", "cats", "running", "U.S.", "don't", "3.5", "Flies"]),
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestWordFinder:
+    @settings(max_examples=500)
+    @given(WORD_TEXTS, st.booleans())
+    def test_words_match_regex_oracle(self, text, lowercase):
+        config = TokenizationConfig(
+            lowercase=lowercase, remove_stopwords=False, stem=False, min_sentence_tokens=1
+        )
+        assert tokenize(text, config) == oracle_words(text, lowercase)
+
+    @given(WORD_TEXTS, st.sampled_from([TokenizationConfig(), ROUGE_TOKENIZATION]))
+    def test_pipeline_matches_oracle_pipeline(self, text, config):
+        assert tokenize(text, config) == oracle_tokens(text, config)
+
+    def test_tricky_characters_separate_words(self):
+        for c in TRICKY_CHARS:
+            for config in (PLAIN, RAW_SEQUENCE_CONFIG):
+                assert tokenize(f"ab{c}Cd", config) == oracle_words(f"ab{c}Cd", config.lowercase)
+
+    def test_fixture_matches_oracle_pipeline(self):
+        texts = [d.text for r in read_corpus(FIXTURE, "jsonl") for d in r.documents]
+        for config in (TokenizationConfig(), ROUGE_TOKENIZATION, RAW_SEQUENCE_CONFIG, PLAIN):
+            for text in texts:
+                assert tokenize(text, config) == oracle_tokens(text, config)
+
+
+class TestStemSeam:
+    """``tokenize`` reaches the stemmer as ``porter.stem``, looked up on each
+    call, so a wrapper patched onto the module sees every stemmed token."""
+
+    def counting_stem(self, monkeypatch):
+        calls = []
+        real = porter.stem
+
+        def counting(word):
+            calls.append(word)
+            return real(word)
+
+        monkeypatch.setattr(porter, "stem", counting)
+        return calls
+
+    def test_one_call_per_kept_token(self, monkeypatch):
+        calls = self.counting_stem(monkeypatch)
+        text = "The cats sat on the mats; the CATS ran, and 42 dogs barked."
+        tokens = tokenize(text, TokenizationConfig())
+        kept = [w for w in oracle_words(text, True) if w not in STOPWORDS]
+        assert calls == kept
+        assert tokens == [stem(w) for w in kept]
+        calls.clear()
+        tokenize(text, TokenizationConfig(stem=False))
+        assert calls == []
+
+    def test_load_corpus_reaches_the_stemmer(self, monkeypatch):
+        calls = self.counting_stem(monkeypatch)
+        clusters = load_corpus(FIXTURE, "jsonl")
+        assert len(calls) == sum(len(s.tokens) for c in clusters for s in c.sentences) > 0
 
 
 class TestPorter:
@@ -288,6 +387,28 @@ class TestLoading:
         path.write_bytes(b'{"cluster_id": "\xff\xfe"}\n')
         with pytest.raises(CorpusError, match="UTF-8"):
             load_corpus(path, "jsonl")
+
+    def test_invalid_utf8_after_byte_order_mark_is_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(BOM + b'{"cluster_id": "\xff\xfe"}\n')
+        with pytest.raises(CorpusError, match="UTF-8"):
+            load_corpus(path, "jsonl")
+
+    def test_jsonl_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(BOM + FIXTURE.read_bytes())
+        assert load_corpus(path, "jsonl") == load_corpus(FIXTURE, "jsonl")
+
+    def test_duc_dir_byte_order_mark_is_dropped(self, tmp_path):
+        files = {"docs/a.txt": "Red fox runs far. Blue bird sings.", "models/r1.txt": "A fox ran."}
+        for root, prefix in ((tmp_path / "plain", b""), (tmp_path / "bom", BOM)):
+            for name, text in files.items():
+                (root / "c1" / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / "c1" / name).write_bytes(prefix + text.encode())
+        [cluster] = load_corpus(tmp_path / "bom", "duc-dir")
+        assert cluster == load_one(tmp_path / "plain", "duc-dir")
+        assert cluster.sentences[0].raw_text == "Red fox runs far."
+        assert cluster.references[0].text == "A fox ran."
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(CorpusError):
