@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,16 +71,23 @@ class SummarizerConfig:
     budget: LengthBudget = field(default_factory=lambda: LengthBudget("words", 100))
 
     def __post_init__(self):
-        if self.lexrank_threshold < 0:
+        # each check is written so that NaN fails it
+        if not self.lexrank_threshold >= 0:
             raise ValueError("lexrank_threshold must be >= 0")
         if not 0 < self.damping < 1:
             raise ValueError("damping must be in (0, 1)")
-        if self.power_iter_tol <= 0 or self.power_iter_max < 1:
+        if (
+            not self.power_iter_tol > 0
+            or isinstance(self.power_iter_max, bool)
+            or not isinstance(self.power_iter_max, int)
+            or self.power_iter_max < 1
+        ):
             raise ValueError("bad power iteration settings")
-        if self.topic_llr_threshold <= 0:
+        if not self.topic_llr_threshold > 0:
             raise ValueError("topic_llr_threshold must be > 0")
-        if self.kl_smoothing_k is not None and self.kl_smoothing_k < 0:
-            raise ValueError("kl_smoothing_k must be >= 0")
+        # a NaN k makes every KL NaN, and argmin takes the first NaN, chosen or not
+        if self.kl_smoothing_k is not None and not 0 <= self.kl_smoothing_k < math.inf:
+            raise ValueError("kl_smoothing_k must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -351,6 +359,26 @@ def log_likelihood_ratio(k1: int, n1: int, k2: int, n2: int) -> float:
     )
 
 
+def _binomial_lls(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """``_binomial_ll`` of each element with ``np.log``.  An absent term
+    takes the log of 1.0, so it adds an exact 0.0 and no log(0) is taken."""
+    hits = k * np.log(np.where(k > 0, p, 1.0))
+    return hits + (n - k) * np.log(np.where(n - k > 0, 1.0 - p, 1.0))
+
+
+# Each binomial log-likelihood is a sum of terms <= 0, so with
+# S = -(l1 + l2 + l3 + l4) no term, likelihood or partial sum of the ratio
+# exceeds S in size.  The numpy ratio has the scalar rule's operands and
+# order of operations; only its logs differ, np.log from math.log by a few
+# ulps at most (say d <= 8 eps, eps = 2**-52).  A product then differs by
+# (d + eps) of its size, a likelihood by (d + 2 eps) and the ratio's three
+# sums add 3 eps * S, so the two ratios differ by under
+# 2 * (d + 5 eps) * S <= 26 eps * S, about 5.8e-15 * S.  A ratio within
+# _LLR_BAND * S of the threshold, over 300 times that, is decided by
+# ``log_likelihood_ratio`` itself.
+_LLR_BAND = 2e-12
+
+
 def topic_words(
     features: ClusterFeatures,
     corpus_counts: Mapping[str, int],
@@ -360,7 +388,8 @@ def topic_words(
 
     ``corpus_counts`` are the pooled token counts of the whole corpus,
     this cluster included; the background is the corpus minus the
-    cluster's own counts.
+    cluster's own counts.  The whole vocabulary is tested in one numpy
+    pass, with the scalar rule's exact comparisons.
     """
     counts = features.counts
     n1 = sum(counts.values())
@@ -369,15 +398,24 @@ def topic_words(
         raise ValueError("background required: no background token counts")
     if n1 == 0:
         return set()
-    result = set()
-    for token, k1 in counts.items():
-        k2 = corpus_counts.get(token, 0) - k1
-        if k2 < 0:
-            raise ValueError(f"corpus counts miss the cluster's {token!r} tokens")
-        if k1 / n1 <= k2 / n2:
-            continue
-        if log_likelihood_ratio(k1, n1, k2, n2) > threshold:
-            result.add(token)
+    tokens = list(counts)
+    k1 = np.fromiter(counts.values(), np.int64, len(tokens))
+    k2 = np.fromiter(map(corpus_counts.get, tokens, repeat(0)), np.int64, len(tokens)) - k1
+    if (k2 < 0).any():
+        token = tokens[int((k2 < 0).argmax())]
+        raise ValueError(f"corpus counts miss the cluster's {token!r} tokens")
+    over = k1 / n1 > k2 / n2
+    tokens = list(compress(tokens, over.tolist()))
+    k1, k2 = k1[over], k2[over]
+    p = (k1 + k2) / (n1 + n2)
+    l1, l2 = _binomial_lls(k1, n1, k1 / n1), _binomial_lls(k2, n2, k2 / n2)
+    l3, l4 = _binomial_lls(k1, n1, p), _binomial_lls(k2, n2, p)
+    llr = 2.0 * (l1 + l2 - l3 - l4)
+    near = np.abs(llr - threshold) <= -_LLR_BAND * (l1 + l2 + l3 + l4)
+    result = set(compress(tokens, ((llr > threshold) & ~near).tolist()))
+    for i in np.flatnonzero(near).tolist():
+        if log_likelihood_ratio(int(k1[i]), n1, int(k2[i]), n2) > threshold:
+            result.add(tokens[i])
     return result
 
 
@@ -404,6 +442,11 @@ def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
     return 0.0005 * cluster_vocab_size
 
 
+def _math_log(values: np.ndarray) -> np.ndarray:
+    """``math.log`` of each element; ``np.log`` can miss it by an ulp."""
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
 def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
     """Greedy selection minimizing the summary-to-cluster KL divergence.
 
@@ -412,11 +455,14 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
 
     Each step scores every sentence at once and reproduces the float
     arithmetic of a plain loop exactly.  A table holds, per token and per
-    count a sentence adds to it, that count's change to the token's gain;
-    a pick recomputes only its own tokens' rows, with the loop's own
-    elementwise expression and ``math.log`` tables.  Each sentence's sum
-    starts from the running sum and adds its table cells in sorted token
-    order (``np.bincount`` accumulates in input order).
+    count a sentence adds to it, that count's change to the token's gain.
+    Every row a token can reach, one per count it can have, is computed
+    once with the loop's own elementwise expression and ``math.log``
+    tables; a pick copies in the rows of its own tokens' new counts.  Each
+    sentence's sum starts from the running sum and adds its table cells in
+    sorted token order (``np.bincount`` accumulates in input order).  The
+    KL's ``mass * log(denom)`` term and its divisor are looked up by the
+    candidate's summary length.
     """
     sentences = features.cluster.sentences
     n = len(sentences)
@@ -426,7 +472,8 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
     k = _kl_smoothing(len(cluster_counts), config)
     vocab_size = len(cluster_counts)
-    log_pc = np.array([math.log(cluster_counts[t] / total) for t in ids])
+    counts = np.fromiter(map(cluster_counts.__getitem__, ids), np.int64, vocab_size)
+    log_pc = _math_log(counts / total)
     entry_sentence, token, extra = features.entries
     # table columns: 0, then each distinct count a sentence adds to a token
     steps, entry_column = np.unique(np.append(extra, 0), return_inverse=True)
@@ -434,38 +481,38 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     # (k == 0, c == 0): the log entry 0.0 is then multiplied by a zero mass.
     # The entries of chosen sentences are scored too, and ignored, so a
     # count reaches a token's cluster count plus the largest step.
-    log_mass = np.array([
-        math.log(c + k) if c + k != 0 else 0.0
-        for c in range(max(cluster_counts.values()) + int(steps[-1]) + 1)
-    ])
-
-    def gain(counts: np.ndarray, token_log_pc: np.ndarray) -> np.ndarray:
-        return (counts + k) * (log_mass[counts] - token_log_pc)
-
-    def gain_steps(have: np.ndarray, token_log_pc: np.ndarray) -> np.ndarray:
-        """gain(have + step) - gain(have) for every step, a row per token."""
-        gains = gain(have[:, None] + steps, token_log_pc[:, None])
-        return gains - gains[:, :1]
-
-    zero_gains = gain(np.zeros(vocab_size, dtype=np.int64), log_pc).tolist()
+    mass = np.arange(int(counts.max()) + int(steps[-1]) + 1) + k
+    log_mass = np.zeros(len(mass))
+    log_mass[mass != 0.0] = _math_log(mass[mass != 0.0])
+    # gains[first_row[t] + c, j] = gain(c + steps[j], t) for each count
+    # c = 0..counts[t] that token t can have in the summary; steps[0] == 0
+    first_row = np.cumsum(counts + 1) - (counts + 1)
+    row_token = np.repeat(np.arange(vocab_size), counts + 1)
+    have = (np.arange(len(row_token)) - first_row[row_token])[:, None] + steps
+    gains = (have + k) * (log_mass[have] - log_pc[row_token][:, None])
+    rows = gains - gains[:, :1]  # a row's change for each step
+    zero_gains = gains[first_row, 0].tolist()
     # all-zero summary counts, summed in the cluster's first-occurrence order
     base = sum(zero_gains[ids[t]] for t in cluster_counts)
-    k_denom = k * (vocab_size + 1)
-    k_mass = k * vocab_size
-    log_denom = np.array([
-        math.log(t + k_denom) if t + k_denom != 0 else 0.0 for t in range(total + 1)
-    ])
-    current = np.zeros(vocab_size, dtype=np.int64)
-    table = gain_steps(current, log_pc)
+    # for each summary length t = 0..total, the KL numerator's last term
+    # (t + k * V) * log(t + k * (V + 1)) and the divisor t + k * (V + 1);
+    # a zero divisor (k == 0, t == 0), and the entry past the end that a
+    # chosen sentence's length reaches, get (-inf, 1.0), so they score inf
+    totals = np.arange(total + 1)
+    divisor = totals + k * (vocab_size + 1)
+    finite = divisor != 0.0
+    term = np.full(total + 2, -math.inf)
+    term[:-1][finite] = (totals[finite] + k * vocab_size) * _math_log(divisor[finite])
+    divisor = np.append(np.where(finite, divisor, 1.0), 1.0)
+    table = rows[first_row]  # every token's count starts at 0
     cells = table.reshape(-1)  # a view: row updates show through
     cell = token * len(steps) + entry_column[:-1]
     starts = np.searchsorted(entry_sentence, np.arange(n + 1))
-    # a chosen sentence's length is 0, so its total stays inside log_denom
     lengths = np.array([len(s.tokens) for s in sentences])
     # slot i first receives the running sum, then sentence i's addends
     slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
-    chosen = np.zeros(n, dtype=bool)
+    current = np.zeros(vocab_size, dtype=np.int64)
     current_total = 0
     current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
     scores = [0.0] * n
@@ -474,25 +521,21 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
         # every cell is in range: "clip" only spares take a checking copy
         cells.take(cell, out=addends[n:], mode="clip")
         cand_sum = np.bincount(slots, weights=addends, minlength=n)
+        # a chosen sentence's total clips to the last entry
         cand_total = current_total + lengths
-        denom = cand_total + k_denom
-        mass = cand_total + k_mass
-        kl = np.divide(
-            base + cand_sum - mass * log_denom[cand_total], denom,
-            out=np.full(n, math.inf), where=denom != 0.0,
-        )
+        kl = base + cand_sum
+        kl -= term.take(cand_total, mode="clip")
+        kl /= divisor.take(cand_total, mode="clip")
         # some sentence left scores finite (a divisor is 0 only while k == 0
         # and the summary is empty), so a chosen one never wins
-        kl[chosen] = math.inf
-        best = int(np.argmin(kl))  # the first minimum: ties go to the smaller index
+        best = int(kl.argmin())  # the first minimum: ties go to the smaller index
         picked = slice(starts[best], starts[best + 1])
         tokens = token[picked]
         current[tokens] += extra[picked]
-        table[tokens] = gain_steps(current[tokens], log_pc[tokens])
+        table[tokens] = rows[first_row[tokens] + current[tokens]]
         current_total += int(lengths[best])
         current_sum = float(cand_sum[best])
-        lengths[best] = 0
-        chosen[best] = True
+        lengths[best] = total + 1
         scores[best] = -float(step)
     return RankList.from_scores("greedykl", scores)
 

@@ -31,6 +31,7 @@ from summ.summarizers import (
     lexrank_rank,
     log_likelihood_ratio,
     textrank_rank,
+    topic_words,
     topicsum_rank,
 )
 
@@ -421,3 +422,71 @@ TOPIC_CORPORA = {
 )
 def test_topicsum_edge_corpora_match_leave_one_out(corpus_docs):
     assert_topicsum_identical(corpus_docs, SummarizerConfig(topic_llr_threshold=0.5))
+
+
+def zipf_corpus(seed: int, clusters: int, docs: int, sentences: int) -> list:
+    """``clusters`` clusters of ``docs`` x ``sentences`` sentences of 0-24
+    words, drawn by a Zipf law over 400 words that each cluster rotates, so
+    the clusters share a vocabulary but favour different words, and the
+    frequent words repeat within sentences."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(400)]
+    weights = 1.0 / np.arange(1, len(vocab) + 1)
+    corpus = []
+    for c in range(clusters):
+        p = np.roll(weights, 37 * c)
+        p /= p.sum()
+        corpus.append([
+            [
+                " ".join(rng.choice(vocab, size=int(rng.integers(0, 25)), p=p)) or "."
+                for _ in range(sentences)
+            ]
+            for _ in range(docs)
+        ])
+    return corpus
+
+
+@pytest.mark.parametrize("config", [
+    SummarizerConfig(), SummarizerConfig(kl_smoothing_k=0),
+], ids=["default", "k0"])
+def test_duc_scale_greedykl_matches_reference(config):
+    # a DUC-sized cluster: 200 sentences, hundreds of distinct words, and
+    # tokens repeated within a sentence, so every table row and step is used
+    cluster = make_cluster(zipf_corpus(3, 1, 10, 20)[0])
+    assert len(cluster.sentences) == 200
+    assert int(ClusterFeatures(cluster).entries[2].max()) >= 3
+    got = greedykl_rank(ClusterFeatures(cluster), config)
+    want = reference_greedykl_rank(cluster, config)
+    assert got.scores == want.scores
+    assert got.ranks == want.ranks
+
+
+@pytest.mark.parametrize("threshold", [3.84, 10.83])
+def test_duc_scale_topicsum_matches_leave_one_out(threshold):
+    assert_topicsum_identical(
+        zipf_corpus(5, 3, 10, 20), SummarizerConfig(topic_llr_threshold=threshold)
+    )
+
+
+def test_topic_threshold_at_realised_ratio():
+    # a threshold equal to a ratio the cluster realises puts that token at
+    # the decision boundary, where the numpy ratio, whose logs can miss
+    # math.log by an ulp, must give way to the scalar rule; so does the
+    # threshold one ulp either side
+    clusters = [make_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
+    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    tested = 0
+    for cluster, background in zip(clusters, reference_background_counts(clusters)):
+        counts = ClusterFeatures(cluster).counts
+        n1, n2 = sum(counts.values()), sum(background.values())
+        realised = sorted({
+            log_likelihood_ratio(k1, n1, background[t], n2)
+            for t, k1 in counts.items() if k1 / n1 > background[t] / n2
+        })
+        tested += len(realised)
+        for value in realised:
+            below, above = math.nextafter(value, 0.0), math.nextafter(value, math.inf)
+            for threshold in (below, value, above):
+                got = topic_words(ClusterFeatures(cluster), corpus_counts, threshold)
+                assert got == reference_topic_words(cluster, background, threshold)
+    assert tested > 200

@@ -139,6 +139,23 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SummarizerConfig(kl_smoothing_k=-1.0)
 
+    @pytest.mark.parametrize("settings", [
+        {"kl_smoothing_k": math.nan},
+        {"kl_smoothing_k": math.inf},
+        {"lexrank_threshold": math.nan},
+        {"power_iter_tol": math.nan},
+        {"topic_llr_threshold": math.nan},
+        {"power_iter_max": 2.5},
+        {"power_iter_max": True},
+    ], ids=lambda settings: "-".join(f"{k}={v}" for k, v in settings.items()))
+    def test_summarizer_config_rejects_nan_inf_and_non_integers(self, settings):
+        # NaN fails no "<" check; True and 2.5 pass "power_iter_max >= 1"
+        with pytest.raises(ValueError):
+            SummarizerConfig(**settings)
+
+    def test_summarizer_config_accepts_boundary_values(self):
+        SummarizerConfig(kl_smoothing_k=0.0, lexrank_threshold=0.0, power_iter_max=1)
+
 
 class TestPowerIteration:
     def test_residual_below_tol_and_sums_to_one(self):
