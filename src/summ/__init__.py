@@ -29,11 +29,7 @@ from .corpus import (
     segment_sentences,
     tokenize,
 )
-from .features import (
-    SentenceVector,
-    cosine_similarity,
-    tfidf_vectors,
-)
+from .features import SentenceVector, cosine_similarity
 from .harness import (
     EvalReport,
     NoSuccessfulClustersError,

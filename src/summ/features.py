@@ -1,12 +1,10 @@
-"""Term statistics shared by the rankers and the ROUGE scorer."""
+"""Sparse sentence vectors and their exact cosine, which the redundancy cap
+and lexrank's near-threshold pairs decide by."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-
-from .corpus import DocumentCluster
 
 
 @dataclass
@@ -23,32 +21,6 @@ class SentenceVector:
 
     def __bool__(self) -> bool:
         return bool(self.weights)
-
-
-def tfidf_vectors(cluster: DocumentCluster) -> list[SentenceVector]:
-    """TF-IDF vector per sentence, aligned with sentence indices.
-
-    tf is the within-sentence count; idf = ln(D / df) with document
-    frequency taken over the cluster's own documents.  Tokens present in
-    every document get weight 0 and are dropped.
-    """
-    doc_tokens: dict[str, set[str]] = {d.doc_id: set() for d in cluster.documents}
-    for sentence in cluster.sentences:
-        doc_tokens[sentence.doc_id].update(sentence.tokens)
-    df = Counter()
-    for tokens in doc_tokens.values():
-        df.update(tokens)
-    n_docs = len(cluster.documents)
-    idf = {t: math.log(n_docs / d) for t, d in df.items() if d < n_docs}
-    vectors = []
-    for sentence in cluster.sentences:
-        tf = Counter(sentence.tokens)
-        vectors.append(
-            SentenceVector(
-                weights={t: c * idf[t] for t, c in tf.items() if t in idf}
-            )
-        )
-    return vectors
 
 
 def cosine_similarity(a: SentenceVector, b: SentenceVector) -> float:

@@ -264,7 +264,7 @@ class _ClusterPipeline:
     def extract(self, rank_list: RankList) -> Summary:
         """The rank list's summary under the configured redundancy cap."""
         limit = self.config.redundancy_cap
-        cap = None if limit is None else RedundancyCap(limit, self.features.tfidf)
+        cap = None if limit is None else RedundancyCap(limit, self.features.vectors)
         return extract_summary(rank_list, self.cluster, self.config.summarizer.budget, cap)
 
     def fuse(self, aggregator: str) -> tuple[RankList, str | None]:
@@ -561,7 +561,7 @@ def emit_report(report: EvalReport, format: str, path: str | Path) -> Path:
     path = Path(path)
     if not report.averages:
         raise ValueError("report is empty")
-    orders = sorted({key for row in report.averages.values() for key in row})
+    orders = sorted({k for row in report.averages.values() for k in row}, key=lambda k: int(k[2:]))
     if format == "csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)

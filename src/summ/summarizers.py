@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DocumentCluster
-from .features import SentenceVector, cosine_similarity, tfidf_vectors
+from .features import SentenceVector, cosine_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -148,12 +148,13 @@ def _uniform_ranklist(system_id: str, n: int) -> RankList:
 def _power_iteration(
     adjacency: np.ndarray, config: SummarizerConfig
 ) -> np.ndarray:
-    """Stationary distribution of the damped, row-normalized walk."""
+    """Stationary distribution of the damped, row-normalized walk.  The
+    adjacency is row-normalized in place; a row with no edges is uniform."""
     n = adjacency.shape[0]
     row_sums = adjacency.sum(axis=1)
-    transition = np.full((n, n), 1.0 / n)
     nonzero = row_sums > 0
-    transition[nonzero] = adjacency[nonzero] / row_sums[nonzero, None]
+    transition = np.divide(adjacency, row_sums[:, None], out=adjacency, where=nonzero[:, None])
+    transition[~nonzero] = 1.0 / n
     teleport = (1.0 - config.damping) / n
     p = np.full(n, 1.0 / n)
     for _ in range(config.power_iter_max):
@@ -199,21 +200,63 @@ class ClusterFeatures:
         return {t: i for i, t in enumerate(sorted(self.counts))}
 
     @cached_property
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sentence x token counts as sparse (sentence, token id, count)
-        int64 arrays, sentence-major, each sentence's tokens in sorted order."""
+    def stream(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every token in text order, as (sentence, token id) int64 arrays."""
         sentences, ids = self.cluster.sentences, self.ids
         lengths = [len(s.tokens) for s in sentences]
         token = np.fromiter((ids[t] for s in sentences for t in s.tokens), np.int64, sum(lengths))
-        row = np.repeat(np.arange(len(sentences), dtype=np.int64), lengths)
-        width = max(len(ids), 1)
-        keys, counts = np.unique(row * width + token, return_counts=True)
-        return (*np.divmod(keys, width), counts.astype(np.int64))
+        return np.repeat(np.arange(len(sentences), dtype=np.int64), lengths), token
 
     @cached_property
-    def tfidf(self) -> tuple[SentenceVector, ...]:
-        """TF-IDF vector per sentence, aligned with sentence indices."""
-        return tuple(tfidf_vectors(self.cluster))
+    def _entry_orders(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        row, token = self.stream
+        width = max(len(self.ids), 1)
+        # return_index keeps np.unique off its path that imports numpy.ma
+        keys, first, counts = np.unique(row * width + token, return_index=True, return_counts=True)
+        entries = np.stack((*np.divmod(keys, width), counts))  # int64 rows
+        return tuple(entries), tuple(entries[:, np.argsort(first)])
+
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sentence x token counts as sparse (sentence, token id, count)
+        int64 arrays, sentence-major, each sentence's tokens in sorted order."""
+        return self._entry_orders[0]
+
+    @property
+    def first_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``entries`` with each sentence's tokens in first-occurrence order."""
+        return self._entry_orders[1]
+
+    @cached_property
+    def tfidf(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``tfidf_vectors`` of the cluster."""
+        return tfidf_vectors(self)
+
+    @cached_property
+    def vectors(self) -> tuple[SentenceVector, ...]:
+        """``tfidf`` as one vector per sentence, for ``cosine_similarity``."""
+        rows, cols, weights = self.tfidf
+        vocab, vectors = list(self.ids), [SentenceVector({}) for _ in self.cluster.sentences]
+        for row, col, weight in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+            vectors[row].weights[vocab[col]] = weight
+        return tuple(vectors)
+
+
+def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TF-IDF weights as sparse (sentence, token id, weight) arrays, in
+    ``features.first_entries`` order.  tf is the within-sentence count;
+    idf = ln(D / df) by ``math.log``, with document frequency taken over the
+    cluster's own documents.  Tokens present in every document are dropped."""
+    cluster, vocab_size = features.cluster, len(features.ids)
+    rows, cols, counts = features.first_entries
+    doc_index = {d.doc_id: i for i, d in enumerate(cluster.documents)}
+    docs = np.array([doc_index[s.doc_id] for s in cluster.sentences], dtype=np.int64)
+    width, n_docs = max(vocab_size, 1), len(cluster.documents)
+    pairs, _ = np.unique(docs[rows] * width + cols, return_counts=True)
+    df = np.bincount(pairs % width, minlength=vocab_size)  # >= 1 for every token id
+    idf = _math_log(n_docs / np.arange(1, n_docs + 1))[df - 1]  # one log per df value
+    kept = df[cols] < n_docs
+    return rows[kept], cols[kept], counts[kept] * idf[cols[kept]]
 
 
 _BLOCK = 64  # columns of a sparse matrix made dense at a time
@@ -250,22 +293,27 @@ _NEAR_THRESHOLD = 1e-9
 
 def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarray:
     """0/1 graph of the sentence pairs whose cosine exceeds ``threshold``."""
-    vectors, ids = features.tfidf, features.ids
-    n = len(vectors)
-    rows = np.repeat(np.arange(n), [len(v.weights) for v in vectors])
-    cols = np.array([ids[t] for v in vectors for t in v.weights], dtype=np.intp)
-    values = np.array([w for v in vectors for w in v.weights.values()])
-    cosine = _cross_products(n, rows, cols, values)
-    norms = np.array([v.norm() or 1.0 for v in vectors])  # empty rows stay 0
+    rows, cols, weights = features.tfidf
+    n = len(features.cluster.sentences)
+    cosine = _cross_products(n, rows, cols, weights)
+    # the norms of SentenceVector.norm, so that empty rows stay 0
+    squares = (weights * weights).tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    norms = np.array([
+        math.sqrt(math.fsum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])
+    ])
     cosine /= norms[:, None]
     cosine /= norms
     edges = np.triu(cosine > threshold, 1)
     # an exact 0 means no shared token, which the reference also scores 0
-    near = (np.abs(cosine - threshold) <= _NEAR_THRESHOLD) & (cosine > 0.0)
-    near = np.triu(near, 1)
-    for i, j in zip(*np.nonzero(near)):
-        edges[i, j] = cosine_similarity(vectors[i], vectors[j]) > threshold
-    return (edges | edges.T).astype(float)
+    near = cosine >= threshold - _NEAR_THRESHOLD
+    near &= cosine <= threshold + _NEAR_THRESHOLD
+    near &= cosine > 0.0
+    del cosine  # freed before the float adjacency is made
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        edges[i, j] = cosine_similarity(features.vectors[i], features.vectors[j]) > threshold
+    edges |= edges.T
+    return edges.astype(float)
 
 
 def lexrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
@@ -302,34 +350,23 @@ def textrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
 
 
 def centroid_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
-    """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
-    vectors = features.tfidf
-    n = len(vectors)
-    centroid: dict[str, float] = {}
-    for vector in vectors:
-        for token, weight in vector.weights.items():
-            centroid[token] = centroid.get(token, 0.0) + weight
-    centroid = {t: w / n for t, w in centroid.items()}
-    scores = []
-    for sentence in features.cluster.sentences:
-        seen = dict.fromkeys(sentence.tokens)
-        scores.append(sum(centroid.get(t, 0.0) for t in seen))
-    return RankList.from_scores("centroid", scores)
+    """Sum of cluster-centroid TF-IDF weights over each sentence's types.
+    ``np.bincount`` adds in input order: the centroid's weights in sentence
+    order, a sentence's types in first-occurrence order."""
+    rows, cols, weights = features.tfidf
+    n = len(features.cluster.sentences)
+    centroid = np.bincount(cols, weights, minlength=len(features.ids)) / n
+    return RankList.from_scores("centroid", np.bincount(rows, centroid[cols], minlength=n))
 
 
 def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
-    """Average cluster-frequency of a sentence's content words."""
-    counts = features.counts
-    total = sum(counts.values())
-    scores = []
-    for sentence in features.cluster.sentences:
-        if total == 0 or not sentence.tokens:
-            scores.append(0.0)
-            continue
-        scores.append(
-            sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
-        )
-    return RankList.from_scores("freqsum", scores)
+    """Average cluster-frequency of a sentence's content words, added in
+    text order; a sentence with no tokens scores 0.0."""
+    rows, tokens = features.stream
+    n = len(features.cluster.sentences)
+    frequencies = np.bincount(tokens, minlength=len(features.ids))[tokens] / len(tokens)
+    sums = np.bincount(rows, frequencies, minlength=n)
+    return RankList.from_scores("freqsum", sums / np.maximum(np.bincount(rows, minlength=n), 1))
 
 
 def _binomial_ll(k: float, n: float, p: float) -> float:
@@ -426,14 +463,10 @@ def topicsum_rank(
 ) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
     signature = topic_words(features, corpus_counts, config.topic_llr_threshold)
-    scores = []
-    for sentence in features.cluster.sentences:
-        if not sentence.tokens:
-            scores.append(0.0)
-            continue
-        hits = sum(1 for t in sentence.tokens if t in signature)
-        scores.append(hits / len(sentence.tokens))
-    return RankList.from_scores("topicsum", scores)
+    rows, tokens = features.stream
+    n = len(features.cluster.sentences)
+    hits = np.bincount(rows, np.array([t in signature for t in features.ids])[tokens], minlength=n)
+    return RankList.from_scores("topicsum", hits / np.maximum(np.bincount(rows, minlength=n), 1))
 
 
 def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
@@ -464,8 +497,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     KL's ``mass * log(denom)`` term and its divisor are looked up by the
     candidate's summary length.
     """
-    sentences = features.cluster.sentences
-    n = len(sentences)
+    n = len(features.cluster.sentences)
     cluster_counts, ids = features.counts, features.ids
     total = sum(cluster_counts.values())
     if total == 0:
@@ -508,7 +540,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     cells = table.reshape(-1)  # a view: row updates show through
     cell = token * len(steps) + entry_column[:-1]
     starts = np.searchsorted(entry_sentence, np.arange(n + 1))
-    lengths = np.array([len(s.tokens) for s in sentences])
+    lengths = np.bincount(features.stream[0], minlength=n)
     # slot i first receives the running sum, then sentence i's addends
     slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
@@ -543,7 +575,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
 @dataclass(frozen=True)
 class RedundancyCap:
     """Cosine-similarity cap over one cluster's TF-IDF vectors
-    (``ClusterFeatures.tfidf``), shared by every extraction from it."""
+    (``ClusterFeatures.vectors``), shared by every extraction from it."""
 
     limit: float
     vectors: tuple[SentenceVector, ...]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,3 +290,22 @@ class TestSummarizeCommand:
         ])
         assert code == 3
         assert "oracle requires reference summaries" in capsys.readouterr().err
+
+
+def test_run_and_summarize_never_import_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique without return_index, return_inverse or
+    # return_counts imports numpy.ma, at a cost in memory and start-up time
+    script = "\n".join([
+        "import sys",
+        "from summ.cli import main",
+        f"assert main({run_args(tmp_path / 'report.json', 'json')!r}) == 0",
+        f"assert main(['summarize', '--corpus', {FIXTURE!r}, '--cluster', 'c01-storm']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -4,13 +4,10 @@ import random
 import pytest
 
 from summ.corpus import TokenizationConfig, cluster_from_sentences
-from summ.features import (
-    SentenceVector,
-    cosine_similarity,
-    tfidf_vectors,
-)
+from summ.features import SentenceVector, cosine_similarity
 
 from ngram_counting import ngrams
+from tfidf_reference import tfidf_vectors
 
 PLAIN = TokenizationConfig(
     lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1

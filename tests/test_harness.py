@@ -497,6 +497,18 @@ class TestEmitReport:
         assert lines[0].split(",") == ["system", "R-1", "R-2", "R-4"]
         assert lines[1].startswith("lexrank,")
 
+    def test_csv_columns_in_order_of_n(self, tmp_path):
+        config = fixture_config(systems=("centroid",), aggregators=(), rouge_orders=(10, 1, 2))
+        path = emit_report(run_evaluation(config), "csv", tmp_path / "report.csv")
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "system,R-1,R-2,R-10"
+
+    def test_markdown_columns_in_order_of_n(self, tmp_path):
+        config = fixture_config(systems=("centroid",), aggregators=(), rouge_orders=(10, 1, 2))
+        path = emit_report(run_evaluation(config), "markdown", tmp_path / "report.md")
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "| System | R-1 | R-2 | R-10 |"
+
     def test_markdown_rows(self, tmp_path):
         config = fixture_config()
         report = run_evaluation(config)

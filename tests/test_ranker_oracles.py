@@ -1,12 +1,14 @@
 """Differential tests: the vectorized rankers against plain-loop references.
 
 The reference implementations below are the original pure-Python loops of
-``greedykl_rank``, ``lexrank_rank`` and ``textrank_rank``.  The package's
-numpy rankers must reproduce their scores and ranks exactly (``==``, no
-tolerance), since reports are compared byte for byte.  Likewise
-``topicsum_rank``, given corpus totals, must reproduce the original
-leave-one-out background path, and ``ClusterFeatures.entries`` the
-per-sentence ``Counter``s it replaced.
+``greedykl_rank``, ``lexrank_rank``, ``textrank_rank``, ``centroid_rank``
+and ``freqsum_rank``.  The package's numpy rankers must reproduce their
+scores and ranks exactly (``==``, no tolerance), since reports are
+compared byte for byte.  Likewise ``topicsum_rank``, given corpus totals,
+must reproduce the original leave-one-out background path,
+``ClusterFeatures.entries`` the per-sentence ``Counter``s it replaced, and
+``ClusterFeatures.vectors`` the dict TF-IDF vectors of
+``tests/tfidf_reference.py``.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
-from summ.features import cosine_similarity, tfidf_vectors
+from summ.features import cosine_similarity
 from summ.harness import _token_counts
 from summ.summarizers import (
     ClusterFeatures,
@@ -27,6 +29,9 @@ from summ.summarizers import (
     SummarizerConfig,
     _graph_rank,
     _kl_smoothing,
+    _power_iteration,
+    centroid_rank,
+    freqsum_rank,
     greedykl_rank,
     lexrank_rank,
     log_likelihood_ratio,
@@ -34,6 +39,8 @@ from summ.summarizers import (
     topic_words,
     topicsum_rank,
 )
+
+from tfidf_reference import tfidf_vectors
 
 
 def reference_lexrank_rank(
@@ -140,10 +147,47 @@ def reference_greedykl_rank(
     return RankList.from_scores("greedykl", scores)
 
 
+def reference_centroid_rank(
+    cluster: DocumentCluster, config: SummarizerConfig
+) -> RankList:
+    """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
+    vectors = tfidf_vectors(cluster)
+    n = len(vectors)
+    centroid: dict[str, float] = {}
+    for vector in vectors:
+        for token, weight in vector.weights.items():
+            centroid[token] = centroid.get(token, 0.0) + weight
+    centroid = {t: w / n for t, w in centroid.items()}
+    scores = []
+    for sentence in cluster.sentences:
+        seen = dict.fromkeys(sentence.tokens)
+        scores.append(sum(centroid.get(t, 0.0) for t in seen))
+    return RankList.from_scores("centroid", scores)
+
+
+def reference_freqsum_rank(
+    cluster: DocumentCluster, config: SummarizerConfig
+) -> RankList:
+    """Average cluster-frequency of a sentence's content words."""
+    counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
+    total = sum(counts.values())
+    scores = []
+    for sentence in cluster.sentences:
+        if total == 0 or not sentence.tokens:
+            scores.append(0.0)
+            continue
+        scores.append(
+            sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
+        )
+    return RankList.from_scores("freqsum", scores)
+
+
 PAIRS = {
     "greedykl": (greedykl_rank, reference_greedykl_rank),
     "lexrank": (lexrank_rank, reference_lexrank_rank),
     "textrank": (textrank_rank, reference_textrank_rank),
+    "centroid": (centroid_rank, reference_centroid_rank),
+    "freqsum": (freqsum_rank, reference_freqsum_rank),
 }
 WORDS = TokenizationConfig(
     lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
@@ -162,6 +206,9 @@ def assert_identical(cluster, config):
         got, want = ranker(ClusterFeatures(cluster), config), reference(cluster, config)
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
+    # the same weights, each sentence's tokens in the same order
+    got = [list(v.weights.items()) for v in ClusterFeatures(cluster).vectors]
+    assert got == [list(v.weights.items()) for v in tfidf_vectors(cluster)]
 
 
 # A sentence is 0-7 words from a small vocabulary, so clusters have
@@ -201,6 +248,12 @@ EDGE_CASES = {
     ],
     # leading empty sentences: zero denominators at the first step when k = 0
     "empty_sentences_first": [[".", "!", "ash birch ash"], ["...", "birch cedar"]],
+    # every token is in every document: no TF-IDF weight at all
+    "single_document": [["ash birch ash", ".", "cedar birch dune"]],
+    # "ash" is in every document and drops out of each vector
+    "token_in_every_document": [
+        ["ash birch ash", "cedar"], ["dune ash", "."], ["elm fern ash birch fern"],
+    ],
 }
 
 
@@ -214,22 +267,24 @@ def test_edge_cases_match_references(docs, config):
     assert_identical(make_cluster(docs), config)
 
 
-def reference_entries(cluster: DocumentCluster) -> list[list[int]]:
-    """(sentence, token id, count) columns from per-sentence Counters."""
+def reference_entries(cluster: DocumentCluster, order=sorted) -> list[list[int]]:
+    """(sentence, token id, count) columns from per-sentence Counters, each
+    sentence's tokens in ``order``."""
     vocab = sorted({t for s in cluster.sentences for t in s.tokens})
     ids = {t: i for i, t in enumerate(vocab)}
     entries = [
         (row, ids[token], count)
         for row, sentence in enumerate(cluster.sentences)
-        for token, count in sorted(Counter(sentence.tokens).items())
+        for token, count in order(Counter(sentence.tokens).items())
     ]
     return [[entry[c] for entry in entries] for c in range(3)]
 
 
 def assert_entries_identical(cluster):
-    got = ClusterFeatures(cluster).entries
-    assert [column.dtype for column in got] == [np.int64] * 3
-    assert [column.tolist() for column in got] == reference_entries(cluster)
+    features = ClusterFeatures(cluster)
+    for got, order in [(features.entries, sorted), (features.first_entries, list)]:
+        assert [column.dtype for column in got] == [np.int64] * 3
+        assert [column.tolist() for column in got] == reference_entries(cluster, order)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -292,6 +347,38 @@ def test_long_cluster_matches_references():
         ]
         docs.append(doc + doc[:2])  # copied lead sentences give exact ties
     assert_identical(make_cluster(docs), SummarizerConfig())
+
+
+def reference_power_iteration(
+    adjacency: np.ndarray, config: SummarizerConfig
+) -> np.ndarray:
+    """Stationary distribution of the damped, row-normalized walk."""
+    n = adjacency.shape[0]
+    row_sums = adjacency.sum(axis=1)
+    transition = np.full((n, n), 1.0 / n)
+    nonzero = row_sums > 0
+    transition[nonzero] = adjacency[nonzero] / row_sums[nonzero, None]
+    teleport = (1.0 - config.damping) / n
+    p = np.full(n, 1.0 / n)
+    for _ in range(config.power_iter_max):
+        p_next = config.damping * (transition.T @ p) + teleport
+        if np.abs(p_next - p).sum() <= config.power_iter_tol:
+            return p_next
+        p = p_next
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 300])
+def test_power_iteration_in_place_matches_reference(n):
+    # weighted graphs with isolated nodes, whose rows become uniform
+    rng = np.random.default_rng(n)
+    weights = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    weights[:, rng.random(n) < 0.2] = 0.0
+    weights = weights + weights.T
+    weights[rng.random(n) < 0.2] = 0.0
+    for config in (SummarizerConfig(), SummarizerConfig(power_iter_max=3)):
+        want = reference_power_iteration(weights, config)
+        assert _power_iteration(weights.copy(), config).tolist() == want.tolist()
 
 
 def reference_background_counts(

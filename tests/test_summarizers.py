@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from summ.summarizers import (
     topicsum_rank,
 )
 
-from test_ranker_oracles import textrank_edge_weight
+from test_ranker_oracles import textrank_edge_weight, zipf_corpus
 
 WORDS = TokenizationConfig(
     lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
@@ -169,7 +170,7 @@ class TestPowerIteration:
                         adjacency[i, j] = adjacency[j, i] = rng.uniform(0.1, 1.0)
             if adjacency.sum() == 0:
                 continue
-            p = _power_iteration(adjacency, CONFIG)
+            p = _power_iteration(adjacency.copy(), CONFIG)  # it normalizes in place
             assert p.sum() == pytest.approx(1.0, abs=1e-6)
             row_sums = adjacency.sum(axis=1)
             transition = np.full((n, n), 1.0 / n)
@@ -208,6 +209,25 @@ class TestLexrank:
         assert "falling back to uniform" in caplog.text
         assert rl.scores == (0.5, 0.5)
         assert rl.ranks == (1, 2)
+
+
+class TestGraphMemory:
+    @pytest.mark.parametrize("ranker", [lexrank_rank, textrank_rank])
+    def test_peak_is_at_most_two_and_a_half_dense_arrays(self, ranker):
+        # a 1 000-sentence cluster: the ranker's n x n float64 arrays, not
+        # the cluster's features, set the peak
+        cluster = make_cluster(zipf_corpus(11, 1, 10, 100)[0])
+        n = len(cluster.sentences)
+        features = ClusterFeatures(cluster)
+        features.entries, features.vectors  # built before the count starts
+        tracemalloc.start()
+        try:
+            ranker(features, CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 1000
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestTextrank:
@@ -419,7 +439,7 @@ class TestExtractSummary:
         rl = RankList.from_scores("x", [4.0, 3.0, 2.0, 1.0])
         summary = extract_summary(
             rl, cluster, LengthBudget("words", 6),
-            redundancy_cap=RedundancyCap(0.99, ClusterFeatures(cluster).tfidf),
+            redundancy_cap=RedundancyCap(0.99, ClusterFeatures(cluster).vectors),
         )
         assert summary.sentence_indices == (0, 2)
 
