@@ -29,7 +29,6 @@ from .corpus import (
     segment_sentences,
     tokenize,
 )
-from .features import SentenceVector, cosine_similarity
 from .harness import (
     EvalReport,
     NoSuccessfulClustersError,
@@ -45,10 +44,10 @@ from .summarizers import (
     ClusterFeatures,
     LengthBudget,
     RankList,
-    RedundancyCap,
     Summary,
     SummarizerConfig,
     centroid_rank,
+    cosine_similarity,
     extract_summary,
     freqsum_rank,
     greedykl_rank,

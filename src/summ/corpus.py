@@ -3,8 +3,9 @@
 A cluster is a set of topically related documents that get summarized
 jointly.  Loading runs in two steps: ``read_corpus`` parses and validates
 every record of a corpus, and ``build_cluster`` segments one record's
-documents into sentences, assigns dense cluster-global sentence indices,
-runs the token pipeline and attaches the record's reference summaries.
+documents into sentences, kept in document order (a sentence's index is
+its position in ``DocumentCluster.sentences``), runs the token pipeline
+and attaches the record's reference summaries.
 Loaded clusters are immutable and safe to share across threads.
 
 Two on-disk layouts are supported:
@@ -28,7 +29,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -62,11 +63,9 @@ RAW_SEQUENCE_CONFIG = TokenizationConfig(
 
 @dataclass(frozen=True)
 class Sentence:
-    index: int
     raw_text: str
     tokens: tuple[str, ...]
     doc_id: str
-    position_in_doc: int
     eligible: bool = True  # long enough for summary membership
 
 
@@ -100,7 +99,6 @@ class DocumentCluster:
     documents: tuple[Document, ...]
     sentences: tuple[Sentence, ...]
     references: tuple[ReferenceSummary, ...] = ()
-    config: TokenizationConfig = field(default_factory=TokenizationConfig)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -210,8 +208,8 @@ def cluster_from_sentences(
 ) -> DocumentCluster:
     """Build a cluster from pre-segmented sentences.
 
-    ``doc_sentences`` is a list of ``(doc_id, sentences)`` pairs; sentence
-    indices are assigned densely in document order.  This is the common
+    ``doc_sentences`` is a list of ``(doc_id, sentences)`` pairs; the
+    cluster keeps the sentences in that order.  This is the common
     constructor behind both loaders and is handy for synthetic clusters.
     """
     config = config or TokenizationConfig()
@@ -225,15 +223,13 @@ def cluster_from_sentences(
     sentences: list[Sentence] = []
     for doc_id, sents in doc_sentences:
         documents.append(Document(doc_id=doc_id, text=" ".join(sents)))
-        for pos, raw in enumerate(sents):
+        for raw in sents:
             tokens = tuple(tokenize(raw, config))
             sentences.append(
                 Sentence(
-                    index=len(sentences),
                     raw_text=raw,
                     tokens=tokens,
                     doc_id=doc_id,
-                    position_in_doc=pos,
                     eligible=len(tokens) >= config.min_sentence_tokens,
                 )
             )
@@ -242,7 +238,6 @@ def cluster_from_sentences(
         documents=tuple(documents),
         sentences=tuple(sentences),
         references=refs,
-        config=config,
     )
 
 

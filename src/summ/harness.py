@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -43,7 +44,6 @@ from .summarizers import (
     CANDIDATE_SYSTEMS,
     ClusterFeatures,
     RankList,
-    RedundancyCap,
     Summary,
     SummarizerConfig,
     centroid_rank,
@@ -203,7 +203,7 @@ class _ClusterPipeline:
     The rankers and the redundancy cap share one ``ClusterFeatures``.
     The peer inputs (the systems' own summaries, the cluster's n-gram
     index and the references in it, the cwcs weights) are built on first
-    use and shared from then on.
+    use and shared from then on; a build that raises keeps nothing.
     """
 
     def __init__(self, cluster: DocumentCluster, corpus_counts: Counter,
@@ -223,12 +223,6 @@ class _ClusterPipeline:
             except Exception as exc:
                 self.failures[name] = str(exc)
         self.systems = [s for s in config.systems if s in self.rank_lists]
-        self._built: dict = {}
-
-    def _once(self, key: str, build):
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
 
     def units(self, summaries: dict[str, Summary]) -> dict[str, tuple[str, ...]]:
         """Each summary as its sentence texts, with the sentences the index
@@ -241,31 +235,31 @@ class _ClusterPipeline:
         self.index.add(chain.from_iterable(units.values()), prepare_sentences)
         return units
 
+    @cached_property
     def system_units(self) -> dict[str, tuple[str, ...]]:
         """The systems' own (uncapped) summaries, as index units."""
         budget = self.config.summarizer.budget
-        return self._once("systems", lambda: self.units({
-            s: extract_summary(self.rank_lists[s], self.cluster, budget)
-            for s in self.systems
-        }))
+        return self.units({
+            s: extract_summary(self.rank_lists[s], self.features, budget) for s in self.systems
+        })
 
+    @cached_property
     def references(self) -> NgramIndex:
         """The index, with the references tokenized into it."""
-        self._once("references", lambda: self.index.set_references(
-            [prepare_text(r.text) for r in self.cluster.references]
-        ))
+        self.index.set_references([prepare_text(r.text) for r in self.cluster.references])
         return self.index
 
+    @cached_property
     def raw_weights(self) -> list[float]:
-        return self._once("raw-weights", lambda: cwcs_raw_weights(
-            [self.index.unigrams(unit) for unit in self.system_units().values()]
-        ))
+        return cwcs_raw_weights(
+            [self.index.unigrams(unit) for unit in self.system_units.values()]
+        )
 
     def extract(self, rank_list: RankList) -> Summary:
         """The rank list's summary under the configured redundancy cap."""
-        limit = self.config.redundancy_cap
-        cap = None if limit is None else RedundancyCap(limit, self.features.vectors)
-        return extract_summary(rank_list, self.cluster, self.config.summarizer.budget, cap)
+        return extract_summary(
+            rank_list, self.features, self.config.summarizer.budget, self.config.redundancy_cap
+        )
 
     def fuse(self, aggregator: str) -> tuple[RankList, str | None]:
         """The aggregator's rank list, and the system the oracle picked
@@ -279,13 +273,13 @@ class _ClusterPipeline:
             return wcs_aggregate(lists, self.config.wcs).rank_list, None
         if aggregator == "cwcs":
             try:
-                weights = cwcs_weights(self.raw_weights())
+                weights = cwcs_weights(self.raw_weights)
             except ValueError as exc:
                 raise ValueError("peer-agreement weights unavailable") from exc
             return cwcs_aggregate(lists, weights).rank_list, None
-        index = self.references()
+        index = self.references
         best, _ = oracle_select(
-            [index.counts(unit, 1) for unit in self.system_units().values()],
+            [index.counts(unit, 1) for unit in self.system_units.values()],
             index.references(1), n=1,
         )
         return lists[best], self.systems[best]
@@ -326,10 +320,10 @@ def _evaluate_cluster_inner(
     raw_weights: dict[str, float] = {}
     if len(pipeline.systems) >= 2:
         try:
-            raw_weights = dict(zip(pipeline.systems, pipeline.raw_weights()))
+            raw_weights = dict(zip(pipeline.systems, pipeline.raw_weights))
         except Exception as exc:
             failures["cwcs-weights"] = str(exc)
-    units = dict(pipeline.system_units())
+    units = dict(pipeline.system_units)
     summaries: dict[str, Summary] = {}
     for aggregator in config.aggregators:
         try:
@@ -345,7 +339,7 @@ def _evaluate_cluster_inner(
     scores: dict[str, dict[str, float]] = {}
     scored = False
     if cluster.references:
-        index = pipeline.references()
+        index = pipeline.references
         for n in config.rouge_orders:
             if not any(index.references(n)):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"

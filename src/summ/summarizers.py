@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import DocumentCluster
-from .features import SentenceVector, cosine_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -134,11 +133,9 @@ class RankList:
 
 @dataclass(frozen=True)
 class Summary:
-    """Extracted sentence indices in selection order, plus size tallies."""
+    """Extracted sentence indices in selection order."""
 
     sentence_indices: tuple[int, ...]
-    token_count: int
-    byte_count: int
 
 
 def _uniform_ranklist(system_id: str, n: int) -> RankList:
@@ -183,8 +180,9 @@ def _graph_rank(
 
 
 class ClusterFeatures:
-    """One cluster's term statistics, each built on first use and kept, so
-    that every ranker and the redundancy cap share one copy."""
+    """One cluster's term statistics and its exact TF-IDF cosine, each
+    built on first use and kept, so that every ranker and the redundancy
+    cap share one copy."""
 
     def __init__(self, cluster: DocumentCluster):
         self.cluster = cluster
@@ -200,11 +198,17 @@ class ClusterFeatures:
         return {t: i for i, t in enumerate(sorted(self.counts))}
 
     @cached_property
+    def lengths(self) -> np.ndarray:
+        """Tokens per sentence, int64."""
+        sentences = self.cluster.sentences
+        return np.fromiter((len(s.tokens) for s in sentences), np.int64, len(sentences))
+
+    @cached_property
     def stream(self) -> tuple[np.ndarray, np.ndarray]:
         """Every token in text order, as (sentence, token id) int64 arrays."""
-        sentences, ids = self.cluster.sentences, self.ids
-        lengths = [len(s.tokens) for s in sentences]
-        token = np.fromiter((ids[t] for s in sentences for t in s.tokens), np.int64, sum(lengths))
+        sentences, ids, lengths = self.cluster.sentences, self.ids, self.lengths
+        total = int(lengths.sum())
+        token = np.fromiter((ids[t] for s in sentences for t in s.tokens), np.int64, total)
         return np.repeat(np.arange(len(sentences), dtype=np.int64), lengths), token
 
     @cached_property
@@ -233,13 +237,43 @@ class ClusterFeatures:
         return tfidf_vectors(self)
 
     @cached_property
-    def vectors(self) -> tuple[SentenceVector, ...]:
-        """``tfidf`` as one vector per sentence, for ``cosine_similarity``."""
+    def vectors(self) -> tuple[dict[int, float], ...]:
+        """``tfidf`` as one {token id: weight} dict per sentence, for
+        ``cosine_similarity``; zero weights are never stored."""
         rows, cols, weights = self.tfidf
-        vocab, vectors = list(self.ids), [SentenceVector({}) for _ in self.cluster.sentences]
+        vectors: list[dict[int, float]] = [{} for _ in self.cluster.sentences]
         for row, col, weight in zip(rows.tolist(), cols.tolist(), weights.tolist()):
-            vectors[row].weights[vocab[col]] = weight
+            vectors[row][col] = weight
         return tuple(vectors)
+
+    @cached_property
+    def norms(self) -> tuple[float, ...]:
+        """Each sentence's TF-IDF norm, ``sqrt(fsum(w * w))``, or 1.0 for a
+        sentence with no weights, so that dividing by it keeps 0 at 0."""
+        rows, _, weights = self.tfidf
+        squares = (weights * weights).tolist()
+        bounds = np.searchsorted(rows, np.arange(len(self.cluster.sentences) + 1)).tolist()
+        return tuple(
+            math.sqrt(math.fsum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])
+        )
+
+
+def cosine_similarity(features: ClusterFeatures, i: int, j: int) -> float:
+    """Cosine of sentences i and j's TF-IDF vectors; 0 when either is empty.
+
+    Sums use ``math.fsum`` so the result is independent of key order,
+    which keeps the similarity exactly symmetric.
+    """
+    a, b = features.vectors[i], features.vectors[j]
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = math.fsum(w * b[t] for t, w in a.items() if t in b)
+    if dot == 0.0:
+        return 0.0
+    norms = features.norms
+    return min(1.0, dot / (norms[i] * norms[j]))
 
 
 def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,12 +330,7 @@ def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarra
     rows, cols, weights = features.tfidf
     n = len(features.cluster.sentences)
     cosine = _cross_products(n, rows, cols, weights)
-    # the norms of SentenceVector.norm, so that empty rows stay 0
-    squares = (weights * weights).tolist()
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    norms = np.array([
-        math.sqrt(math.fsum(squares[a:b])) or 1.0 for a, b in zip(bounds, bounds[1:])
-    ])
+    norms = np.array(features.norms)
     cosine /= norms[:, None]
     cosine /= norms
     edges = np.triu(cosine > threshold, 1)
@@ -311,7 +340,7 @@ def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarra
     near &= cosine > 0.0
     del cosine  # freed before the float adjacency is made
     for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        edges[i, j] = cosine_similarity(features.vectors[i], features.vectors[j]) > threshold
+        edges[i, j] = cosine_similarity(features, i, j) > threshold
     edges |= edges.T
     return edges.astype(float)
 
@@ -328,16 +357,15 @@ def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     Zero for sentences of length <= 1 (the normalizer would vanish) and on
     the diagonal.
     """
-    sentences = features.cluster.sentences
     rows, cols, _ = features.entries
+    lengths = features.lengths
     # shared-type counts, exact integers
-    weights = _cross_products(len(sentences), rows, cols, np.ones(len(cols)))
-    lengths = [len(s.tokens) for s in sentences]
+    weights = _cross_products(len(lengths), rows, cols, np.ones(len(cols)))
     # math.log, which np.log can miss by an ulp; 1.0 stands in for short
     # sentences, whose rows and columns are zeroed below
-    log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths])
+    log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths.tolist()])
     weights /= np.add.outer(log_len, log_len)
-    short = np.array([m <= 1 for m in lengths])
+    short = lengths <= 1
     weights[short] = 0.0
     weights[:, short] = 0.0
     np.fill_diagonal(weights, 0.0)
@@ -363,10 +391,10 @@ def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLis
     """Average cluster-frequency of a sentence's content words, added in
     text order; a sentence with no tokens scores 0.0."""
     rows, tokens = features.stream
-    n = len(features.cluster.sentences)
+    lengths = features.lengths
     frequencies = np.bincount(tokens, minlength=len(features.ids))[tokens] / len(tokens)
-    sums = np.bincount(rows, frequencies, minlength=n)
-    return RankList.from_scores("freqsum", sums / np.maximum(np.bincount(rows, minlength=n), 1))
+    sums = np.bincount(rows, frequencies, minlength=len(lengths))
+    return RankList.from_scores("freqsum", sums / np.maximum(lengths, 1))
 
 
 def _binomial_ll(k: float, n: float, p: float) -> float:
@@ -464,9 +492,10 @@ def topicsum_rank(
     """Fraction of a sentence's tokens that are topic-signature words."""
     signature = topic_words(features, corpus_counts, config.topic_llr_threshold)
     rows, tokens = features.stream
-    n = len(features.cluster.sentences)
-    hits = np.bincount(rows, np.array([t in signature for t in features.ids])[tokens], minlength=n)
-    return RankList.from_scores("topicsum", hits / np.maximum(np.bincount(rows, minlength=n), 1))
+    lengths = features.lengths
+    in_signature = np.array([t in signature for t in features.ids])
+    hits = np.bincount(rows, in_signature[tokens], minlength=len(lengths))
+    return RankList.from_scores("topicsum", hits / np.maximum(lengths, 1))
 
 
 def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
@@ -540,7 +569,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     cells = table.reshape(-1)  # a view: row updates show through
     cell = token * len(steps) + entry_column[:-1]
     starts = np.searchsorted(entry_sentence, np.arange(n + 1))
-    lengths = np.bincount(features.stream[0], minlength=n)
+    lengths = features.lengths.copy()  # a chosen sentence's entry is overwritten
     # slot i first receives the running sum, then sentence i's addends
     slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
@@ -572,58 +601,42 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     return RankList.from_scores("greedykl", scores)
 
 
-@dataclass(frozen=True)
-class RedundancyCap:
-    """Cosine-similarity cap over one cluster's TF-IDF vectors
-    (``ClusterFeatures.vectors``), shared by every extraction from it."""
-
-    limit: float
-    vectors: tuple[SentenceVector, ...]
-
-
 def extract_summary(
     rank_list: RankList,
-    cluster: DocumentCluster,
+    features: ClusterFeatures,
     budget: LengthBudget,
-    redundancy_cap: RedundancyCap | None = None,
+    cap: float | None = None,
 ) -> Summary:
     """Greedy prefix of the rank order under the length budget.
 
-    Ineligible (too short) sentences are skipped; with ``redundancy_cap``
-    set, a sentence whose cosine similarity to any already selected
-    sentence exceeds its limit is skipped too.  The walk stops at the
+    Ineligible (too short) sentences are skipped; with ``cap`` set, a
+    sentence whose TF-IDF cosine (``cosine_similarity``) to any already
+    selected sentence exceeds it is skipped too.  The walk stops at the
     first sentence that would overflow the budget, so sentences are never
     truncated.  Word cost is the whitespace word count of the raw text;
     byte cost is its UTF-8 length plus one separator byte between
     sentences.
     """
-    vectors = redundancy_cap.vectors if redundancy_cap is not None else None
+    cluster = features.cluster
     chosen: list[int] = []
-    words = 0
-    size = 0
+    used = 0
     for idx in rank_list.order():
         sentence = cluster.sentences[idx]
         if not sentence.eligible:
             continue
-        if vectors is not None and any(
-            cosine_similarity(vectors[idx], vectors[j]) > redundancy_cap.limit
-            for j in chosen
-        ):
+        if cap is not None and any(cosine_similarity(features, idx, j) > cap for j in chosen):
             continue
-        word_cost = len(sentence.raw_text.split())
-        byte_cost = len(sentence.raw_text.encode("utf-8")) + (1 if chosen else 0)
-        cost = word_cost if budget.kind == "words" else byte_cost
-        used = words if budget.kind == "words" else size
+        if budget.kind == "words":
+            cost = len(sentence.raw_text.split())
+        else:
+            cost = len(sentence.raw_text.encode("utf-8")) + (1 if chosen else 0)
         if used + cost > budget.limit:
             break
         chosen.append(idx)
-        words += word_cost
-        size += byte_cost
+        used += cost
     if not chosen:
         logger.warning(
             "budget %s:%d fits no sentence of cluster %s; summary is empty",
             budget.kind, budget.limit, cluster.cluster_id,
         )
-    return Summary(
-        sentence_indices=tuple(chosen), token_count=words, byte_count=size
-    )
+    return Summary(sentence_indices=tuple(chosen))

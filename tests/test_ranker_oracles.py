@@ -7,8 +7,8 @@ scores and ranks exactly (``==``, no tolerance), since reports are
 compared byte for byte.  Likewise ``topicsum_rank``, given corpus totals,
 must reproduce the original leave-one-out background path,
 ``ClusterFeatures.entries`` the per-sentence ``Counter``s it replaced, and
-``ClusterFeatures.vectors`` the dict TF-IDF vectors of
-``tests/tfidf_reference.py``.
+``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors of
+``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
 """
 
 import math
@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
-from summ.features import cosine_similarity
 from summ.harness import _token_counts
 from summ.summarizers import (
     ClusterFeatures,
@@ -40,7 +39,7 @@ from summ.summarizers import (
     topicsum_rank,
 )
 
-from tfidf_reference import tfidf_vectors
+from tfidf_reference import cosine_similarity, tfidf_vectors
 
 
 def reference_lexrank_rank(
@@ -207,7 +206,9 @@ def assert_identical(cluster, config):
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
     # the same weights, each sentence's tokens in the same order
-    got = [list(v.weights.items()) for v in ClusterFeatures(cluster).vectors]
+    features = ClusterFeatures(cluster)
+    vocab = list(features.ids)
+    got = [[(vocab[t], w) for t, w in v.items()] for v in features.vectors]
     assert got == [list(v.weights.items()) for v in tfidf_vectors(cluster)]
 
 

@@ -11,7 +11,6 @@ from summ.summarizers import (
     LengthBudget,
     ClusterFeatures,
     RankList,
-    RedundancyCap,
     SummarizerConfig,
     _power_iteration,
     centroid_rank,
@@ -408,14 +407,28 @@ class TestGreedyKL:
             )
 
 
+def extract(rank_list, cluster, budget, cap=None):
+    return extract_summary(rank_list, ClusterFeatures(cluster), budget, cap)
+
+
+def word_cost(cluster, summary):
+    return sum(len(cluster.sentences[i].raw_text.split()) for i in summary.sentence_indices)
+
+
+def byte_cost(cluster, summary):
+    """UTF-8 bytes of the sentences, joined by one separator byte."""
+    texts = [cluster.sentences[i].raw_text for i in summary.sentence_indices]
+    return len(" ".join(texts).encode("utf-8"))
+
+
 class TestExtractSummary:
     def test_word_budget_prefix(self):
         sentences = [" ".join([f"w{i}{j}" for j in range(40)]) for i in range(3)]
         cluster = make_cluster([sentences])
         rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
-        summary = extract_summary(rl, cluster, LengthBudget("words", 100))
+        summary = extract(rl, cluster, LengthBudget("words", 100))
         assert summary.sentence_indices == (0, 1)
-        assert summary.token_count == 80
+        assert word_cost(cluster, summary) == 80
 
     def test_stops_at_first_overflow(self):
         # rank order: 60-word, 60-word, 30-word; the second overflows and
@@ -427,7 +440,7 @@ class TestExtractSummary:
         ]
         cluster = make_cluster([sentences])
         rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
-        summary = extract_summary(rl, cluster, LengthBudget("words", 100))
+        summary = extract(rl, cluster, LengthBudget("words", 100))
         assert summary.sentence_indices == (0,)
 
     def test_redundancy_cap_skips_duplicate(self):
@@ -437,19 +450,16 @@ class TestExtractSummary:
         ]
         cluster = make_cluster(docs)
         rl = RankList.from_scores("x", [4.0, 3.0, 2.0, 1.0])
-        summary = extract_summary(
-            rl, cluster, LengthBudget("words", 6),
-            redundancy_cap=RedundancyCap(0.99, ClusterFeatures(cluster).vectors),
-        )
+        summary = extract(rl, cluster, LengthBudget("words", 6), cap=0.99)
         assert summary.sentence_indices == (0, 2)
 
     def test_byte_budget_hand_simulation(self):
         # costs: 9, then 1 + 9, then 1 + 2; budget 19 fits exactly two
         cluster = make_cluster([["aaaa bbbb", "cccc dddd", "ee"]])
         rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
-        summary = extract_summary(rl, cluster, LengthBudget("bytes", 19))
+        summary = extract(rl, cluster, LengthBudget("bytes", 19))
         assert summary.sentence_indices == (0, 1)
-        assert summary.byte_count == 19
+        assert byte_cost(cluster, summary) == 19
 
     def test_ineligible_sentences_skipped(self):
         config = TokenizationConfig(
@@ -457,14 +467,14 @@ class TestExtractSummary:
         )
         cluster = make_cluster([["too short", "this one is long enough"]], config)
         rl = RankList.from_scores("x", [2.0, 1.0])
-        summary = extract_summary(rl, cluster, LengthBudget("words", 10))
+        summary = extract(rl, cluster, LengthBudget("words", 10))
         assert summary.sentence_indices == (1,)
 
     def test_budget_below_first_sentence(self, caplog):
         cluster = make_cluster([["five words are in here"]])
         rl = RankList.from_scores("x", [1.0])
         with caplog.at_level("WARNING"):
-            summary = extract_summary(rl, cluster, LengthBudget("words", 3))
+            summary = extract(rl, cluster, LengthBudget("words", 3))
         assert summary.sentence_indices == ()
         assert "empty" in caplog.text
 
@@ -480,14 +490,15 @@ class TestExtractSummary:
                 "x", [rng.random() for _ in range(len(sentences))]
             )
             limit = rng.randint(1, 40)
-            summary = extract_summary(rl, cluster, LengthBudget("words", limit))
-            assert summary.token_count <= limit
+            summary = extract(rl, cluster, LengthBudget("words", limit))
+            used = word_cost(cluster, summary)
+            assert used <= limit
             taken = set(summary.sentence_indices)
             for idx in rl.order():
                 if idx in taken:
                     continue
                 cost = len(cluster.sentences[idx].raw_text.split())
-                assert summary.token_count + cost > limit
+                assert used + cost > limit
                 break
 
 
