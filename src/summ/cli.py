@@ -78,6 +78,8 @@ def _load_config_file(path: str | None) -> dict:
         raise CorpusError(f"config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer over Python's digit limit
+        raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise UsageError(f"config file {path}: invalid JSON (nested too deeply)") from None
     if not isinstance(data, dict):

@@ -20,7 +20,9 @@ Two on-disk layouts are supported:
        "references": [{"author": str, "text": str}, ...]}
 
 All file I/O is strict UTF-8, and a byte-order mark opening a file is
-dropped; undecodable bytes raise ``CorpusError``.
+dropped; undecodable bytes raise ``CorpusError``.  So does a jsonl string
+that escapes a lone surrogate (``"\\ud800"``: valid JSON, but no text) and
+an integer longer than Python's digit limit for ``int`` conversion.
 """
 
 from __future__ import annotations
@@ -329,6 +331,10 @@ def _parse_jsonl_record(record, source: str) -> tuple[str, list, list]:
     fields = [cluster_id] + [x for pair in documents + references for x in pair]
     if not all(isinstance(x, str) for x in fields):
         raise CorpusError(f"{source}: malformed record (non-string field)")
+    try:  # JSON can escape a lone surrogate, which no UTF-8 text holds
+        "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusError(f"{source}: malformed record (lone surrogate in a string)") from None
     return cluster_id, documents, references
 
 
@@ -344,6 +350,8 @@ def _iter_jsonl(path: Path):
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{source}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer over Python's digit limit
+            raise CorpusError(f"{source}: invalid JSON ({exc})") from None
         except RecursionError:
             raise CorpusError(f"{source}: invalid JSON (nested too deeply)") from None
         yield source, record

@@ -194,7 +194,10 @@ class _ClusterOutcome:
     scores: dict  # unit -> {"R-n": recall}
     failures: dict  # unit or stage -> reason
     raw_weights: dict  # candidate system -> raw peer-agreement weight
-    scored: bool
+
+    @property
+    def scored(self) -> bool:
+        return bool(self.scores)
 
 
 class _ClusterPipeline:
@@ -299,7 +302,6 @@ def _evaluate_cluster(
             scores={},
             failures={"cluster": str(exc)},
             raw_weights={},
-            scored=False,
         )
 
 
@@ -337,7 +339,6 @@ def _evaluate_cluster_inner(
     units.update(pipeline.units(summaries))
 
     scores: dict[str, dict[str, float]] = {}
-    scored = False
     if cluster.references:
         index = pipeline.references
         for n in config.rouge_orders:
@@ -354,7 +355,6 @@ def _evaluate_cluster_inner(
                 row[f"R-{n}"] = score.recall
             if row:
                 scores[unit] = row
-                scored = True
     else:
         failures["cluster"] = "no reference summaries; excluded from averages"
 
@@ -364,7 +364,6 @@ def _evaluate_cluster_inner(
         scores=scores,
         failures=failures,
         raw_weights=raw_weights,
-        scored=scored,
     )
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -188,14 +187,16 @@ class ClusterFeatures:
         self.cluster = cluster
 
     @cached_property
-    def counts(self) -> Counter:
-        """Token counts over the cluster, keys in first-occurrence order."""
-        return Counter(t for sentence in self.cluster.sentences for t in sentence.tokens)
+    def ids(self) -> dict[str, int]:
+        """An id per token, numbering the sorted vocabulary; keys in first-occurrence order."""
+        ids = dict.fromkeys(chain.from_iterable(s.tokens for s in self.cluster.sentences))
+        ids.update(zip(sorted(ids), range(len(ids))))  # keeps the key order
+        return ids
 
     @cached_property
-    def ids(self) -> dict[str, int]:
-        """An id per token, numbering the vocabulary in sorted token order."""
-        return {t: i for i, t in enumerate(sorted(self.counts))}
+    def counts(self) -> np.ndarray:
+        """Token counts over the cluster, int64, indexed by token id."""
+        return np.bincount(self.stream[1], minlength=len(self.ids))
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -206,9 +207,9 @@ class ClusterFeatures:
     @cached_property
     def stream(self) -> tuple[np.ndarray, np.ndarray]:
         """Every token in text order, as (sentence, token id) int64 arrays."""
-        sentences, ids, lengths = self.cluster.sentences, self.ids, self.lengths
-        total = int(lengths.sum())
-        token = np.fromiter((ids[t] for s in sentences for t in s.tokens), np.int64, total)
+        sentences, lengths = self.cluster.sentences, self.lengths
+        tokens = chain.from_iterable(s.tokens for s in sentences)
+        token = np.fromiter(map(self.ids.__getitem__, tokens), np.int64, int(lengths.sum()))
         return np.repeat(np.arange(len(sentences), dtype=np.int64), lengths), token
 
     @cached_property
@@ -392,7 +393,7 @@ def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLis
     text order; a sentence with no tokens scores 0.0."""
     rows, tokens = features.stream
     lengths = features.lengths
-    frequencies = np.bincount(tokens, minlength=len(features.ids))[tokens] / len(tokens)
+    frequencies = features.counts[tokens] / len(tokens)
     sums = np.bincount(rows, frequencies, minlength=len(lengths))
     return RankList.from_scores("freqsum", sums / np.maximum(lengths, 1))
 
@@ -456,15 +457,15 @@ def topic_words(
     cluster's own counts.  The whole vocabulary is tested in one numpy
     pass, with the scalar rule's exact comparisons.
     """
-    counts = features.counts
-    n1 = sum(counts.values())
+    ids = features.ids
+    n1 = len(features.stream[1])
     n2 = sum(corpus_counts.values()) - n1
     if n2 == 0:
         raise ValueError("background required: no background token counts")
     if n1 == 0:
         return set()
-    tokens = list(counts)
-    k1 = np.fromiter(counts.values(), np.int64, len(tokens))
+    tokens = list(ids)  # first-occurrence order, so an error names the first short token
+    k1 = features.counts[np.fromiter(ids.values(), np.int64, len(tokens))]
     k2 = np.fromiter(map(corpus_counts.get, tokens, repeat(0)), np.int64, len(tokens)) - k1
     if (k2 < 0).any():
         token = tokens[int((k2 < 0).argmax())]
@@ -493,7 +494,8 @@ def topicsum_rank(
     signature = topic_words(features, corpus_counts, config.topic_llr_threshold)
     rows, tokens = features.stream
     lengths = features.lengths
-    in_signature = np.array([t in signature for t in features.ids])
+    in_signature = np.zeros(len(features.ids), dtype=bool)
+    in_signature[np.fromiter(map(features.ids.__getitem__, signature), np.int64)] = True
     hits = np.bincount(rows, in_signature[tokens], minlength=len(lengths))
     return RankList.from_scores("topicsum", hits / np.maximum(lengths, 1))
 
@@ -527,13 +529,11 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     candidate's summary length.
     """
     n = len(features.cluster.sentences)
-    cluster_counts, ids = features.counts, features.ids
-    total = sum(cluster_counts.values())
+    counts, total = features.counts, len(features.stream[1])
     if total == 0:
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
-    k = _kl_smoothing(len(cluster_counts), config)
-    vocab_size = len(cluster_counts)
-    counts = np.fromiter(map(cluster_counts.__getitem__, ids), np.int64, vocab_size)
+    vocab_size = len(counts)
+    k = _kl_smoothing(vocab_size, config)
     log_pc = _math_log(counts / total)
     entry_sentence, token, extra = features.entries
     # table columns: 0, then each distinct count a sentence adds to a token
@@ -554,7 +554,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     rows = gains - gains[:, :1]  # a row's change for each step
     zero_gains = gains[first_row, 0].tolist()
     # all-zero summary counts, summed in the cluster's first-occurrence order
-    base = sum(zero_gains[ids[t]] for t in cluster_counts)
+    base = sum(map(zero_gains.__getitem__, features.ids.values()))
     # for each summary length t = 0..total, the KL numerator's last term
     # (t + k * V) * log(t + k * (V + 1)) and the divisor t + k * (V + 1);
     # a zero divisor (k == 0, t == 0), and the entry past the end that a

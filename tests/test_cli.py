@@ -122,6 +122,14 @@ class TestRunCommand:
         assert f"usage error: config file {config}: invalid JSON" in err
         assert "Traceback" not in err
 
+    def test_overlong_integer_config_is_usage_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError past Python's int digit limit
+        config = tmp_path / "run.json"
+        config.write_text('{"jobs": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: config file {config}: invalid JSON (" in err
+
     def test_redundancy_cap_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
         # nan compares false with every similarity, so it used to drop the
         # cap silently; a negative cap kept one sentence per summary
@@ -231,6 +239,13 @@ class TestSummarizeCommand:
                      "references": [{"author": "A", "text": "\n"}]}),
          "cluster 'c04-bad': reference summary text must be non-empty"),
         ('{"cluster_id": "c04-bad", "documents": [', "{source}: invalid JSON ({reason})"),
+        # valid JSON that escapes a lone surrogate, which no UTF-8 text holds
+        pytest.param(json.dumps({"cluster_id": "c04-bad", "documents": [
+            {"id": "d0", "text": "Hurricane Marlow \ud800 struck"}]}),
+            "{source}: malformed record (lone surrogate in a string)", id="lone-surrogate"),
+        # an integer past Python's int digit limit
+        pytest.param('{"cluster_id": "c04-bad", "documents": [], "pages": ' + "1" * 5000 + "}",
+                     "{source}: invalid JSON ({reason})", id="overlong-integer"),
     ])
     def test_other_malformed_cluster_is_data_error(self, tmp_path, capsys, bad_line, message):
         # summarize builds one cluster but still reads and checks them all
@@ -243,6 +258,8 @@ class TestSummarizeCommand:
             reason = None
         except json.JSONDecodeError as exc:
             reason = exc.msg
+        except ValueError as exc:
+            reason = str(exc)
         code = main([
             "summarize", "--corpus", str(corpus), "--cluster", "c01-storm",
             "--aggregator", "cwcs",

@@ -6,9 +6,9 @@ and ``freqsum_rank``.  The package's numpy rankers must reproduce their
 scores and ranks exactly (``==``, no tolerance), since reports are
 compared byte for byte.  Likewise ``topicsum_rank``, given corpus totals,
 must reproduce the original leave-one-out background path,
-``ClusterFeatures.entries`` the per-sentence ``Counter``s it replaced, and
-``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors of
-``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
+``ClusterFeatures.entries``, ``ids`` and ``counts`` the ``Counter``s they
+replaced, and ``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors
+of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
 """
 
 import math
@@ -207,7 +207,7 @@ def assert_identical(cluster, config):
         assert got.ranks == want.ranks, name
     # the same weights, each sentence's tokens in the same order
     features = ClusterFeatures(cluster)
-    vocab = list(features.ids)
+    vocab = sorted(features.ids)
     got = [[(vocab[t], w) for t, w in v.items()] for v in features.vectors]
     assert got == [list(v.weights.items()) for v in tfidf_vectors(cluster)]
 
@@ -255,6 +255,11 @@ EDGE_CASES = {
     "token_in_every_document": [
         ["ash birch ash", "cedar"], ["dune ash", "."], ["elm fern ash birch fern"],
     ],
+    # greedykl's base sum, added in sorted-id order instead of first-occurrence
+    # order, rounds differently here and changes the default config's picks
+    "base_sum_order": [
+        ["w0"], ["w7 w1 w4 w11 w5 w7 w2", "w10 w2 w3 w11 w9 w10 w6"], [".", "w0 w2"],
+    ],
 }
 
 
@@ -286,6 +291,14 @@ def assert_entries_identical(cluster):
     for got, order in [(features.entries, sorted), (features.first_entries, list)]:
         assert [column.dtype for column in got] == [np.int64] * 3
         assert [column.tolist() for column in got] == reference_entries(cluster, order)
+    # the shared vocabulary: ids number the sorted tokens, keys keep the
+    # first-occurrence order of a Counter, and counts are indexed by id
+    counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
+    vocab = sorted(counts)
+    assert list(features.ids) == list(counts)
+    assert list(features.ids.values()) == list(map(vocab.index, counts))
+    assert features.counts.dtype == np.int64
+    assert features.counts.tolist() == [counts[t] for t in vocab]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -565,7 +578,7 @@ def test_topic_threshold_at_realised_ratio():
     corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     tested = 0
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
-        counts = ClusterFeatures(cluster).counts
+        counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
         n1, n2 = sum(counts.values()), sum(background.values())
         realised = sorted({
             log_likelihood_ratio(k1, n1, background[t], n2)
