@@ -162,19 +162,21 @@ def _run_config(
         rouge_orders=rouge_orders,
         redundancy_cap=None if redundancy_cap is None else float(redundancy_cap),
         jobs=_effective(args, file_config, "jobs", 1),
-        out=_effective(args, file_config, "out"),
-        emit=_effective(args, file_config, "emit", "csv"),
     )
 
 
 def _command_run(args: argparse.Namespace) -> int:
     file_config = _load_config_file(args.config)
     config = _run_config(args, file_config)
-    if config.out is None:
+    emit = _effective(args, file_config, "emit", "csv")
+    if emit not in EMIT_FORMATS:
+        raise UsageError(f"emit must be one of {EMIT_FORMATS}")
+    out = _effective(args, file_config, "out")
+    if out is None:
         raise UsageError("--out is required")
     report = run_evaluation(config)
-    emit_report(report, config.emit, config.out)
-    print(f"wrote {config.out}", file=sys.stderr)
+    emit_report(report, emit, out)
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

@@ -84,12 +84,8 @@ class RunConfig:
     rouge_orders: tuple[int, ...] = (1, 2, 4)
     redundancy_cap: float | None = None
     jobs: int = 1
-    out: str | Path | None = None
-    emit: str = "csv"
 
     def __post_init__(self):
-        if self.emit not in EMIT_FORMATS:
-            raise ValueError(f"emit must be one of {EMIT_FORMATS}")
         unknown = [s for s in self.systems if s not in CANDIDATE_SYSTEMS]
         if unknown:
             raise ValueError(f"unknown systems: {unknown}")
@@ -382,9 +378,22 @@ def _ranking(means: dict[str, float]) -> list[str]:
     return sorted(means, key=lambda s: (-means[s], s))
 
 
+def _recalls(outcomes: list[_ClusterOutcome], unit: str, order: str) -> dict[str, float]:
+    """``{cluster_id: recall}`` of the unit at the order, in cluster order,
+    for each cluster that scored it."""
+    return {
+        o.cluster_id: o.scores[unit][order]
+        for o in outcomes
+        if order in o.scores.get(unit, {})
+    }
+
+
 def _assemble_stats(
     outcomes: list[_ClusterOutcome], config: RunConfig
 ) -> dict:
+    """Run statistics.  Recalls are taken at the first ``rouge_orders``
+    entry: with orders (2, 4), ``true_rouge1_means``, the taus and the sign
+    tests all use R-2.  The key keeps its name, so reports keep their bits."""
     stats: dict = {}
     stats["clusters_total"] = len(outcomes)
     stats["clusters_scored"] = sum(1 for o in outcomes if o.scored)
@@ -394,21 +403,16 @@ def _assemble_stats(
 
     # pseudo-reference validity: systems ranked by true recall vs by raw
     # peer-agreement weight, corpus level and per cluster
-    scored = [o for o in outcomes if o.scored]
     first_order = f"R-{config.rouge_orders[0]}"
+    recalls = {s: _recalls(outcomes, s, first_order) for s in config.systems}
     true_means: dict[str, float] = {}
     weight_means: dict[str, float] = {}
     for system in config.systems:
-        recalls = [
-            o.scores[system][first_order]
-            for o in scored
-            if system in o.scores and first_order in o.scores[system]
-        ]
         weights = [
             o.raw_weights[system] for o in outcomes if system in o.raw_weights
         ]
-        if recalls:
-            true_means[system] = _mean(recalls)
+        if recalls[system]:
+            true_means[system] = _mean(list(recalls[system].values()))
         if weights:
             weight_means[system] = _mean(weights)
     stats["true_rouge1_means"] = true_means
@@ -422,18 +426,16 @@ def _assemble_stats(
     else:
         stats["kendall_tau_corpus"] = None
     per_cluster_tau = {}
-    for outcome in scored:
+    for outcome in outcomes:
+        cluster_id = outcome.cluster_id
         shared = [
-            s
-            for s in config.systems
-            if s in outcome.raw_weights
-            and s in outcome.scores
-            and first_order in outcome.scores[s]
+            s for s in config.systems
+            if s in outcome.raw_weights and cluster_id in recalls[s]
         ]
         if len(shared) < 2:
             continue
-        per_cluster_tau[outcome.cluster_id] = kendall_tau(
-            _ranking({s: outcome.scores[s][first_order] for s in shared}),
+        per_cluster_tau[cluster_id] = kendall_tau(
+            _ranking({s: recalls[s][cluster_id] for s in shared}),
             _ranking({s: outcome.raw_weights[s] for s in shared}),
         )
     stats["kendall_tau_per_cluster"] = per_cluster_tau
@@ -442,19 +444,14 @@ def _assemble_stats(
     # other unit, on per-cluster recalls at the first configured order
     tests = {}
     if "cwcs" in config.aggregators:
+        cwcs = _recalls(outcomes, "cwcs", first_order)
         units = [u for u in list(config.systems) + list(config.aggregators) if u != "cwcs"]
         for unit in units:
-            pairs = [
-                (o.scores["cwcs"][first_order], o.scores[unit][first_order])
-                for o in scored
-                if "cwcs" in o.scores
-                and unit in o.scores
-                and first_order in o.scores.get("cwcs", {})
-                and first_order in o.scores.get(unit, {})
-            ]
-            if not pairs:
+            other = _recalls(outcomes, unit, first_order)
+            common = [c for c in cwcs if c in other]
+            if not common:
                 continue
-            result = sign_test([p[0] for p in pairs], [p[1] for p in pairs])
+            result = sign_test([cwcs[c] for c in common], [other[c] for c in common])
             tests[f"cwcs_vs_{unit}"] = {
                 "p_value": result.p_value,
                 "wins_a": result.wins_a,

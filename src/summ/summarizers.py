@@ -398,51 +398,12 @@ def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLis
     return RankList.from_scores("freqsum", sums / np.maximum(lengths, 1))
 
 
-def _binomial_ll(k: float, n: float, p: float) -> float:
-    """log L(p; k, n) with the 0*log(0) := 0 convention."""
-    ll = 0.0
-    if k > 0:
-        ll += k * math.log(p)
-    if n - k > 0:
-        ll += (n - k) * math.log(1.0 - p)
-    return ll
-
-
-def log_likelihood_ratio(k1: int, n1: int, k2: int, n2: int) -> float:
-    """Dunning's signed-use likelihood-ratio statistic for one token.
-
-    Compares the token's rate in the foreground (k1 of n1) against the
-    background (k2 of n2); large values mean the rates genuinely differ.
-    """
-    p1 = k1 / n1
-    p2 = k2 / n2
-    p = (k1 + k2) / (n1 + n2)
-    return 2.0 * (
-        _binomial_ll(k1, n1, p1)
-        + _binomial_ll(k2, n2, p2)
-        - _binomial_ll(k1, n1, p)
-        - _binomial_ll(k2, n2, p)
-    )
-
-
 def _binomial_lls(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """``_binomial_ll`` of each element with ``np.log``.  An absent term
-    takes the log of 1.0, so it adds an exact 0.0 and no log(0) is taken."""
-    hits = k * np.log(np.where(k > 0, p, 1.0))
-    return hits + (n - k) * np.log(np.where(n - k > 0, 1.0 - p, 1.0))
-
-
-# Each binomial log-likelihood is a sum of terms <= 0, so with
-# S = -(l1 + l2 + l3 + l4) no term, likelihood or partial sum of the ratio
-# exceeds S in size.  The numpy ratio has the scalar rule's operands and
-# order of operations; only its logs differ, np.log from math.log by a few
-# ulps at most (say d <= 8 eps, eps = 2**-52).  A product then differs by
-# (d + eps) of its size, a likelihood by (d + 2 eps) and the ratio's three
-# sums add 3 eps * S, so the two ratios differ by under
-# 2 * (d + 5 eps) * S <= 26 eps * S, about 5.8e-15 * S.  A ratio within
-# _LLR_BAND * S of the threshold, over 300 times that, is decided by
-# ``log_likelihood_ratio`` itself.
-_LLR_BAND = 2e-12
+    """log L(p; k, n) of each element, with the 0*log(0) := 0 convention
+    and logs by ``math.log``.  An absent term takes the log of 1.0, so it
+    adds an exact 0.0 and no log(0) is taken."""
+    hits = k * _distinct_log(np.where(k > 0, p, 1.0))
+    return hits + (n - k) * _distinct_log(np.where(n - k > 0, 1.0 - p, 1.0))
 
 
 def topic_words(
@@ -455,7 +416,9 @@ def topic_words(
     ``corpus_counts`` are the pooled token counts of the whole corpus,
     this cluster included; the background is the corpus minus the
     cluster's own counts.  The whole vocabulary is tested in one numpy
-    pass, with the scalar rule's exact comparisons.
+    pass that is the scalar log-likelihood ratio exactly: the same
+    ``int / int`` divisions, operations in the same order, logs by
+    ``math.log``.
     """
     ids = features.ids
     n1 = len(features.stream[1])
@@ -477,12 +440,7 @@ def topic_words(
     l1, l2 = _binomial_lls(k1, n1, k1 / n1), _binomial_lls(k2, n2, k2 / n2)
     l3, l4 = _binomial_lls(k1, n1, p), _binomial_lls(k2, n2, p)
     llr = 2.0 * (l1 + l2 - l3 - l4)
-    near = np.abs(llr - threshold) <= -_LLR_BAND * (l1 + l2 + l3 + l4)
-    result = set(compress(tokens, ((llr > threshold) & ~near).tolist()))
-    for i in np.flatnonzero(near).tolist():
-        if log_likelihood_ratio(int(k1[i]), n1, int(k2[i]), n2) > threshold:
-            result.add(tokens[i])
-    return result
+    return set(compress(tokens, (llr > threshold).tolist()))
 
 
 def topicsum_rank(
@@ -509,6 +467,12 @@ def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
 def _math_log(values: np.ndarray) -> np.ndarray:
     """``math.log`` of each element; ``np.log`` can miss it by an ulp."""
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def _distinct_log(values: np.ndarray) -> np.ndarray:
+    """``_math_log`` of each element, one ``math.log`` per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return _math_log(distinct)[inverse]
 
 
 def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:

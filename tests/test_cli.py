@@ -172,6 +172,24 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [config]
 
+    def test_unknown_emit_format_in_config_file_is_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # argparse checks --emit's choices; a file's value is checked
+        # before the corpus is read
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("summ.cli.run_evaluation", no_run)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": FIXTURE, "out": "report.xml", "emit": "xml"}),
+                          encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: emit must be one of ('csv', 'markdown', 'json')" in err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # both keys were dropped without a word: the run wrote a report with
         # no cap (2.5 is out of range under the right key) and one job

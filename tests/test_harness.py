@@ -315,6 +315,27 @@ class TestRunEvaluation:
              "borda", "wcs", "oracle")
         }
 
+    def test_stats_use_the_first_rouge_order(self):
+        # true_rouge1_means keeps its name, but with --rouge 2,4 it holds
+        # R-2 means, and the taus and sign tests use R-2 too
+        report = run_evaluation(fixture_config(rouge_orders=(2, 4)))
+        stats = report.stats
+        assert set(stats["true_rouge1_means"]) == set(fixture_config().systems)
+        for system, mean in stats["true_rouge1_means"].items():
+            assert mean == report.averages[system]["R-2"]
+        assert stats["true_rouge1_means"]["lexrank"] == pytest.approx(0.1016472868)
+        rows = list(report.per_cluster.values())
+        for key, result in stats["sign_tests"].items():
+            unit = key.removeprefix("cwcs_vs_")
+            want = sign_test([r["cwcs"]["R-2"] for r in rows], [r[unit]["R-2"] for r in rows])
+            assert result == {
+                "p_value": want.p_value, "wins_a": want.wins_a,
+                "wins_b": want.wins_b, "ties": want.ties,
+            }
+        assert run_evaluation(fixture_config(rouge_orders=(2,))).stats == stats
+        r4_first = run_evaluation(fixture_config(rouge_orders=(4, 2))).stats
+        assert r4_first["kendall_tau_per_cluster"] != stats["kendall_tau_per_cluster"]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fixture_config(systems=())

@@ -5,7 +5,8 @@ The reference implementations below are the original pure-Python loops of
 and ``freqsum_rank``.  The package's numpy rankers must reproduce their
 scores and ranks exactly (``==``, no tolerance), since reports are
 compared byte for byte.  Likewise ``topicsum_rank``, given corpus totals,
-must reproduce the original leave-one-out background path,
+must reproduce the original leave-one-out background path and the
+scalar log-likelihood ratio of ``tests/llr_reference.py``,
 ``ClusterFeatures.entries``, ``ids`` and ``counts`` the ``Counter``s they
 replaced, and ``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors
 of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
@@ -33,12 +34,12 @@ from summ.summarizers import (
     freqsum_rank,
     greedykl_rank,
     lexrank_rank,
-    log_likelihood_ratio,
     textrank_rank,
     topic_words,
     topicsum_rank,
 )
 
+from llr_reference import log_likelihood_ratio
 from tfidf_reference import cosine_similarity, tfidf_vectors
 
 
@@ -571,9 +572,9 @@ def test_duc_scale_topicsum_matches_leave_one_out(threshold):
 
 def test_topic_threshold_at_realised_ratio():
     # a threshold equal to a ratio the cluster realises puts that token at
-    # the decision boundary, where the numpy ratio, whose logs can miss
-    # math.log by an ulp, must give way to the scalar rule; so does the
-    # threshold one ulp either side
+    # the decision boundary, as does the threshold one ulp either side;
+    # there only a numpy ratio with the scalar rule's exact bits (its
+    # operands, order of operations and math.log logs) picks the same tokens
     clusters = [make_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
     corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     tested = 0

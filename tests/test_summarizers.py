@@ -18,12 +18,12 @@ from summ.summarizers import (
     freqsum_rank,
     greedykl_rank,
     lexrank_rank,
-    log_likelihood_ratio,
     textrank_rank,
     topic_words,
     topicsum_rank,
 )
 
+from llr_reference import log_likelihood_ratio
 from test_ranker_oracles import textrank_edge_weight, zipf_corpus
 
 WORDS = TokenizationConfig(
