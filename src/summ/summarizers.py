@@ -296,6 +296,78 @@ def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np
 
 _BLOCK = 64  # columns of a sparse matrix made dense at a time
 
+# The cost model that splits ``_cross_products`` between its two routes, in
+# nanoseconds: a dense block of 64 columns costs _DENSE_CALL_NS plus
+# _DENSE_CELL_NS for each of the n * n cells its gemm adds into the result,
+# and the pair route _PAIR_CALL_NS plus _PAIR_NS for each pair it makes.
+# Measured by timing ``_cross_products`` with the split forced to every
+# block boundary, on generated clusters of 24 to 1 000 sentences (lexrank's
+# TF-IDF and textrank's 0/1 matrices), on a 2-vCPU Xeon VM with numpy 2.4
+# and its OpenBLAS at the default thread count: a block took 10-20 us plus
+# 2-10 ns a cell (the most at n = 245, where OpenBLAS's two threads cost
+# more than they save), a pair 12-33 ns, and the pair route's set-up
+# 25-40 us.  The constants sit inside those ranges.
+_DENSE_CALL_NS = 20_000.0
+_DENSE_CELL_NS = 6.0
+_PAIR_CALL_NS = 40_000.0
+_PAIR_NS = 20.0
+
+
+def _dense_columns(n: int, ranked: np.ndarray) -> int:
+    """How many of the shared columns, ``ranked`` by df from the highest,
+    the cost model makes dense: the whole blocks from the top that minimize
+    the modelled cost, or every column.  A column of df d makes d * d pairs."""
+    if not len(ranked):
+        return 0
+    pairs = np.add.reduceat(ranked * ranked, np.arange(0, len(ranked), _BLOCK))
+    left = int(pairs.sum())  # on the pair route while k blocks are dense
+    best, best_cost = 0, _PAIR_CALL_NS + _PAIR_NS * left
+    for k, block_pairs in enumerate(pairs.tolist(), 1):
+        left -= block_pairs
+        cost = k * (_DENSE_CALL_NS + _DENSE_CELL_NS * n * n)
+        if left:
+            cost += _PAIR_CALL_NS + _PAIR_NS * left
+        if cost < best_cost:
+            best, best_cost = k, cost
+    return min(_BLOCK * best, len(ranked))
+
+
+def _pair_products(
+    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``_cross_products`` from the pairs of entries that share a column,
+    given entries grouped by column, two or more to a column.
+
+    Each entry pairs with every entry of its column, itself included, and
+    the pair (a, b) adds ``values[a] * values[b]`` at ``rows[a] * n +
+    rows[b]`` through one ``np.bincount``, so a cell sums its products in
+    column order.  The pairs are made a chunk of at most max(n * n // 8,
+    2 ** 16) pairs (and one entry's) at a time: a chunk's four pair-length
+    arrays stay within half an n x n array, or 2 MiB at small n.
+    """
+    df = np.bincount(cols)
+    reps = df[cols]
+    ends = np.cumsum(reps)
+    # pair p of entry e is with entry p - (ends[e] - reps[e]) of e's column
+    shift = (np.cumsum(df) - df)[cols] - (ends - reps)
+    budget = max(n * n // 8, 1 << 16)
+    cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right").tolist()
+    products = None
+    for lo, hi in zip([0, *cuts], [*cuts, len(cols)]):
+        partner = np.repeat(shift[lo:hi], reps[lo:hi])
+        partner += np.arange(ends[lo] - reps[lo], ends[hi - 1])
+        cells = np.repeat(rows[lo:hi] * n, reps[lo:hi])
+        cells += rows[partner]
+        weights = np.repeat(values[lo:hi], reps[lo:hi])
+        weights *= values[partner]
+        del partner
+        part = np.bincount(cells, weights, minlength=n * n)
+        if products is None:
+            products = part
+        else:
+            products += part
+    return products.reshape(n, n)
+
 
 def _cross_products(
     n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
@@ -303,17 +375,34 @@ def _cross_products(
     """``M @ M.T`` off the diagonal, for the n-row ``M[rows, cols] = values``.
 
     The diagonal is left incomplete: a column with a single entry only
-    reaches the diagonal, so it is dropped.  M is made dense a block of
-    columns at a time, so memory grows with n * n, not with the number of
-    columns.  An integer-valued M gives exact integers.
+    reaches the diagonal, so it is dropped.  The shared columns take one of
+    two routes, which ``_dense_columns`` picks from n and their dfs alone:
+    the highest-df ones are made dense a block of columns at a time, one
+    gemm a block, and the rest add their pairs by ``_pair_products``.  So
+    memory grows with n * n, not with the number of columns or pairs.  An
+    integer-valued M gives exact integers.  Otherwise, the product of two
+    rows that share d columns adds d terms in some order, whatever the
+    route: it is within d * 2**-53 * (the sum of the terms' magnitudes) of
+    the exact sum, to first order (the dot-product error bound).
     """
-    shared_col = np.bincount(cols) >= 2
-    shared = shared_col[cols]
-    rows, values = rows[shared], values[shared]
-    cols = (np.cumsum(shared_col) - 1)[cols[shared]]  # renumbered densely
-    products = np.zeros((n, n))
+    df = np.bincount(cols)
+    shared = np.flatnonzero(df >= 2)
+    by_df = shared[np.argsort(-df[shared], kind="stable")]
+    dense = _dense_columns(n, df[by_df])
+    dense_col = np.zeros(len(df), dtype=bool)
+    dense_col[by_df[:dense]] = True
+    inside = dense_col[cols]
+    if dense < len(by_df):
+        paired = np.flatnonzero((df >= 2)[cols] & ~inside)
+        # any order within a column: a cell gets one product from each column
+        paired = paired[np.argsort(cols[paired])]
+        products = _pair_products(n, rows[paired], cols[paired], values[paired])
+    else:
+        products = np.zeros((n, n))
+    rows, values = rows[inside], values[inside]
+    cols = (np.cumsum(dense_col) - 1)[cols[inside]]  # renumbered densely
     block = np.empty((n, _BLOCK))
-    for start in range(0, int(shared_col.sum()), _BLOCK):
+    for start in range(0, dense, _BLOCK):
         block.fill(0.0)
         inside = (cols >= start) & (cols < start + _BLOCK)
         block[rows[inside], cols[inside] - start] = values[inside]
@@ -321,8 +410,13 @@ def _cross_products(
     return products
 
 
-# Gram-matrix cosines are within ~1e-13 of the fsum-exact ones; pairs this
-# close to the threshold are decided by ``cosine_similarity`` itself.
+# A cosine from ``_cross_products`` divided by the two norms is within
+# (d + 2) * 2**-53 of the exact cosine, d the tokens the sentences share,
+# since TF-IDF weights are positive and their products add up to at most
+# the norms' product; the fsum-based ``cosine_similarity`` is within
+# 3 * 2**-53 of it.  So the two differ by less than 1.2e-13 for d <= 1 000,
+# on either route and in any order the terms are added.  Pairs this close
+# to the threshold are decided by ``cosine_similarity`` itself.
 _NEAR_THRESHOLD = 1e-9
 
 
@@ -398,12 +492,15 @@ def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLis
     return RankList.from_scores("freqsum", sums / np.maximum(lengths, 1))
 
 
-def _binomial_lls(k: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+def _binomial_lls(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """log L(p; k, n) of each element, with the 0*log(0) := 0 convention
-    and logs by ``math.log``.  An absent term takes the log of 1.0, so it
-    adds an exact 0.0 and no log(0) is taken."""
-    hits = k * _distinct_log(np.where(k > 0, p, 1.0))
-    return hits + (n - k) * _distinct_log(np.where(n - k > 0, 1.0 - p, 1.0))
+    and logs by ``math.log``, one table of them for every p and 1 - p.  An
+    absent term takes the log of 1.0, so it adds an exact 0.0 and no log(0)
+    is taken."""
+    log_p, log_q = _distinct_log(
+        np.stack((np.where(k > 0, p, 1.0), np.where(n - k > 0, 1.0 - p, 1.0)))
+    )
+    return k * log_p + (n - k) * log_q
 
 
 def topic_words(
@@ -437,8 +534,11 @@ def topic_words(
     tokens = list(compress(tokens, over.tolist()))
     k1, k2 = k1[over], k2[over]
     p = (k1 + k2) / (n1 + n2)
-    l1, l2 = _binomial_lls(k1, n1, k1 / n1), _binomial_lls(k2, n2, k2 / n2)
-    l3, l4 = _binomial_lls(k1, n1, p), _binomial_lls(k2, n2, p)
+    l1, l2, l3, l4 = _binomial_lls(
+        np.stack((k1, k2, k1, k2)),
+        np.array([[n1], [n2], [n1], [n2]]),
+        np.stack((k1 / n1, k2 / n2, p, p)),
+    )
     llr = 2.0 * (l1 + l2 - l3 - l4)
     return set(compress(tokens, (llr > threshold).tolist()))
 
@@ -471,8 +571,8 @@ def _math_log(values: np.ndarray) -> np.ndarray:
 
 def _distinct_log(values: np.ndarray) -> np.ndarray:
     """``_math_log`` of each element, one ``math.log`` per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return _math_log(distinct)[inverse]
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    return _math_log(distinct)[inverse].reshape(values.shape)
 
 
 def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:

@@ -10,6 +10,10 @@ scalar log-likelihood ratio of ``tests/llr_reference.py``,
 ``ClusterFeatures.entries``, ``ids`` and ``counts`` the ``Counter``s they
 replaced, and ``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors
 of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
+``_cross_products``, which lexrank and textrank build their graphs from,
+must give the plain-loop ``M @ M.T`` off the diagonal on its dense route,
+its pair route and any split between them: exactly for an integer M,
+within the error bound its docstring states for a float one.
 """
 
 import math
@@ -22,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
+from summ import summarizers
 from summ.harness import _token_counts
 from summ.summarizers import (
     ClusterFeatures,
@@ -43,17 +48,26 @@ from llr_reference import log_likelihood_ratio
 from tfidf_reference import cosine_similarity, tfidf_vectors
 
 
-def reference_lexrank_rank(
-    cluster: DocumentCluster, config: SummarizerConfig
-) -> RankList:
-    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
-    n = len(cluster.sentences)
+def reference_cosines(cluster: DocumentCluster) -> dict[tuple[int, int], float]:
+    """The oracle cosine of every sentence pair i < j."""
     vectors = tfidf_vectors(cluster)
+    n = len(vectors)
+    return {
+        (i, j): cosine_similarity(vectors[i], vectors[j])
+        for i in range(n) for j in range(i + 1, n)
+    }
+
+
+def reference_lexrank_rank(
+    cluster: DocumentCluster, config: SummarizerConfig, cosines=None
+) -> RankList:
+    """Eigenvector centrality over the thresholded cosine-TF-IDF graph;
+    ``cosines`` are ``reference_cosines(cluster)``, computed if not given."""
+    n = len(cluster.sentences)
     adjacency = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cosine_similarity(vectors[i], vectors[j]) > config.lexrank_threshold:
-                adjacency[i, j] = adjacency[j, i] = 1.0
+    for (i, j), cosine in (cosines or reference_cosines(cluster)).items():
+        if cosine > config.lexrank_threshold:
+            adjacency[i, j] = adjacency[j, i] = 1.0
     return _graph_rank("lexrank", adjacency, cluster, config)
 
 
@@ -592,3 +606,163 @@ def test_topic_threshold_at_realised_ratio():
                 got = topic_words(ClusterFeatures(cluster), corpus_counts, threshold)
                 assert got == reference_topic_words(cluster, background, threshold)
     assert tested > 200
+
+
+def reference_cross_products(rows, cols, values) -> dict[tuple[int, int], list]:
+    """The terms of ``M @ M.T`` off the diagonal, for ``M[rows, cols] =
+    values``, by a plain loop over the columns: each cell's products, one
+    for each column its two rows share, in column order."""
+    columns: dict[int, list] = {}
+    for col, row, value in sorted(zip(cols.tolist(), rows.tolist(), values.tolist())):
+        columns.setdefault(col, []).append((row, value))
+    terms: dict[tuple[int, int], list] = {}
+    for entries in columns.values():
+        for a, x in entries:
+            for b, y in entries:
+                if a != b:
+                    terms.setdefault((a, b), []).append(x * y)
+    return terms
+
+
+def assert_cross_products_match(n, rows, cols, values, integer):
+    """``_cross_products`` equals the plain loop off the diagonal: exactly
+    for an integer M, else within the dot-product bound its docstring
+    states, d * 2**-53 * sum(|terms|), plus 2 * 2**-53 * sum(|terms|) for
+    the oracle's own rounding of each term and of the fsum, and one more
+    for the bound's second-order part; cells of rows that share no column
+    are exactly 0.0."""
+    got = summarizers._cross_products(n, rows, cols, values)
+    unshared = ~np.eye(n, dtype=bool)
+    for (a, b), terms in reference_cross_products(rows, cols, values).items():
+        unshared[a, b] = False
+        want = math.fsum(terms)
+        if integer:
+            assert got[a, b] == want, (a, b)
+        else:
+            bound = (len(terms) + 3) * 2.0**-53 * math.fsum(map(abs, terms))
+            assert abs(got[a, b] - want) <= bound, (a, b)
+    assert (got[unshared] == 0.0).all()
+
+
+def zipf_matrix(seed: int, n: int, width: int, top: int, integer: bool):
+    """A sparse n-row matrix whose column c has about top / (c + 1) entries
+    in random rows (at least one), shuffled; small integers or TF-IDF-like
+    floats."""
+    rng = np.random.default_rng(seed)
+    df = np.clip(top // np.arange(1, width + 1), 1, n)
+    cols = np.repeat(np.arange(width), df)
+    rows = np.concatenate([rng.choice(n, d, replace=False) for d in df.tolist()])
+    values = rng.integers(1, 4, len(cols)) if integer else rng.uniform(0.01, 6.0, len(cols))
+    order = rng.permutation(len(cols))
+    return rows[order], cols[order], values[order].astype(float)
+
+
+def ranked_dfs(cols) -> np.ndarray:
+    """The dfs of the shared columns, from the highest."""
+    df = np.bincount(cols)
+    return np.sort(df[df >= 2])[::-1]
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+@pytest.mark.parametrize("n, width, top", [(24, 90, 24), (245, 400, 240), (1000, 900, 400)])
+def test_cross_products_match_plain_loop(n, width, top, integer, monkeypatch):
+    rows, cols, values = zipf_matrix(n, n, width, top, integer)
+    ranked = ranked_dfs(cols)
+    if n > 24:
+        # the pair route makes several chunks when it takes every column
+        assert int((ranked * ranked).sum()) > max(n * n // 8, 1 << 16)
+    chosen = summarizers._dense_columns
+    # the split the cost model picks, all pairs, one dense block, all dense
+    for split in (None, 0, 64, len(ranked)):
+        forced = chosen if split is None else lambda n, ranked, m=split: min(m, len(ranked))
+        monkeypatch.setattr(summarizers, "_dense_columns", forced)
+        assert_cross_products_match(n, rows, cols, values, integer)
+
+
+def reference_dense_columns(n: int, ranked: list[int]) -> int:
+    """The cost model by a plain loop: the cheapest number of dense blocks
+    from the top, the rest of the columns' d * d pairs on the pair route."""
+    block = summarizers._DENSE_CALL_NS + summarizers._DENSE_CELL_NS * n * n
+    costs = []
+    for k in range(-(-len(ranked) // 64) + 1):
+        pairs = sum(d * d for d in ranked[64 * k:])
+        pair_route = summarizers._PAIR_CALL_NS + summarizers._PAIR_NS * pairs if pairs else 0.0
+        costs.append(k * block + pair_route)
+    return min(64 * costs.index(min(costs)), len(ranked))
+
+
+@pytest.mark.parametrize("n", [2, 24, 245, 1000, 4000])
+def test_dense_columns_is_the_cheapest_split(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        ranked = np.sort(np.clip(rng.zipf(1.3, int(rng.integers(1, 500))), 2, n))[::-1]
+        assert summarizers._dense_columns(n, ranked) == reference_dense_columns(n, ranked.tolist())
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
+def test_cross_products_either_side_of_the_route_boundary(integer):
+    # one block of 64 columns, one of df x and the rest of df 2: the model
+    # makes the block dense from some x on, and both sides are exact
+    n = 245
+    splits = [summarizers._dense_columns(n, np.array([x] + [2] * 63)) for x in range(2, n + 1)]
+    switch = splits.index(64)
+    assert set(splits[:switch]) == {0} and set(splits[switch:]) == {64}
+    rng = np.random.default_rng(5)
+    for x in (switch + 1, switch + 2):  # the last x on pairs, the first dense
+        cols = np.repeat(np.arange(64), [x] + [2] * 63)
+        rows = np.concatenate([rng.choice(n, d, replace=False) for d in [x] + [2] * 63])
+        values = rng.integers(1, 4, len(cols)) if integer else rng.uniform(0.01, 6.0, len(cols))
+        assert_cross_products_match(n, rows, cols, values.astype(float), integer)
+
+
+def test_short_clusters_stay_dense():
+    # clusters of 24 sentences keep every shared column on the dense route
+    for docs in zipf_corpus(21, 20, 4, 6):
+        features = ClusterFeatures(make_cluster(docs))
+        n = len(features.cluster.sentences)
+        for cols in (features.tfidf[1], features.entries[1]):
+            ranked = ranked_dfs(cols)
+            assert summarizers._dense_columns(n, ranked) == len(ranked)
+
+
+def test_thousand_sentence_zipf_cluster_matches_references():
+    # textrank's products take both routes and lexrank's the pair route
+    cluster = make_cluster(zipf_corpus(13, 1, 10, 100)[0])
+    features = ClusterFeatures(cluster)
+    n = len(cluster.sentences)
+    assert n == 1000
+    ranked = ranked_dfs(features.entries[1])
+    assert 0 < summarizers._dense_columns(n, ranked) < len(ranked)
+    ranked = ranked_dfs(features.tfidf[1])
+    assert summarizers._dense_columns(n, ranked) < len(ranked)
+    config = SummarizerConfig()
+    for name in ("lexrank", "textrank"):
+        ranker, reference = PAIRS[name]
+        got, want = ranker(ClusterFeatures(cluster), config), reference(cluster, config)
+        assert got.scores == want.scores, name
+        assert got.ranks == want.ranks, name
+
+
+def test_threshold_at_realised_cosine_on_the_pair_route():
+    # a cluster long enough for lexrank's products to take the pair route,
+    # with near-copies planted in other documents: a threshold at a planted
+    # pair's cosine, or one ulp either side, is decided by the exact cosine
+    docs = zipf_corpus(17, 1, 6, 50)[0]
+    planted = [(s, 1 + s % 5) for s in range(12)]  # (sentence, its copy's document)
+    for s, d in planted:
+        docs[d][s] = docs[0][s] + "".join(f" new{s}x{k}" for k in range(s % 4))
+    cluster = make_cluster(docs)
+    features = ClusterFeatures(cluster)
+    n = len(cluster.sentences)
+    assert summarizers._dense_columns(n, ranked_dfs(features.tfidf[1])) == 0
+    cosines = reference_cosines(cluster)
+    realised = {cosines[s, 50 * d + s] for s, d in planted} - {0.0}
+    assert len(realised) >= 10
+    for value in sorted(realised):
+        below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
+        for threshold in (below, value, above):
+            config = SummarizerConfig(lexrank_threshold=threshold)
+            got = lexrank_rank(ClusterFeatures(cluster), config)
+            want = reference_lexrank_rank(cluster, config, cosines)
+            assert got.scores == want.scores
+            assert got.ranks == want.ranks
