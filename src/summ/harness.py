@@ -340,6 +340,9 @@ def _evaluate_cluster_inner(
         for n in config.rouge_orders:
             if not any(index.references(n)):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"
+        # a summary that two units share (the oracle's and its pick's, or
+        # equal extractions), or an order listed twice, is scored once
+        recalls: dict[tuple[int, tuple[str, ...]], float] = {}
         for unit in list(config.systems) + list(config.aggregators):
             if unit not in units:
                 continue
@@ -347,8 +350,12 @@ def _evaluate_cluster_inner(
             for n in config.rouge_orders:
                 if f"rouge-{n}" in failures:
                     continue
-                score = rouge_n_recall(index.counts(units[unit], n), index.references(n), n)
-                row[f"R-{n}"] = score.recall
+                key = (n, units[unit])
+                if key not in recalls:
+                    recalls[key] = rouge_n_recall(
+                        index.counts(units[unit], n), index.references(n), n
+                    ).recall
+                row[f"R-{n}"] = recalls[key]
             if row:
                 scores[unit] = row
     else:

@@ -74,9 +74,16 @@ def rouge_n_recall(
         ref_size = sum(ref_counts.values())
         if ref_size == 0:
             continue
-        match = sum(
-            min(ref_counts[g], candidate[g]) for g in ref_counts.keys() & candidate.keys()
+        # the clipped match, walked over the Counter with fewer n-grams
+        small, large = (
+            (candidate, ref_counts) if len(candidate) <= len(ref_counts)
+            else (ref_counts, candidate)
         )
+        get = large.get
+        match = 0
+        for g, count in small.items():
+            other = get(g, 0)
+            match += count if count < other else other
         recalls.append(match / ref_size)
         match_total += match
         reference_total += ref_size
@@ -104,6 +111,7 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
     for i, counts in enumerate(unigrams):
         if not counts:
             logger.warning("pairwise_sim_matrix: summary %d is empty", i)
+    totals = [sum(counts.values()) for counts in unigrams]
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):
         matrix[i][i] = 1.0
@@ -113,7 +121,7 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
             score = rouge_n_recall(unigrams[i], [unigrams[j]], 1)
             matrix[i][j] = score.recall
             # the clipped match is symmetric, so j against i shares it
-            matrix[j][i] = score.match_count / sum(unigrams[i].values())
+            matrix[j][i] = score.match_count / totals[i]
     return matrix
 
 

@@ -295,6 +295,9 @@ def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np
 
 
 _BLOCK = 64  # columns of a sparse matrix made dense at a time
+# rows of an n x n result made at a time, so that no temporary is n x n;
+# up to this n a block's gemm is still one call
+_ROWS = 256
 
 # The cost model that splits ``_cross_products`` between its two routes, in
 # nanoseconds: a dense block of 64 columns costs _DENSE_CALL_NS plus
@@ -378,12 +381,13 @@ def _cross_products(
     reaches the diagonal, so it is dropped.  The shared columns take one of
     two routes, which ``_dense_columns`` picks from n and their dfs alone:
     the highest-df ones are made dense a block of columns at a time, one
-    gemm a block, and the rest add their pairs by ``_pair_products``.  So
-    memory grows with n * n, not with the number of columns or pairs.  An
-    integer-valued M gives exact integers.  Otherwise, the product of two
-    rows that share d columns adds d terms in some order, whatever the
-    route: it is within d * 2**-53 * (the sum of the terms' magnitudes) of
-    the exact sum, to first order (the dot-product error bound).
+    gemm a block and ``_ROWS`` rows, and the rest add their pairs by
+    ``_pair_products``.  So memory grows with n * n, not with the number
+    of columns or pairs.  An integer-valued M gives exact integers.
+    Otherwise, the product of two rows that share d columns adds d terms
+    in some order, whatever the route: it is within d * 2**-53 * (the sum
+    of the terms' magnitudes) of the exact sum, to first order (the
+    dot-product error bound).
     """
     df = np.bincount(cols)
     shared = np.flatnonzero(df >= 2)
@@ -406,7 +410,8 @@ def _cross_products(
         block.fill(0.0)
         inside = (cols >= start) & (cols < start + _BLOCK)
         block[rows[inside], cols[inside] - start] = values[inside]
-        products += block @ block.T
+        for lo in range(0, n, _ROWS):
+            products[lo:lo + _ROWS] += block[lo:lo + _ROWS] @ block.T
     return products
 
 
@@ -459,7 +464,8 @@ def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     # math.log, which np.log can miss by an ulp; 1.0 stands in for short
     # sentences, whose rows and columns are zeroed below
     log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths.tolist()])
-    weights /= np.add.outer(log_len, log_len)
+    for lo in range(0, len(log_len), _ROWS):
+        weights[lo:lo + _ROWS] /= np.add.outer(log_len[lo:lo + _ROWS], log_len)
     short = lengths <= 1
     weights[short] = 0.0
     weights[:, short] = 0.0

@@ -395,6 +395,71 @@ class TestTokenizeOnce:
         assert made == []
 
 
+class TestScoreOnce:
+    @pytest.mark.parametrize("orders", [(1, 2, 4), (1, 1, 2)])
+    def test_each_distinct_summary_scored_once_per_order(self, monkeypatch, orders):
+        # the index caches one Counter per (order, unit), so the Counter a
+        # score is given names the summary it scores
+        keys, scored = {}, []
+
+        class Index(harness.NgramIndex):
+            def counts(self, unit, n):
+                counts = super().counts(unit, n)
+                keys[id(counts)] = (n, unit)
+                return counts
+
+        original = harness.rouge_n_recall
+
+        def counting(counts, references, n):
+            scored.append(keys[id(counts)])
+            return original(counts, references, n)
+
+        monkeypatch.setattr(harness, "NgramIndex", Index)
+        monkeypatch.setattr(harness, "rouge_n_recall", counting)
+        config = fixture_config(rouge_orders=orders)
+        clusters = load_corpus(FIXTURE, "jsonl")
+        counts = sentence_counts(clusters)
+        shared = 0
+        for cluster in clusters:
+            scored.clear()
+            outcome = harness._evaluate_cluster(cluster, counts, config)
+            # the unmemoized loop: each unit's summary extracted and scored
+            # on its own, from plain token-list counts
+            units = {}
+            features = summarizers.ClusterFeatures(cluster)
+            for name in config.systems:
+                rank_list = (
+                    summarizers.topicsum_rank(features, counts, config.summarizer)
+                    if name == "topicsum"
+                    else harness._RANKERS[name](features, config.summarizer)
+                )
+                summary = summarizers.extract_summary(
+                    rank_list, features, config.summarizer.budget
+                )
+                units[name] = tuple(
+                    cluster.sentences[i].raw_text for i in summary.sentence_indices
+                )
+            for aggregator in config.aggregators:
+                units[aggregator] = tuple(
+                    summarize_cluster(config, cluster.cluster_id, aggregator)
+                )
+            assert outcome.scores.keys() == units.keys()
+            for unit, texts in units.items():
+                row = {}
+                for n in orders:
+                    references = [
+                        ngram_counts([prepare_text(r.text)], n) for r in cluster.references
+                    ]
+                    candidate = ngram_counts(prepare_sentences(list(texts)), n)
+                    row[f"R-{n}"] = rouge_n_recall(candidate, references, n).recall
+                assert outcome.scores[unit] == row, (cluster.cluster_id, unit)
+            distinct = {(n, texts) for n in orders for texts in units.values()}
+            assert Counter(scored) == Counter(distinct)
+            shared += len(set(units.values())) < len(units)
+        # the oracle's summary is its pick's on every cluster
+        assert shared == len(clusters)
+
+
 class TestFeaturesOnce:
     @pytest.mark.parametrize("systems, cap, expected", [
         (CANDIDATE_SYSTEMS, None, 1),

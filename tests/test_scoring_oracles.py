@@ -450,16 +450,34 @@ def test_ngrams_match_slicing(tokens, n):
 
 @settings(max_examples=200, deadline=None)
 @given(candidate=summaries, references=reference_streams)
+# the match walks the side with fewer distinct n-grams: the candidate's here
+@example(
+    candidate=[["storm", "storm"], ["the", "storm", "coast"]],
+    references=[["the", "storm", "coast", "flood", "the", "crew", "line", "vote"]],
+)
+# the first reference's here, the candidate's against the second
+@example(
+    candidate=[["storm", "coast", "flood"], ["crew", "storm", "storm"]],
+    references=[
+        ["storm", "storm", "the"],
+        ["a", "crew", "line", "vote", "the", "coast", "flood", "storm"],
+    ],
+)
 def test_counted_recall_matches_token_lists(candidate, references):
     for n in (1, 2, 3, 4):  # short references lack the higher orders
         expected = outcome(reference_rouge_n_recall, candidate, references, n)
-        got = outcome(
-            rouge_n_recall,
-            ngram_counts(candidate, n),
-            [ngram_counts([tokens], n) for tokens in references],
-            n,
-        )
+        counted = [ngram_counts([tokens], n) for tokens in references]
+        got = outcome(rouge_n_recall, ngram_counts(candidate, n), counted, n)
         assert got == expected
+        # an n-gram held at count zero matches nothing, on either side: the
+        # candidate padded with every reference n-gram walks the references,
+        # the references padded with the candidate's n-grams walk the candidate
+        padded = ngram_counts(candidate, n)
+        padded.update(dict.fromkeys(chain.from_iterable(counted), 0))
+        assert outcome(rouge_n_recall, padded, counted, n) == expected
+        for counts in counted:
+            counts.update(dict.fromkeys(ngram_counts(candidate, n), 0))
+        assert outcome(rouge_n_recall, ngram_counts(candidate, n), counted, n) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -226,7 +226,10 @@ class TestGraphMemory:
         finally:
             tracemalloc.stop()
         assert n == 1000
-        assert peak <= 2.5 * n * n * 8
+        # textrank's products and divisor are made a chunk of rows at a
+        # time, so its one n x n array is the adjacency it returns
+        bound = 1.6 if ranker is textrank_rank else 2.5
+        assert peak <= bound * n * n * 8
 
 
 class TestTextrank:
