@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--rouge", help="comma-separated recall orders, e.g. 1,2,4")
     run.add_argument("--out", help="report output path")
     run.add_argument("--emit", choices=list(EMIT_FORMATS))
-    run.add_argument("--jobs", type=int, help="clusters evaluated in parallel")
+    run.add_argument("--jobs", type=int, help="reserved; clusters are evaluated serially")
 
     summarize = commands.add_parser("summarize", help="print one cluster's summary")
     _add_common(summarize)

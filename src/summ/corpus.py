@@ -6,7 +6,7 @@ every record of a corpus, and ``build_cluster`` segments one record's
 documents into sentences, kept in document order (a sentence's index is
 its position in ``DocumentCluster.sentences``), runs the token pipeline
 and attaches the record's reference summaries.
-Loaded clusters are immutable and safe to share across threads.
+Loaded clusters are immutable.
 
 Two on-disk layouts are supported:
 

@@ -1,9 +1,9 @@
 """End-to-end evaluation: run systems and aggregators over a corpus,
 score against references, and emit tabular reports.
 
-Per-cluster work is pure and independent; clusters are the unit of
-parallelism and results are merged in cluster-id order, so the report is
-byte-identical regardless of the parallelism degree.
+Per-cluster work is pure and independent.  Clusters are evaluated one
+after another on the calling thread and merged in cluster-id order, so
+the report is byte-identical for every ``jobs`` value.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -83,7 +82,7 @@ class RunConfig:
     aggregators: tuple[str, ...] = AGGREGATORS
     rouge_orders: tuple[int, ...] = (1, 2, 4)
     redundancy_cap: float | None = None
-    jobs: int = 1
+    jobs: int = 1  # validated, not yet used: reserved for a process pool
 
     def __post_init__(self):
         unknown = [s for s in self.systems if s not in CANDIDATE_SYSTEMS]
@@ -479,18 +478,9 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     """
     clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
     corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda cluster: _evaluate_cluster(cluster, corpus_counts, config),
-                    clusters,
-                )
-            )
-    else:
-        outcomes = [
-            _evaluate_cluster(cluster, corpus_counts, config) for cluster in clusters
-        ]
+    # serial for every jobs value: a thread pool was slower, since the
+    # pipeline holds the interpreter lock (README, --jobs)
+    outcomes = [_evaluate_cluster(cluster, corpus_counts, config) for cluster in clusters]
     outcomes.sort(key=lambda o: o.cluster_id)
 
     if not any(o.scored for o in outcomes):

@@ -3,7 +3,7 @@
 Every ranker scores *all* sentences of a cluster and returns a total
 order, so downstream aggregation always works with full rank vectors.
 All rankers are pure functions of (``ClusterFeatures``, config): reruns
-are bit-identical and different clusters can be ranked concurrently.
+are bit-identical.
 
 Ties are broken by the smaller sentence index everywhere.
 """
@@ -295,9 +295,14 @@ def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np
 
 
 _BLOCK = 64  # columns of a sparse matrix made dense at a time
-# rows of an n x n result made at a time, so that no temporary is n x n;
-# up to this n a block's gemm is still one call
-_ROWS = 256
+_ROWS = 256  # up to this n a block's gemm is one call
+
+
+def _chunk_rows(n: int) -> int:
+    """Rows of an n x n result made at a time: all n up to ``_ROWS``,
+    else an eighth of n, at most ``_ROWS``, so that a chunk's n-wide
+    temporary adds about an eighth of the result, not most of it."""
+    return n if n <= _ROWS else min(_ROWS, -(-n // 8))
 
 # The cost model that splits ``_cross_products`` between its two routes, in
 # nanoseconds: a dense block of 64 columns costs _DENSE_CALL_NS plus
@@ -381,8 +386,8 @@ def _cross_products(
     reaches the diagonal, so it is dropped.  The shared columns take one of
     two routes, which ``_dense_columns`` picks from n and their dfs alone:
     the highest-df ones are made dense a block of columns at a time, one
-    gemm a block and ``_ROWS`` rows, and the rest add their pairs by
-    ``_pair_products``.  So memory grows with n * n, not with the number
+    gemm a block and ``_chunk_rows(n)`` rows, and the rest add their pairs
+    by ``_pair_products``.  So memory grows with n * n, not with the number
     of columns or pairs.  An integer-valued M gives exact integers.
     Otherwise, the product of two rows that share d columns adds d terms
     in some order, whatever the route: it is within d * 2**-53 * (the sum
@@ -406,12 +411,13 @@ def _cross_products(
     rows, values = rows[inside], values[inside]
     cols = (np.cumsum(dense_col) - 1)[cols[inside]]  # renumbered densely
     block = np.empty((n, _BLOCK))
+    step = _chunk_rows(n)
     for start in range(0, dense, _BLOCK):
         block.fill(0.0)
         inside = (cols >= start) & (cols < start + _BLOCK)
         block[rows[inside], cols[inside] - start] = values[inside]
-        for lo in range(0, n, _ROWS):
-            products[lo:lo + _ROWS] += block[lo:lo + _ROWS] @ block.T
+        for lo in range(0, n, step):
+            products[lo:lo + step] += block[lo:lo + step] @ block.T
     return products
 
 
@@ -464,8 +470,9 @@ def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     # math.log, which np.log can miss by an ulp; 1.0 stands in for short
     # sentences, whose rows and columns are zeroed below
     log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths.tolist()])
-    for lo in range(0, len(log_len), _ROWS):
-        weights[lo:lo + _ROWS] /= np.add.outer(log_len[lo:lo + _ROWS], log_len)
+    step = _chunk_rows(len(log_len))
+    for lo in range(0, len(log_len), step):
+        weights[lo:lo + step] /= np.add.outer(log_len[lo:lo + step], log_len)
     short = lengths <= 1
     weights[short] = 0.0
     weights[:, short] = 0.0

@@ -283,7 +283,7 @@ def test_criterion_5_oracle_dominance():
 
 def test_criterion_6_pipeline_determinism(tmp_path):
     outputs = []
-    for name, jobs in (("first", 1), ("second", 1), ("threaded", 4)):
+    for name, jobs in (("first", 1), ("second", 1), ("jobs4", 4)):
         report = run_evaluation(fixture_config(jobs=jobs))
         path = emit_report(report, "json", tmp_path / f"{name}.json")
         outputs.append(path.read_bytes())

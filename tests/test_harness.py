@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -297,10 +298,22 @@ class TestRunEvaluation:
         with pytest.raises(NoSuccessfulClustersError):
             run_evaluation(fixture_config(corpus=path))
 
-    def test_parallelism_does_not_change_report(self):
-        serial = run_evaluation(fixture_config(jobs=1))
-        threaded = run_evaluation(fixture_config(jobs=4))
-        assert serial == threaded
+    def test_jobs_1_and_4_give_the_same_report(self):
+        assert run_evaluation(fixture_config(jobs=1)) == run_evaluation(fixture_config(jobs=4))
+
+    def test_every_cluster_runs_on_the_calling_thread(self, monkeypatch):
+        # the benchmark's worker times clusters by wrapping _evaluate_cluster
+        # and samples with SIGALRM, both of which need the main thread
+        threads = []
+        evaluate = harness._evaluate_cluster
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "_evaluate_cluster", recording)
+        run_evaluation(fixture_config(jobs=4))
+        assert threads == [threading.get_ident()] * 3
 
     def test_stats_contents(self):
         report = run_evaluation(fixture_config())

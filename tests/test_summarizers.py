@@ -210,26 +210,39 @@ class TestLexrank:
         assert rl.ranks == (1, 2)
 
 
+def _peak_arrays(ranker, cluster) -> float:
+    """The ranker's tracemalloc peak on the cluster, in n x n float64
+    arrays, with the cluster's features built before the count starts."""
+    n = len(cluster.sentences)
+    features = ClusterFeatures(cluster)
+    features.entries, features.vectors
+    tracemalloc.start()
+    try:
+        ranker(features, CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)
+
+
 class TestGraphMemory:
     @pytest.mark.parametrize("ranker", [lexrank_rank, textrank_rank])
     def test_peak_is_at_most_two_and_a_half_dense_arrays(self, ranker):
         # a 1 000-sentence cluster: the ranker's n x n float64 arrays, not
         # the cluster's features, set the peak
         cluster = make_cluster(zipf_corpus(11, 1, 10, 100)[0])
-        n = len(cluster.sentences)
-        features = ClusterFeatures(cluster)
-        features.entries, features.vectors  # built before the count starts
-        tracemalloc.start()
-        try:
-            ranker(features, CONFIG)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n == 1000
+        assert len(cluster.sentences) == 1000
         # textrank's products and divisor are made a chunk of rows at a
         # time, so its one n x n array is the adjacency it returns
         bound = 1.6 if ranker is textrank_rank else 2.5
-        assert peak <= bound * n * n * 8
+        assert _peak_arrays(ranker, cluster) <= bound
+
+    def test_textrank_chunks_rows_just_above_one_gemm(self):
+        # 300 sentences: a 256-row chunk would be most of the matrix, so
+        # the chunk is a fraction of n
+        cluster = make_cluster(zipf_corpus(3, 1, 10, 30)[0])
+        assert len(cluster.sentences) == 300
+        assert _peak_arrays(textrank_rank, cluster) <= 1.6
 
 
 class TestTextrank:
