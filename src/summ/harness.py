@@ -26,7 +26,7 @@ from .consensus import (
     cwcs_aggregate,
     cwcs_raw_weights,
     cwcs_weights,
-    oracle_select,
+    oracle_select,  # noqa: F401  (traced here by bench/tracing.py)
     wcs_aggregate,
 )
 from .corpus import (
@@ -201,7 +201,8 @@ class _ClusterPipeline:
     The rankers and the redundancy cap share one ``ClusterFeatures``.
     The peer inputs (the systems' own summaries, the cluster's n-gram
     index and the references in it, the cwcs weights) are built on first
-    use and shared from then on; a build that raises keeps nothing.
+    use and shared from then on; a build that raises keeps nothing.  So is
+    each summary's ROUGE-n recall, which the oracle and the scoring share.
     """
 
     def __init__(self, cluster: DocumentCluster, corpus_counts: Counter,
@@ -211,6 +212,7 @@ class _ClusterPipeline:
         self.features = ClusterFeatures(cluster)
         self.rank_lists: dict[str, RankList] = {}
         self.failures: dict[str, str] = {}
+        self.recalls: dict[tuple[int, tuple[str, ...]], float] = {}
         for name in config.systems:
             try:
                 self.rank_lists[name] = (
@@ -253,6 +255,18 @@ class _ClusterPipeline:
             [self.index.unigrams(unit) for unit in self.system_units.values()]
         )
 
+    def recall(self, unit: tuple[str, ...], n: int) -> float:
+        """The unit's ROUGE-n recall against the references.  A summary
+        that two units share (the oracle's and its pick's, or equal
+        extractions), or an order asked for twice, is scored once."""
+        key = (n, unit)
+        if key not in self.recalls:
+            index = self.references
+            self.recalls[key] = rouge_n_recall(
+                index.counts(unit, n), index.references(n), n
+            ).recall
+        return self.recalls[key]
+
     def extract(self, rank_list: RankList) -> Summary:
         """The rank list's summary under the configured redundancy cap."""
         return extract_summary(
@@ -275,11 +289,10 @@ class _ClusterPipeline:
             except ValueError as exc:
                 raise ValueError("peer-agreement weights unavailable") from exc
             return cwcs_aggregate(lists, weights).rank_list, None
-        index = self.references
-        best, _ = oracle_select(
-            [index.counts(unit, 1) for unit in self.system_units.values()],
-            index.references(1), n=1,
-        )
+        if not self.references.references(1):
+            raise ValueError("oracle requires reference summaries")
+        recalls = [self.recall(unit, 1) for unit in self.system_units.values()]
+        best = recalls.index(max(recalls))  # ties go to the first system
         return lists[best], self.systems[best]
 
 
@@ -339,22 +352,13 @@ def _evaluate_cluster_inner(
         for n in config.rouge_orders:
             if not any(index.references(n)):
                 failures[f"rouge-{n}"] = "no reference with n-grams of this order"
-        # a summary that two units share (the oracle's and its pick's, or
-        # equal extractions), or an order listed twice, is scored once
-        recalls: dict[tuple[int, tuple[str, ...]], float] = {}
         for unit in list(config.systems) + list(config.aggregators):
             if unit not in units:
                 continue
-            row = {}
-            for n in config.rouge_orders:
-                if f"rouge-{n}" in failures:
-                    continue
-                key = (n, units[unit])
-                if key not in recalls:
-                    recalls[key] = rouge_n_recall(
-                        index.counts(units[unit], n), index.references(n), n
-                    ).recall
-                row[f"R-{n}"] = recalls[key]
+            row = {
+                f"R-{n}": pipeline.recall(units[unit], n)
+                for n in config.rouge_orders if f"rouge-{n}" not in failures
+            }
             if row:
                 scores[unit] = row
     else:

@@ -294,8 +294,7 @@ def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np
     return rows[kept], cols[kept], counts[kept] * idf[cols[kept]]
 
 
-_BLOCK = 64  # columns of a sparse matrix made dense at a time
-_ROWS = 256  # up to this n a block's gemm is one call
+_ROWS = 256  # the most rows of an n x n result made at a time
 
 
 def _chunk_rows(n: int) -> int:
@@ -304,121 +303,58 @@ def _chunk_rows(n: int) -> int:
     temporary adds about an eighth of the result, not most of it."""
     return n if n <= _ROWS else min(_ROWS, -(-n // 8))
 
-# The cost model that splits ``_cross_products`` between its two routes, in
-# nanoseconds: a dense block of 64 columns costs _DENSE_CALL_NS plus
-# _DENSE_CELL_NS for each of the n * n cells its gemm adds into the result,
-# and the pair route _PAIR_CALL_NS plus _PAIR_NS for each pair it makes.
-# Measured by timing ``_cross_products`` with the split forced to every
-# block boundary, on generated clusters of 24 to 1 000 sentences (lexrank's
-# TF-IDF and textrank's 0/1 matrices), on a 2-vCPU Xeon VM with numpy 2.4
-# and its OpenBLAS at the default thread count: a block took 10-20 us plus
-# 2-10 ns a cell (the most at n = 245, where OpenBLAS's two threads cost
-# more than they save), a pair 12-33 ns, and the pair route's set-up
-# 25-40 us.  The constants sit inside those ranges.
-_DENSE_CALL_NS = 20_000.0
-_DENSE_CELL_NS = 6.0
-_PAIR_CALL_NS = 40_000.0
-_PAIR_NS = 20.0
 
-
-def _dense_columns(n: int, ranked: np.ndarray) -> int:
-    """How many of the shared columns, ``ranked`` by df from the highest,
-    the cost model makes dense: the whole blocks from the top that minimize
-    the modelled cost, or every column.  A column of df d makes d * d pairs."""
-    if not len(ranked):
-        return 0
-    pairs = np.add.reduceat(ranked * ranked, np.arange(0, len(ranked), _BLOCK))
-    left = int(pairs.sum())  # on the pair route while k blocks are dense
-    best, best_cost = 0, _PAIR_CALL_NS + _PAIR_NS * left
-    for k, block_pairs in enumerate(pairs.tolist(), 1):
-        left -= block_pairs
-        cost = k * (_DENSE_CALL_NS + _DENSE_CELL_NS * n * n)
-        if left:
-            cost += _PAIR_CALL_NS + _PAIR_NS * left
-        if cost < best_cost:
-            best, best_cost = k, cost
-    return min(_BLOCK * best, len(ranked))
-
-
-def _pair_products(
-    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+def _cross_products(
+    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray | None = None
 ) -> np.ndarray:
-    """``_cross_products`` from the pairs of entries that share a column,
-    given entries grouped by column, two or more to a column.
+    """``M @ M.T`` off the diagonal, for the n-row ``M[rows, cols] = values``
+    (1 where ``values`` is None), from the pairs of entries that share a
+    column.
 
-    Each entry pairs with every entry of its column, itself included, and
-    the pair (a, b) adds ``values[a] * values[b]`` at ``rows[a] * n +
-    rows[b]`` through one ``np.bincount``, so a cell sums its products in
-    column order.  The pairs are made a chunk of at most max(n * n // 8,
-    2 ** 16) pairs (and one entry's) at a time: a chunk's four pair-length
-    arrays stay within half an n x n array, or 2 MiB at small n.
+    The diagonal is left incomplete: a column with a single entry only
+    reaches the diagonal, so it is dropped.  Each other entry pairs with
+    every entry of its column, itself included, and the pair (a, b) adds
+    ``values[a] * values[b]`` at cell (rows[a], rows[b]) through
+    ``np.add.at``, which adds in input order, so a cell sums its products
+    in column order.  The pairs are made a chunk of at most
+    max(n * n // 8, 2 ** 12) pairs (and one entry's) at a time, straight
+    into the one n x n result: a chunk's pair-length arrays stay within
+    three eighths of it.  So memory grows with n * n, not with the number
+    of columns or pairs.  An integer-valued M gives exact integers.
+    Otherwise, the product of two rows that share d columns adds d terms:
+    it is within d * 2**-53 * (the sum of the terms' magnitudes) of the
+    exact sum, to first order (the dot-product error bound).
     """
+    products = np.zeros(n * n)
     df = np.bincount(cols)
+    paired = np.flatnonzero(df[cols] >= 2)
+    if not len(paired):
+        return products.reshape(n, n)
+    # any order within a column: a cell gets one product from each column
+    paired = paired[np.argsort(cols[paired])]
+    rows, cols = rows[paired], cols[paired]
+    if values is not None:
+        values = values[paired]
+    df[df < 2] = 0
     reps = df[cols]
     ends = np.cumsum(reps)
     # pair p of entry e is with entry p - (ends[e] - reps[e]) of e's column
     shift = (np.cumsum(df) - df)[cols] - (ends - reps)
-    budget = max(n * n // 8, 1 << 16)
+    budget = max(n * n // 8, 1 << 12)
     cuts = np.searchsorted(ends, np.arange(budget, ends[-1], budget), side="right").tolist()
-    products = None
     for lo, hi in zip([0, *cuts], [*cuts, len(cols)]):
         partner = np.repeat(shift[lo:hi], reps[lo:hi])
         partner += np.arange(ends[lo] - reps[lo], ends[hi - 1])
-        cells = np.repeat(rows[lo:hi] * n, reps[lo:hi])
-        cells += rows[partner]
-        weights = np.repeat(values[lo:hi], reps[lo:hi])
-        weights *= values[partner]
+        weights = 1.0
+        if values is not None:
+            weights = np.repeat(values[lo:hi], reps[lo:hi])
+            weights *= values[partner]
+        cells = rows[partner]
         del partner
-        part = np.bincount(cells, weights, minlength=n * n)
-        if products is None:
-            products = part
-        else:
-            products += part
+        cells += np.repeat(rows[lo:hi] * n, reps[lo:hi])
+        np.add.at(products, cells, weights)
+        del cells, weights  # freed before the next chunk's pairs are made
     return products.reshape(n, n)
-
-
-def _cross_products(
-    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """``M @ M.T`` off the diagonal, for the n-row ``M[rows, cols] = values``.
-
-    The diagonal is left incomplete: a column with a single entry only
-    reaches the diagonal, so it is dropped.  The shared columns take one of
-    two routes, which ``_dense_columns`` picks from n and their dfs alone:
-    the highest-df ones are made dense a block of columns at a time, one
-    gemm a block and ``_chunk_rows(n)`` rows, and the rest add their pairs
-    by ``_pair_products``.  So memory grows with n * n, not with the number
-    of columns or pairs.  An integer-valued M gives exact integers.
-    Otherwise, the product of two rows that share d columns adds d terms
-    in some order, whatever the route: it is within d * 2**-53 * (the sum
-    of the terms' magnitudes) of the exact sum, to first order (the
-    dot-product error bound).
-    """
-    df = np.bincount(cols)
-    shared = np.flatnonzero(df >= 2)
-    by_df = shared[np.argsort(-df[shared], kind="stable")]
-    dense = _dense_columns(n, df[by_df])
-    dense_col = np.zeros(len(df), dtype=bool)
-    dense_col[by_df[:dense]] = True
-    inside = dense_col[cols]
-    if dense < len(by_df):
-        paired = np.flatnonzero((df >= 2)[cols] & ~inside)
-        # any order within a column: a cell gets one product from each column
-        paired = paired[np.argsort(cols[paired])]
-        products = _pair_products(n, rows[paired], cols[paired], values[paired])
-    else:
-        products = np.zeros((n, n))
-    rows, values = rows[inside], values[inside]
-    cols = (np.cumsum(dense_col) - 1)[cols[inside]]  # renumbered densely
-    block = np.empty((n, _BLOCK))
-    step = _chunk_rows(n)
-    for start in range(0, dense, _BLOCK):
-        block.fill(0.0)
-        inside = (cols >= start) & (cols < start + _BLOCK)
-        block[rows[inside], cols[inside] - start] = values[inside]
-        for lo in range(0, n, step):
-            products[lo:lo + step] += block[lo:lo + step] @ block.T
-    return products
 
 
 # A cosine from ``_cross_products`` divided by the two norms is within
@@ -426,8 +362,8 @@ def _cross_products(
 # since TF-IDF weights are positive and their products add up to at most
 # the norms' product; the fsum-based ``cosine_similarity`` is within
 # 3 * 2**-53 of it.  So the two differ by less than 1.2e-13 for d <= 1 000,
-# on either route and in any order the terms are added.  Pairs this close
-# to the threshold are decided by ``cosine_similarity`` itself.
+# in any order the terms are added.  Pairs this close to the threshold are
+# decided by ``cosine_similarity`` itself.
 _NEAR_THRESHOLD = 1e-9
 
 
@@ -466,7 +402,7 @@ def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     rows, cols, _ = features.entries
     lengths = features.lengths
     # shared-type counts, exact integers
-    weights = _cross_products(len(lengths), rows, cols, np.ones(len(cols)))
+    weights = _cross_products(len(lengths), rows, cols)
     # math.log, which np.log can miss by an ulp; 1.0 stands in for short
     # sentences, whose rows and columns are zeroed below
     log_len = np.array([math.log(m) if m > 1 else 1.0 for m in lengths.tolist()])

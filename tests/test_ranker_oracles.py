@@ -11,13 +11,16 @@ scalar log-likelihood ratio of ``tests/llr_reference.py``,
 replaced, and ``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors
 of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
 ``_cross_products``, which lexrank and textrank build their graphs from,
-must give the plain-loop ``M @ M.T`` off the diagonal on its dense route,
-its pair route and any split between them: exactly for an integer M,
-within the error bound its docstring states for a float one.
+must give the plain-loop ``M @ M.T`` off the diagonal from the pairs of
+entries that share a column, one chunk of pairs or several: exactly for
+textrank's 0/1 M, within the error bound its docstring states for
+lexrank's TF-IDF weights.
 """
 
 import math
+import operator
 from collections import Counter
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -624,16 +627,18 @@ def reference_cross_products(rows, cols, values) -> dict[tuple[int, int], list]:
     return terms
 
 
-def assert_cross_products_match(n, rows, cols, values, integer):
+def assert_cross_products_match(n, rows, cols, values=None):
     """``_cross_products`` equals the plain loop off the diagonal: exactly
-    for an integer M, else within the dot-product bound its docstring
-    states, d * 2**-53 * sum(|terms|), plus 2 * 2**-53 * sum(|terms|) for
-    the oracle's own rounding of each term and of the fsum, and one more
-    for the bound's second-order part; cells of rows that share no column
-    are exactly 0.0."""
+    for a 0/1 M (no ``values``), else within the dot-product bound its
+    docstring states, d * 2**-53 * sum(|terms|), plus 2 * 2**-53 *
+    sum(|terms|) for the oracle's own rounding of each term and of the
+    fsum, and one more for the bound's second-order part; cells of rows
+    that share no column are exactly 0.0."""
     got = summarizers._cross_products(n, rows, cols, values)
+    integer = values is None
+    ones = np.ones(len(cols)) if integer else values
     unshared = ~np.eye(n, dtype=bool)
-    for (a, b), terms in reference_cross_products(rows, cols, values).items():
+    for (a, b), terms in reference_cross_products(rows, cols, ones).items():
         unshared[a, b] = False
         want = math.fsum(terms)
         if integer:
@@ -644,17 +649,16 @@ def assert_cross_products_match(n, rows, cols, values, integer):
     assert (got[unshared] == 0.0).all()
 
 
-def zipf_matrix(seed: int, n: int, width: int, top: int, integer: bool):
+def zipf_matrix(seed: int, n: int, width: int, top: int):
     """A sparse n-row matrix whose column c has about top / (c + 1) entries
-    in random rows (at least one), shuffled; small integers or TF-IDF-like
-    floats."""
+    in random rows (at least one), shuffled, with TF-IDF-like float values."""
     rng = np.random.default_rng(seed)
     df = np.clip(top // np.arange(1, width + 1), 1, n)
     cols = np.repeat(np.arange(width), df)
     rows = np.concatenate([rng.choice(n, d, replace=False) for d in df.tolist()])
-    values = rng.integers(1, 4, len(cols)) if integer else rng.uniform(0.01, 6.0, len(cols))
+    values = rng.uniform(0.01, 6.0, len(cols))
     order = rng.permutation(len(cols))
-    return rows[order], cols[order], values[order].astype(float)
+    return rows[order], cols[order], values[order]
 
 
 def ranked_dfs(cols) -> np.ndarray:
@@ -665,76 +669,38 @@ def ranked_dfs(cols) -> np.ndarray:
 
 @pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
 @pytest.mark.parametrize("n, width, top", [(24, 90, 24), (245, 400, 240), (1000, 900, 400)])
-def test_cross_products_match_plain_loop(n, width, top, integer, monkeypatch):
-    rows, cols, values = zipf_matrix(n, n, width, top, integer)
-    ranked = ranked_dfs(cols)
+def test_cross_products_match_plain_loop(n, width, top, integer):
+    rows, cols, values = zipf_matrix(n, n, width, top)
     if n > 24:
-        # the pair route makes several chunks when it takes every column
-        assert int((ranked * ranked).sum()) > max(n * n // 8, 1 << 16)
-    chosen = summarizers._dense_columns
-    # the split the cost model picks, all pairs, one dense block, all dense
-    for split in (None, 0, 64, len(ranked)):
-        forced = chosen if split is None else lambda n, ranked, m=split: min(m, len(ranked))
-        monkeypatch.setattr(summarizers, "_dense_columns", forced)
-        assert_cross_products_match(n, rows, cols, values, integer)
+        # the pairs make several chunks
+        ranked = ranked_dfs(cols)
+        assert int((ranked * ranked).sum()) > max(n * n // 8, 1 << 12)
+    # textrank's 0/1 path, or lexrank's weights
+    assert_cross_products_match(n, rows, cols, None if integer else values)
 
 
-def reference_dense_columns(n: int, ranked: list[int]) -> int:
-    """The cost model by a plain loop: the cheapest number of dense blocks
-    from the top, the rest of the columns' d * d pairs on the pair route."""
-    block = summarizers._DENSE_CALL_NS + summarizers._DENSE_CELL_NS * n * n
-    costs = []
-    for k in range(-(-len(ranked) // 64) + 1):
-        pairs = sum(d * d for d in ranked[64 * k:])
-        pair_route = summarizers._PAIR_CALL_NS + summarizers._PAIR_NS * pairs if pairs else 0.0
-        costs.append(k * block + pair_route)
-    return min(64 * costs.index(min(costs)), len(ranked))
-
-
-@pytest.mark.parametrize("n", [2, 24, 245, 1000, 4000])
-def test_dense_columns_is_the_cheapest_split(n):
-    rng = np.random.default_rng(n)
-    for _ in range(200):
-        ranked = np.sort(np.clip(rng.zipf(1.3, int(rng.integers(1, 500))), 2, n))[::-1]
-        assert summarizers._dense_columns(n, ranked) == reference_dense_columns(n, ranked.tolist())
-
-
-@pytest.mark.parametrize("integer", [True, False], ids=["integer", "float"])
-def test_cross_products_either_side_of_the_route_boundary(integer):
-    # one block of 64 columns, one of df x and the rest of df 2: the model
-    # makes the block dense from some x on, and both sides are exact
-    n = 245
-    splits = [summarizers._dense_columns(n, np.array([x] + [2] * 63)) for x in range(2, n + 1)]
-    switch = splits.index(64)
-    assert set(splits[:switch]) == {0} and set(splits[switch:]) == {64}
-    rng = np.random.default_rng(5)
-    for x in (switch + 1, switch + 2):  # the last x on pairs, the first dense
-        cols = np.repeat(np.arange(64), [x] + [2] * 63)
-        rows = np.concatenate([rng.choice(n, d, replace=False) for d in [x] + [2] * 63])
-        values = rng.integers(1, 4, len(cols)) if integer else rng.uniform(0.01, 6.0, len(cols))
-        assert_cross_products_match(n, rows, cols, values.astype(float), integer)
-
-
-def test_short_clusters_stay_dense():
-    # clusters of 24 sentences keep every shared column on the dense route
-    for docs in zipf_corpus(21, 20, 4, 6):
-        features = ClusterFeatures(make_cluster(docs))
-        n = len(features.cluster.sentences)
-        for cols in (features.tfidf[1], features.entries[1]):
-            ranked = ranked_dfs(cols)
-            assert summarizers._dense_columns(n, ranked) == len(ranked)
+def test_cross_products_add_across_chunks_in_column_order():
+    # 40 rows that share four columns make 6 400 pairs, more than one chunk
+    # holds at this n, so the rows whose entries fall either side of the
+    # cut add the next chunk's products to the sums the first one began:
+    # every cell is the left-to-right sum of its products in column order
+    n = 40
+    assert 4 * n * n > max(n * n // 8, 1 << 12)
+    rows, cols = np.tile(np.arange(n), 4), np.repeat(np.arange(4), n)
+    values = np.random.default_rng(3).uniform(0.01, 6.0, len(cols))
+    got = summarizers._cross_products(n, rows, cols, values)
+    for (a, b), terms in reference_cross_products(rows, cols, values).items():
+        assert got[a, b] == reduce(operator.add, terms, 0.0), (a, b)
+    assert_cross_products_match(n, rows, cols)
 
 
 def test_thousand_sentence_zipf_cluster_matches_references():
-    # textrank's products take both routes and lexrank's the pair route
+    # textrank's products take several chunks of pairs, lexrank's one
     cluster = make_cluster(zipf_corpus(13, 1, 10, 100)[0])
-    features = ClusterFeatures(cluster)
     n = len(cluster.sentences)
     assert n == 1000
-    ranked = ranked_dfs(features.entries[1])
-    assert 0 < summarizers._dense_columns(n, ranked) < len(ranked)
-    ranked = ranked_dfs(features.tfidf[1])
-    assert summarizers._dense_columns(n, ranked) < len(ranked)
+    ranked = ranked_dfs(ClusterFeatures(cluster).entries[1])
+    assert int((ranked * ranked).sum()) > n * n // 8
     config = SummarizerConfig()
     for name in ("lexrank", "textrank"):
         ranker, reference = PAIRS[name]
@@ -744,17 +710,14 @@ def test_thousand_sentence_zipf_cluster_matches_references():
 
 
 def test_threshold_at_realised_cosine_on_the_pair_route():
-    # a cluster long enough for lexrank's products to take the pair route,
-    # with near-copies planted in other documents: a threshold at a planted
-    # pair's cosine, or one ulp either side, is decided by the exact cosine
+    # a 300-sentence cluster with near-copies planted in other documents: a
+    # threshold at a planted pair's cosine, or one ulp either side, is
+    # decided by the exact cosine
     docs = zipf_corpus(17, 1, 6, 50)[0]
     planted = [(s, 1 + s % 5) for s in range(12)]  # (sentence, its copy's document)
     for s, d in planted:
         docs[d][s] = docs[0][s] + "".join(f" new{s}x{k}" for k in range(s % 4))
     cluster = make_cluster(docs)
-    features = ClusterFeatures(cluster)
-    n = len(cluster.sentences)
-    assert summarizers._dense_columns(n, ranked_dfs(features.tfidf[1])) == 0
     cosines = reference_cosines(cluster)
     realised = {cosines[s, 50 * d + s] for s, d in planted} - {0.0}
     assert len(realised) >= 10
