@@ -42,6 +42,7 @@ from .harness import (
 from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .summarizers import (
     ClusterFeatures,
+    CorpusCounts,
     LengthBudget,
     RankList,
     Summary,

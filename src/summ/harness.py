@@ -12,13 +12,15 @@ import csv
 import json
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+from . import porter
 from .consensus import (
     AGGREGATORS,
     WcsConfig,
@@ -30,6 +32,7 @@ from .consensus import (
     wcs_aggregate,
 )
 from .corpus import (
+    ClusterRecord,
     DocumentCluster,
     TokenizationConfig,
     build_cluster,
@@ -42,6 +45,7 @@ from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     ClusterFeatures,
+    CorpusCounts,
     RankList,
     Summary,
     SummarizerConfig,
@@ -205,7 +209,7 @@ class _ClusterPipeline:
     each summary's ROUGE-n recall, which the oracle and the scoring share.
     """
 
-    def __init__(self, cluster: DocumentCluster, corpus_counts: Counter,
+    def __init__(self, cluster: DocumentCluster, corpus: CorpusCounts,
                  config: RunConfig, orders: Sequence[int] = (1,)):
         self.cluster, self.config = cluster, config
         self.index = NgramIndex(orders)
@@ -216,7 +220,7 @@ class _ClusterPipeline:
         for name in config.systems:
             try:
                 self.rank_lists[name] = (
-                    topicsum_rank(self.features, corpus_counts, config.summarizer)
+                    topicsum_rank(self.features, corpus, config.summarizer)
                     if name == "topicsum"
                     else _RANKERS[name](self.features, config.summarizer)
                 )
@@ -297,11 +301,11 @@ class _ClusterPipeline:
 
 
 def _evaluate_cluster(
-    cluster: DocumentCluster, corpus_counts: Counter, config: RunConfig
+    cluster: DocumentCluster, corpus: CorpusCounts, config: RunConfig
 ) -> _ClusterOutcome:
     duplicates = duplicate_stats(cluster)
     try:
-        return _evaluate_cluster_inner(cluster, corpus_counts, config, duplicates)
+        return _evaluate_cluster_inner(cluster, corpus, config, duplicates)
     except Exception as exc:  # a broken cluster must not abort the run
         logger.warning("cluster %s failed: %s", cluster.cluster_id, exc)
         return _ClusterOutcome(
@@ -315,14 +319,14 @@ def _evaluate_cluster(
 
 def _evaluate_cluster_inner(
     cluster: DocumentCluster,
-    corpus_counts: Counter,
+    corpus: CorpusCounts,
     config: RunConfig,
     duplicates: int,
 ) -> _ClusterOutcome:
     # every sentence and reference is tokenized once into the index, which
     # serves the peer matrix, the oracle and the scoring
     pipeline = _ClusterPipeline(
-        cluster, corpus_counts, config, sorted({1, *config.rouge_orders})
+        cluster, corpus, config, sorted({1, *config.rouge_orders})
     )
     failures = pipeline.failures
     # the stats compare every system's raw weight with its recall, so the
@@ -374,10 +378,45 @@ def _evaluate_cluster_inner(
 
 
 def _token_counts(token_streams: Iterable[Iterable[str]]) -> Counter:
-    """Token counts pooled over the streams: topicsum's corpus totals, from
-    every sentence or every raw document of the corpus.  The two agree,
+    """Token counts pooled over the streams: topicsum's corpus counts, from
+    every sentence of the corpus.  Every raw document gives the same,
     since sentences split only at whitespace and no token spans it."""
     return Counter(chain.from_iterable(token_streams))
+
+
+def _cluster_corpus_counts(
+    records: Sequence[ClusterRecord],
+    cluster: DocumentCluster,
+    tokenization: TokenizationConfig,
+) -> CorpusCounts:
+    """Topicsum's corpus counts at the cluster's own tokens, and the total,
+    from every raw document of the corpus.
+
+    Both come from the surface words (the token pipeline short of its
+    stem step), which stem one by one into the tokens.  A word that stems
+    to a token starts with the token's core, its shortest non-empty prefix
+    that leaves a tail (``porter.TAILS``; unstemmed, the only tail is ""),
+    so only the words that start with a core are stemmed.
+    """
+    unstemmed = replace(tokenization, stem=False)
+    surface = Counter(chain.from_iterable(
+        tokenize(d.text, unstemmed) for r in records for d in r.documents
+    ))
+    tails = porter.TAILS if tokenization.stem else {""}
+    tokens = {t for s in cluster.sentences for t in s.tokens}
+    cores = {next(t[:p] for p in range(1, len(t) + 1) if t[p:] in tails) for t in tokens}
+    words = sorted(surface)
+    candidates = set()
+    for core in cores:
+        # the words from the core up to, not including, its successor
+        after = core[:-1] + chr(ord(core[-1]) + 1)
+        candidates.update(words[bisect_left(words, core):bisect_left(words, after)])
+    counts = Counter()
+    for word in candidates:
+        token = porter.stem(word) if tokenization.stem else word
+        if token in tokens:
+            counts[token] += surface[word]
+    return CorpusCounts(counts, surface.total())
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -481,10 +520,11 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     ``NoSuccessfulClustersError`` when nothing could be scored.
     """
     clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
-    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    corpus = CorpusCounts(counts, counts.total())
     # serial for every jobs value: a thread pool was slower, since the
     # pipeline holds the interpreter lock (README, --jobs)
-    outcomes = [_evaluate_cluster(cluster, corpus_counts, config) for cluster in clusters]
+    outcomes = [_evaluate_cluster(cluster, corpus, config) for cluster in clusters]
     outcomes.sort(key=lambda o: o.cluster_id)
 
     if not any(o.scored for o in outcomes):
@@ -525,11 +565,9 @@ def summarize_cluster(
         raise NoSuccessfulClustersError(
             f"no cluster {cluster_id!r} in {config.corpus}"
         )
-    corpus_counts = _token_counts(
-        tokenize(d.text, config.tokenization) for r in records for d in r.documents
-    )
     cluster = build_cluster(record, config.tokenization)
-    pipeline = _ClusterPipeline(cluster, corpus_counts, config)
+    corpus = _cluster_corpus_counts(records, cluster, config.tokenization)
+    pipeline = _ClusterPipeline(cluster, corpus, config)
     for name, reason in pipeline.failures.items():
         logger.warning("system %s skipped for %s: %s", name, cluster_id, reason)
     # a cluster too poor for the aggregator (no system ranked it, too few

@@ -75,6 +75,39 @@ _STEP4 = _by_ending((suffix, "") for suffix in (
     "ism", "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou",
 ))
 
+_APPENDED = {"e", "i"} | {  # step 1b's e, step 1c's i, steps 2 and 3
+    repl for step in (_STEP2, _STEP3) for bucket in step.values() for _, repl, _ in bucket
+}
+
+#: Every prefix of a string the stemmer appends, "" included.
+#:
+#: Invariant: ``stem(w) == w[:p] + s`` with ``p >= 1`` and ``s`` in TAILS.
+#: So every word that stems to ``t`` starts with ``t[:p]`` for some
+#: ``p >= 1`` with ``t[p:]`` in TAILS, and so with the shortest such
+#: ``t[:p]``, its core.
+#:
+#: Proof, step by step, on the word so far ``w[:p] + s``.  It starts as
+#: ``w``, ``s = ""``.  A step that only drops final letters (1a, -eed,
+#: -ed/-ing, undoubling, 5a, 5b) leaves a prefix of ``s``, or ``s = ""``
+#: and a shorter ``w[:p]``; each leaves at least one letter.  Step 1b's
+#: ``e`` follows a drop with nothing appended yet, so ``s`` becomes "e".
+#: Step 1c's final ``y`` lies in ``w[:p]``, since no tail holds a ``y``,
+#: so ``s = ""``; with a vowel before it, ``w[:p-1] + "i"``.  A rule of
+#: steps 2-4 swaps suffix ``u`` for ``r`` after a stem of measure >= 1.
+#: If ``u`` covers ``s``, the word becomes that stem, a non-empty
+#: ``w[:p']``, plus ``r``.  Otherwise ``u`` is a proper suffix of ``s``
+#: (step 4's -ion after step 2's -tion), so ``r`` is "" by the assert
+#: below and the word keeps ``w[:p]`` plus a prefix of ``s``.
+TAILS = frozenset(r[:k] for r in _APPENDED for k in range(len(r) + 1))
+
+assert not any(  # no rule that appends matches a suffix starting inside a tail
+    repl and tail != suffix and tail.endswith(suffix)
+    for step in (_STEP2, _STEP3, _STEP4)
+    for bucket in step.values()
+    for suffix, repl, _ in bucket
+    for tail in TAILS
+)
+
 
 def _replace_suffix(rules, min_measure: int, word: str, cv: str) -> tuple[str, str]:
     """Steps 2-4: the word and its map after the longest matching rule."""

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -452,30 +452,37 @@ def _binomial_lls(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     return k * log_p + (n - k) * log_q
 
 
+class CorpusCounts(NamedTuple):
+    """TopicSum's pooled corpus tokens, the ranked cluster's included:
+    ``total`` tokens, ``counts[t]`` of them ``t``.  ``counts`` need only
+    hold the ranked cluster's own tokens."""
+
+    counts: Mapping[str, int]
+    total: int
+
+
 def topic_words(
     features: ClusterFeatures,
-    corpus_counts: Mapping[str, int],
+    corpus: CorpusCounts,
     threshold: float,
 ) -> set[str]:
     """Tokens significantly over-represented in the cluster vs background.
 
-    ``corpus_counts`` are the pooled token counts of the whole corpus,
-    this cluster included; the background is the corpus minus the
-    cluster's own counts.  The whole vocabulary is tested in one numpy
-    pass that is the scalar log-likelihood ratio exactly: the same
-    ``int / int`` divisions, operations in the same order, logs by
-    ``math.log``.
+    The background is the corpus minus the cluster's own counts.  The
+    whole vocabulary is tested in one numpy pass that is the scalar
+    log-likelihood ratio exactly: the same ``int / int`` divisions,
+    operations in the same order, logs by ``math.log``.
     """
     ids = features.ids
     n1 = len(features.stream[1])
-    n2 = sum(corpus_counts.values()) - n1
+    n2 = corpus.total - n1
     if n2 == 0:
         raise ValueError("background required: no background token counts")
     if n1 == 0:
         return set()
     tokens = list(ids)  # first-occurrence order, so an error names the first short token
     k1 = features.counts[np.fromiter(ids.values(), np.int64, len(tokens))]
-    k2 = np.fromiter(map(corpus_counts.get, tokens, repeat(0)), np.int64, len(tokens)) - k1
+    k2 = np.fromiter(map(corpus.counts.get, tokens, repeat(0)), np.int64, len(tokens)) - k1
     if (k2 < 0).any():
         token = tokens[int((k2 < 0).argmax())]
         raise ValueError(f"corpus counts miss the cluster's {token!r} tokens")
@@ -494,11 +501,11 @@ def topic_words(
 
 def topicsum_rank(
     features: ClusterFeatures,
-    corpus_counts: Mapping[str, int],
+    corpus: CorpusCounts,
     config: SummarizerConfig,
 ) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = topic_words(features, corpus_counts, config.topic_llr_threshold)
+    signature = topic_words(features, corpus, config.topic_llr_threshold)
     rows, tokens = features.stream
     lengths = features.lengths
     in_signature = np.zeros(len(features.ids), dtype=bool)

@@ -61,8 +61,14 @@ def sentence_counts(clusters):
     return total
 
 
+def corpus_counts(clusters):
+    """Topicsum's corpus counts, as ``run_evaluation`` builds them."""
+    counts = sentence_counts(clusters)
+    return summarizers.CorpusCounts(counts, counts.total())
+
+
 def document_counts(records, config):
-    """Corpus totals as ``summarize_cluster`` takes them, from raw documents."""
+    """Oracle: token counts pooled over every raw document of the corpus."""
     return harness._token_counts(
         tokenize(d.text, config) for r in records for d in r.documents
     )
@@ -72,6 +78,7 @@ COUNT_CONFIGS = (
     TokenizationConfig(),
     TokenizationConfig(lowercase=False, remove_stopwords=False, stem=False),
     TokenizationConfig(lowercase=True, remove_stopwords=False, stem=True),
+    TokenizationConfig(lowercase=False, remove_stopwords=True, stem=True),
 )
 
 # document text with every kind of sentence boundary and non-boundary:
@@ -82,6 +89,7 @@ DOC_PIECES = st.one_of(
         " ", "\n", "\n\n", "\n \n", "\t", "\u00a0", "\u3000", ".", ". ", '."', ".'",
         ".)", ".]", '" ', "(", "[", "!", "?", "Mr.", "Dr. ", "u.s.", "e.g.", "J.",
         "J. R.", "Jan.", "3.5", "No. 4", "The", "storm", "was", "and", "Running",
+        "bate", "bated", "happy", "happiness", "conditional", "condition", "1990s",
     ]),
     st.text(max_size=4),
 )
@@ -89,18 +97,35 @@ DOC_TEXTS = st.lists(DOC_PIECES, min_size=1, max_size=30).map("".join).filter(st
 CORPORA = st.lists(st.lists(DOC_TEXTS, min_size=1, max_size=3), min_size=1, max_size=3)
 
 
+def corpus_records(corpus):
+    """One reference-less record per list of document texts."""
+    return [
+        ClusterRecord(
+            cluster_id=f"c{c}",
+            documents=tuple(Document(f"d{i}", t) for i, t in enumerate(texts)),
+            references=(),
+        )
+        for c, texts in enumerate(corpus)
+    ]
+
+
+def assert_cluster_counts_exact(records, config):
+    """``summarize_cluster``'s corpus counts equal the whole corpus's at
+    every token of each cluster, and so does their total."""
+    full = document_counts(records, config)
+    for record in records:
+        cluster = build_cluster(record, config)
+        corpus = harness._cluster_corpus_counts(records, cluster, config)
+        assert corpus.total == full.total()
+        tokens = {t for s in cluster.sentences for t in s.tokens}
+        assert {t: corpus.counts.get(t, 0) for t in tokens} == {t: full[t] for t in tokens}
+
+
 class TestCorpusCounts:
     @settings(max_examples=150, deadline=None)
     @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
     def test_documents_count_as_their_sentences(self, corpus, config):
-        records = [
-            ClusterRecord(
-                cluster_id=f"c{c}",
-                documents=tuple(Document(f"d{i}", t) for i, t in enumerate(texts)),
-                references=(),
-            )
-            for c, texts in enumerate(corpus)
-        ]
+        records = corpus_records(corpus)
         clusters = [build_cluster(r, config) for r in records]
         assert document_counts(records, config) == sentence_counts(clusters)
 
@@ -112,6 +137,31 @@ class TestCorpusCounts:
         assert harness._token_counts(
             s.tokens for c in clusters for s in c.sentences
         ) == counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
+    def test_summarize_counts_match_on_generated_corpora(self, corpus, config):
+        assert_cluster_counts_exact(corpus_records(corpus), config)
+
+    @pytest.mark.parametrize("config", COUNT_CONFIGS)
+    def test_summarize_counts_match_on_fixture(self, config):
+        assert_cluster_counts_exact(read_corpus(FIXTURE, "jsonl"), config)
+
+    @pytest.mark.parametrize("config", COUNT_CONFIGS)
+    @pytest.mark.parametrize("corpus", [
+        # tokens of two letters or fewer, which the stemmer leaves alone
+        [["an ox is at Go, ox oxen."], ["Ox go oxes at it, a b c."]],
+        # digit tokens, bare and with letters
+        [["In 1990 the 1990s ended 747 jets in 19 runs."], ["1990 1990s 7 747s 19th"]],
+        # bate's only core is "b" (tail "ate"), so every b-word is stemmed
+        [["Bate bate."], ["bated bating bates bat bait baiting bats able b"]],
+        # uppercase tokens, which stemming leaves alone without lowercasing
+        [["RUNNING Running running RUNS."], ["Runs runner RUNNING running Run"]],
+        # tails cut short: -tion by step 4, an appended i and e
+        [["Conditional happiness hoping."], ["condition conditions happy hope hoped"]],
+    ])
+    def test_summarize_counts_match_on_edge_tokens(self, corpus, config):
+        assert_cluster_counts_exact(corpus_records(corpus), config)
 
 
 class TestKendallTau:
@@ -387,7 +437,7 @@ class TestTokenizeOnce:
         for cluster in clusters:
             for made in (calls, texts, references, summaries):
                 made.clear()
-            outcome = harness._evaluate_cluster(cluster, sentence_counts(clusters), config)
+            outcome = harness._evaluate_cluster(cluster, corpus_counts(clusters), config)
             assert outcome.scored
             assert Counter(references) == Counter(r.text for r in cluster.references)
             # every extracted summary is scored, each distinct sentence
@@ -431,7 +481,7 @@ class TestScoreOnce:
         monkeypatch.setattr(harness, "NgramIndex", Index)
         config = fixture_config(rouge_orders=orders)
         clusters = load_corpus(FIXTURE, "jsonl")
-        counts = sentence_counts(clusters)
+        counts = corpus_counts(clusters)
         shared = 0
         for cluster in clusters:
             scored.clear()
@@ -493,7 +543,7 @@ class TestFeaturesOnce:
         clusters = load_corpus(FIXTURE, "jsonl")
         for cluster in clusters:
             built.clear()
-            outcome = harness._evaluate_cluster(cluster, sentence_counts(clusters), config)
+            outcome = harness._evaluate_cluster(cluster, corpus_counts(clusters), config)
             assert outcome.scored
             assert len(built) == expected
 
@@ -554,7 +604,7 @@ class TestSummarizeCluster:
                 config = configs.pop()
                 clusters = load_corpus(FIXTURE, "jsonl", config.tokenization)
                 [cluster] = [c for c in clusters if c.cluster_id == cluster_id]
-                pipeline = harness._ClusterPipeline(cluster, sentence_counts(clusters), config)
+                pipeline = harness._ClusterPipeline(cluster, corpus_counts(clusters), config)
                 summary = pipeline.extract(pipeline.fuse(aggregator)[0])
                 expected = "".join(
                     cluster.sentences[i].raw_text + "\n" for i in summary.sentence_indices

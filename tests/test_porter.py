@@ -1,4 +1,5 @@
-"""Differential test of ``summ.porter.stem`` against a plain reference.
+"""Differential test of ``summ.porter.stem`` against a plain reference,
+and a property test of the invariant ``summ.porter.TAILS`` states.
 
 The reference below is the first implementation of the stemmer, kept
 verbatim apart from the name and cache of its entry point.  It tries
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summ.corpus import TokenizationConfig, tokenize
-from summ.porter import stem
+from summ.porter import TAILS, stem
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 
@@ -221,6 +222,15 @@ suffixed_words = st.builds(
 )
 
 
+def short_base_words():
+    """Every base of up to three letters, bare and with each suffix."""
+    for n in (1, 2, 3):
+        for chars in itertools.product("aeiyblstwxz", repeat=n):
+            base = "".join(chars)
+            for suffix in ("", *SUFFIXES):
+                yield base + suffix
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(letter_words, suffixed_words))
 def test_matches_oracle_on_generated_words(word):
@@ -228,13 +238,38 @@ def test_matches_oracle_on_generated_words(word):
 
 
 def test_matches_oracle_on_short_bases():
-    # every base of up to three letters, bare and with each suffix
-    for n in (1, 2, 3):
-        for chars in itertools.product("aeiyblstwxz", repeat=n):
-            base = "".join(chars)
-            for suffix in ("", *SUFFIXES):
-                word = base + suffix
-                assert stem.__wrapped__(word) == oracle_stem(word), word
+    for word in short_base_words():
+        assert stem.__wrapped__(word) == oracle_stem(word), word
+
+
+def is_core_plus_tail(word: str) -> bool:
+    """``stem(word) == word[:p] + s`` for some ``p >= 1`` and tail ``s``."""
+    stemmed = stem.__wrapped__(word)
+    return any(
+        stemmed[:p] == word[:p] and stemmed[p:] in TAILS
+        for p in range(1, min(len(word), len(stemmed)) + 1)
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(letter_words, suffixed_words).filter(bool))
+def test_stem_is_a_core_plus_a_tail_on_generated_words(word):
+    assert is_core_plus_tail(word), (word, stem.__wrapped__(word))
+
+
+def test_stem_is_a_core_plus_a_tail_on_short_bases():
+    for word in short_base_words():
+        assert is_core_plus_tail(word), (word, stem.__wrapped__(word))
+
+
+def test_tails_hold_every_appended_string():
+    # step 1c's i (happy -> happi), 1b's e (hoping -> hope), step 2's
+    # replacement cut by step 5a (relational -> relate -> relat) and by
+    # step 4 (conditional -> condition -> condit)
+    for word, stemmed in (("happy", "happi"), ("hoping", "hope"),
+                          ("relational", "relat"), ("conditional", "condit")):
+        assert stem.__wrapped__(word) == stemmed
+        assert is_core_plus_tail(word), word
 
 
 def test_matches_oracle_on_fixture_tokens():

@@ -33,6 +33,7 @@ from summ import summarizers
 from summ.harness import _token_counts
 from summ.summarizers import (
     ClusterFeatures,
+    CorpusCounts,
     RankList,
     SummarizerConfig,
     _graph_rank,
@@ -481,16 +482,17 @@ def assert_topicsum_identical(corpus_docs, config):
         )
         for c, docs in enumerate(corpus_docs)
     ]
-    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    corpus = CorpusCounts(counts, counts.total())
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
         try:
             want = reference_topicsum_rank(cluster, background, config)
         except ValueError as exc:
             with pytest.raises(ValueError, match="background required"):
-                topicsum_rank(ClusterFeatures(cluster), corpus_counts, config)
+                topicsum_rank(ClusterFeatures(cluster), corpus, config)
             assert "background required" in str(exc)
             continue
-        got = topicsum_rank(ClusterFeatures(cluster), corpus_counts, config)
+        got = topicsum_rank(ClusterFeatures(cluster), corpus, config)
         assert got.scores == want.scores
         assert got.ranks == want.ranks
 
@@ -593,7 +595,8 @@ def test_topic_threshold_at_realised_ratio():
     # there only a numpy ratio with the scalar rule's exact bits (its
     # operands, order of operations and math.log logs) picks the same tokens
     clusters = [make_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
-    corpus_counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
+    corpus = CorpusCounts(counts, counts.total())
     tested = 0
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
         counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
@@ -606,7 +609,7 @@ def test_topic_threshold_at_realised_ratio():
         for value in realised:
             below, above = math.nextafter(value, 0.0), math.nextafter(value, math.inf)
             for threshold in (below, value, above):
-                got = topic_words(ClusterFeatures(cluster), corpus_counts, threshold)
+                got = topic_words(ClusterFeatures(cluster), corpus, threshold)
                 assert got == reference_topic_words(cluster, background, threshold)
     assert tested > 200
 

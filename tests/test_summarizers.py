@@ -10,6 +10,7 @@ from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.summarizers import (
     LengthBudget,
     ClusterFeatures,
+    CorpusCounts,
     RankList,
     SummarizerConfig,
     _power_iteration,
@@ -40,6 +41,11 @@ def make_cluster(docs, config=WORDS):
 
 def cluster_counts(cluster):
     return Counter(t for s in cluster.sentences for t in s.tokens)
+
+
+def pooled(counts):
+    """Corpus counts for topicsum, totalled from the ``Counter``."""
+    return CorpusCounts(counts, counts.total())
 
 
 class TestRankList:
@@ -325,31 +331,31 @@ class TestTopicsum:
 
     def test_background_equal_to_cluster_gives_all_zero(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
-        corpus = cluster_counts(cluster) + cluster_counts(cluster)
+        corpus = pooled(cluster_counts(cluster) + cluster_counts(cluster))
         rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
         assert rl.scores == (0.0,) * len(cluster.sentences)
 
     def test_overrepresented_token_becomes_topic_word(self):
         sentences = [["storm storm storm storm storm surge", "other words here"]]
         cluster = make_cluster(sentences)
-        corpus = cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)})
+        corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)}))
         signature = topic_words(ClusterFeatures(cluster), corpus, CONFIG.topic_llr_threshold)
         assert "storm" in signature
 
     def test_pure_topic_sentence_scores_one(self):
         cluster = make_cluster([["storm storm storm storm storm", "calm words today"]])
-        corpus = cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)})
+        corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)}))
         rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
         assert max(rl.scores) == rl.scores[0] == 1.0
 
     def test_empty_background_is_error(self):
         cluster = make_cluster([["red fox runs"]])
         with pytest.raises(ValueError, match="background required"):
-            topicsum_rank(ClusterFeatures(cluster), cluster_counts(cluster), CONFIG)
+            topicsum_rank(ClusterFeatures(cluster), pooled(cluster_counts(cluster)), CONFIG)
 
     def test_corpus_counts_must_include_the_cluster(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
-        background = Counter({"red": 1, "noise": 50})
+        background = pooled(Counter({"red": 1, "noise": 50}))
         with pytest.raises(ValueError, match="corpus counts miss"):
             topicsum_rank(ClusterFeatures(cluster), background, CONFIG)
 
@@ -543,7 +549,7 @@ class TestRankerProperties:
         vocab = ["gale", "tide", "reef", "dune", "cove", "surf"]
         docs = random_cluster(rng, vocab)
         cluster = make_cluster(docs)
-        corpus = cluster_counts(cluster) + Counter({"noise": 50, "words": 50})
+        corpus = pooled(cluster_counts(cluster) + Counter({"noise": 50, "words": 50}))
         for name, ranker in SYSTEMS.items():
             assert ranker(ClusterFeatures(cluster), CONFIG) == ranker(ClusterFeatures(cluster), CONFIG), name
         assert topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG) == topicsum_rank(
@@ -563,10 +569,10 @@ class TestRankerProperties:
                        for doc in docs]
             cluster = make_cluster(docs)
             mirrored = make_cluster(renamed)
-            corpus = cluster_counts(cluster) + Counter({w: 9 for w in vocab})
-            renamed_corpus = cluster_counts(mirrored) + Counter(
+            corpus = pooled(cluster_counts(cluster) + Counter({w: 9 for w in vocab}))
+            renamed_corpus = pooled(cluster_counts(mirrored) + Counter(
                 {rename(w): 9 for w in vocab}
-            )
+            ))
             for name, ranker in SYSTEMS.items():
                 assert (
                     ranker(ClusterFeatures(cluster), CONFIG).ranks == ranker(ClusterFeatures(mirrored), CONFIG).ranks
