@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .consensus import WcsConfig
-from .corpus import CorpusError
+from .corpus import CorpusError, invalid_json
 from .harness import (
     EMIT_FORMATS,
     NoSuccessfulClustersError,
@@ -76,12 +76,8 @@ def _load_config_file(path: str | None) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CorpusError(f"config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: invalid JSON ({exc.msg})") from None
-    except ValueError as exc:  # an integer over Python's digit limit
-        raise UsageError(f"config file {path}: invalid JSON ({exc})") from None
-    except RecursionError:
-        raise UsageError(f"config file {path}: invalid JSON (nested too deeply)") from None
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"config file {path}: {invalid_json(exc)}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
     unknown = sorted(set(data) - _FILE_KEYS)
@@ -132,37 +128,43 @@ def _split_list(value) -> tuple[str, ...]:
     return tuple(part.strip() for part in str(value).split(",") if part.strip())
 
 
+def _rouge_orders(value) -> tuple[int, ...]:
+    raw = _split_list(value)
+    try:
+        return tuple(int(n) for n in raw)
+    except ValueError:
+        raise UsageError(f"--rouge must be integers, got {raw}") from None
+
+
+# each setting a flag or the config file can give, in the order it is checked,
+# and the RunConfig field it sets; one not given keeps the field's default
+_RUN_SETTINGS = {
+    "budget": ("summarizer", lambda v: SummarizerConfig(budget=LengthBudget.parse(v))),
+    "systems": ("systems", _split_list),
+    "aggregators": ("aggregators", _split_list),
+    "rouge": ("rouge_orders", _rouge_orders),
+    "redundancy_cap": ("redundancy_cap", float),
+    "format": ("corpus_format", str),
+    "lambda_": ("wcs", lambda v: WcsConfig(lambda_=float(v))),
+    "jobs": ("jobs", int),
+}
+
+
 def _run_config(
     args: argparse.Namespace, file_config: dict, aggregators: tuple[str, ...] = ()
 ) -> RunConfig:
     corpus = _effective(args, file_config, "corpus")
     if corpus is None:
         raise UsageError("--corpus is required")
-    budget = LengthBudget.parse(_effective(args, file_config, "budget", "words:100"))
-    systems = _split_list(
-        _effective(args, file_config, "systems",
-                   "lexrank,textrank,centroid,freqsum,topicsum,greedykl")
-    )
-    aggregators = aggregators or _split_list(
-        _effective(args, file_config, "aggregators", "borda,wcs,cwcs,oracle")
-    )
-    rouge_raw = _split_list(_effective(args, file_config, "rouge", "1,2,4"))
-    try:
-        rouge_orders = tuple(int(n) for n in rouge_raw)
-    except ValueError:
-        raise UsageError(f"--rouge must be integers, got {rouge_raw}") from None
-    redundancy_cap = _effective(args, file_config, "redundancy_cap")
-    return RunConfig(
-        corpus=corpus,
-        corpus_format=_effective(args, file_config, "format", "jsonl"),
-        summarizer=SummarizerConfig(budget=budget),
-        wcs=WcsConfig(lambda_=float(_effective(args, file_config, "lambda_", 0.5))),
-        systems=systems,
-        aggregators=aggregators,
-        rouge_orders=rouge_orders,
-        redundancy_cap=None if redundancy_cap is None else float(redundancy_cap),
-        jobs=_effective(args, file_config, "jobs", 1),
-    )
+    settings = {}
+    for key, (name, convert) in _RUN_SETTINGS.items():
+        if key == "aggregators" and aggregators:
+            settings[name] = aggregators
+            continue
+        value = _effective(args, file_config, key)
+        if value is not None:
+            settings[name] = convert(value)
+    return RunConfig(corpus=corpus, **settings)
 
 
 def _command_run(args: argparse.Namespace) -> int:

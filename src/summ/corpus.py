@@ -45,9 +45,8 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class TokenizationConfig:
-    """Token pipeline switches, applied as lowercase -> stopwords -> stem."""
+    """Token pipeline switches, applied to the lowercased words: stopwords -> stem."""
 
-    lowercase: bool = True
     remove_stopwords: bool = True
     stem: bool = True
     min_sentence_tokens: int = 3
@@ -59,7 +58,7 @@ class TokenizationConfig:
 
 #: Pipeline used for duplicate detection: surface forms, stopwords kept.
 RAW_SEQUENCE_CONFIG = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+    remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
 
 
@@ -106,16 +105,12 @@ class DocumentCluster:
         return len(self.sentences)
 
 
-def _word_table(lowercase: bool) -> bytes:
-    """Byte map for ``bytes.translate``: ASCII letters and digits kept
-    (``A-Z`` lowered when asked), every other byte made a space."""
-    table = bytearray(b" " * 256)
-    for c in string.ascii_letters + string.digits:
-        table[ord(c)] = ord(c.lower() if lowercase else c)
-    return bytes(table)
-
-
-_WORD_TABLES = {lowercase: _word_table(lowercase) for lowercase in (False, True)}
+# byte map for ``bytes.translate``: ASCII letters and digits kept, ``A-Z``
+# lowered, every other byte made a space
+_WORD_TABLE = bytes(
+    ord(chr(b).lower()) if chr(b) in string.ascii_letters + string.digits else ord(" ")
+    for b in range(256)
+)
 
 # Words whose trailing period does not end a sentence.  Lowercase, with the
 # period included; single-letter initials are guarded separately.  Weekday
@@ -180,16 +175,14 @@ def segment_sentences(raw_text: str) -> list[str]:
 def tokenize(text: str, config: TokenizationConfig) -> list[str]:
     """Run the token pipeline: words, then the config stages.
 
-    A word is a maximal run of ASCII letters and digits; any other
-    character, non-ASCII included, separates words.  Stopword matching is
-    exact, so it only fires on lowercase tokens; with ``lowercase`` off the
-    pipeline is effectively case-sensitive.
+    A word is a maximal run of ASCII letters and digits, lowercased; any
+    other character, non-ASCII included, separates words.
     """
     # each non-ASCII code point, a lone surrogate too, encodes to one "?",
     # which the table turns into a space like every other separator
     tokens = (
         text.encode("ascii", "replace")
-        .translate(_WORD_TABLES[config.lowercase])
+        .translate(_WORD_TABLE)
         .decode("ascii")
         .split()
     )
@@ -338,6 +331,14 @@ def _parse_jsonl_record(record, source: str) -> tuple[str, list, list]:
     return cluster_id, documents, references
 
 
+def invalid_json(exc: ValueError | RecursionError) -> str:
+    """Why ``json.loads`` rejected a corpus line or a config file."""
+    if isinstance(exc, RecursionError):
+        return "invalid JSON (nested too deeply)"
+    # a plain ValueError: an integer over Python's digit limit, or bad UTF-8
+    return f"invalid JSON ({exc.msg if isinstance(exc, json.JSONDecodeError) else exc})"
+
+
 def _iter_jsonl(path: Path):
     text = _read_text(path)
     # split on "\n" only: str.splitlines() also breaks at U+0085, U+2028
@@ -348,12 +349,8 @@ def _iter_jsonl(path: Path):
         source = f"{path}:{lineno}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{source}: invalid JSON ({exc.msg})") from None
-        except ValueError as exc:  # an integer over Python's digit limit
-            raise CorpusError(f"{source}: invalid JSON ({exc})") from None
-        except RecursionError:
-            raise CorpusError(f"{source}: invalid JSON (nested too deeply)") from None
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"{source}: {invalid_json(exc)}") from None
         yield source, record
 
 

@@ -14,7 +14,7 @@ import logging
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -32,9 +32,9 @@ from .consensus import (
     wcs_aggregate,
 )
 from .corpus import (
+    RAW_SEQUENCE_CONFIG,
     ClusterRecord,
     DocumentCluster,
-    TokenizationConfig,
     build_cluster,
     duplicate_stats,
     load_corpus,
@@ -42,6 +42,7 @@ from .corpus import (
     tokenize,
 )
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
+from .stopwords import STOPWORDS
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     ClusterFeatures,
@@ -79,7 +80,6 @@ class NoSuccessfulClustersError(Exception):
 class RunConfig:
     corpus: str | Path
     corpus_format: str = "jsonl"
-    tokenization: TokenizationConfig = field(default_factory=TokenizationConfig)
     summarizer: SummarizerConfig = field(default_factory=SummarizerConfig)
     wcs: WcsConfig = field(default_factory=WcsConfig)
     systems: tuple[str, ...] = CANDIDATE_SYSTEMS
@@ -209,7 +209,7 @@ class _ClusterPipeline:
     each summary's ROUGE-n recall, which the oracle and the scoring share.
     """
 
-    def __init__(self, cluster: DocumentCluster, corpus: CorpusCounts,
+    def __init__(self, cluster: DocumentCluster, corpus: CorpusCounts | None,
                  config: RunConfig, orders: Sequence[int] = (1,)):
         self.cluster, self.config = cluster, config
         self.index = NgramIndex(orders)
@@ -385,9 +385,7 @@ def _token_counts(token_streams: Iterable[Iterable[str]]) -> Counter:
 
 
 def _cluster_corpus_counts(
-    records: Sequence[ClusterRecord],
-    cluster: DocumentCluster,
-    tokenization: TokenizationConfig,
+    records: Sequence[ClusterRecord], cluster: DocumentCluster
 ) -> CorpusCounts:
     """Topicsum's corpus counts at the cluster's own tokens, and the total,
     from every raw document of the corpus.
@@ -395,14 +393,15 @@ def _cluster_corpus_counts(
     Both come from the surface words (the token pipeline short of its
     stem step), which stem one by one into the tokens.  A word that stems
     to a token starts with the token's core, its shortest non-empty prefix
-    that leaves a tail (``porter.TAILS``; unstemmed, the only tail is ""),
-    so only the words that start with a core are stemmed.
+    that leaves a tail (``porter.TAILS``), so only the words that start
+    with a core are stemmed.
     """
-    unstemmed = replace(tokenization, stem=False)
     surface = Counter(chain.from_iterable(
-        tokenize(d.text, unstemmed) for r in records for d in r.documents
+        tokenize(d.text, RAW_SEQUENCE_CONFIG) for r in records for d in r.documents
     ))
-    tails = porter.TAILS if tokenization.stem else {""}
+    for word in STOPWORDS.intersection(surface):  # once per distinct word
+        del surface[word]
+    tails = porter.TAILS
     tokens = {t for s in cluster.sentences for t in s.tokens}
     cores = {next(t[:p] for p in range(1, len(t) + 1) if t[p:] in tails) for t in tokens}
     words = sorted(surface)
@@ -413,7 +412,7 @@ def _cluster_corpus_counts(
         candidates.update(words[bisect_left(words, core):bisect_left(words, after)])
     counts = Counter()
     for word in candidates:
-        token = porter.stem(word) if tokenization.stem else word
+        token = porter.stem(word)
         if token in tokens:
             counts[token] += surface[word]
     return CorpusCounts(counts, surface.total())
@@ -519,7 +518,7 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     averages; per-cluster failures are recorded, never fatal.  Raises
     ``NoSuccessfulClustersError`` when nothing could be scored.
     """
-    clusters = load_corpus(config.corpus, config.corpus_format, config.tokenization)
+    clusters = load_corpus(config.corpus, config.corpus_format)
     counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     corpus = CorpusCounts(counts, counts.total())
     # serial for every jobs value: a thread pool was slower, since the
@@ -557,16 +556,16 @@ def summarize_cluster(
     """Aggregate summary sentences (raw text) for one cluster."""
     if aggregator not in AGGREGATORS:
         raise ValueError(f"aggregator must be one of {AGGREGATORS}")
-    # the whole corpus is read and validated, and counted for topicsum, but
-    # only the requested cluster is segmented into sentences
+    # the whole corpus is read and validated, and counted if topicsum runs,
+    # but only the requested cluster is segmented into sentences
     records = read_corpus(config.corpus, config.corpus_format)
     record = next((r for r in records if r.cluster_id == cluster_id), None)
     if record is None:
         raise NoSuccessfulClustersError(
             f"no cluster {cluster_id!r} in {config.corpus}"
         )
-    cluster = build_cluster(record, config.tokenization)
-    corpus = _cluster_corpus_counts(records, cluster, config.tokenization)
+    cluster = build_cluster(record)
+    corpus = _cluster_corpus_counts(records, cluster) if "topicsum" in config.systems else None
     pipeline = _ClusterPipeline(cluster, corpus, config)
     for name, reason in pipeline.failures.items():
         logger.warning("system %s skipped for %s: %s", name, cluster_id, reason)

@@ -24,10 +24,10 @@ from .corpus import TokenizationConfig, tokenize
 
 logger = logging.getLogger(__name__)
 
-#: Scoring pipeline: lowercase and stem, keep stopwords (the usual
+#: Scoring pipeline: the words stemmed, stopwords kept (the usual
 #: recall-evaluation setup for newswire summaries).
 ROUGE_TOKENIZATION = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=True, min_sentence_tokens=1
+    remove_stopwords=False, stem=True, min_sentence_tokens=1
 )
 
 TokenLists = Sequence[Sequence[str]]
@@ -41,16 +41,14 @@ class RougeScore:
     reference_count: int
 
 
-def prepare_text(text: str, config: TokenizationConfig = ROUGE_TOKENIZATION) -> list[str]:
+def prepare_text(text: str) -> list[str]:
     """Flat scoring-token stream for a reference text."""
-    return tokenize(text, config)
+    return tokenize(text, ROUGE_TOKENIZATION)
 
 
-def prepare_sentences(
-    texts: Sequence[str], config: TokenizationConfig = ROUGE_TOKENIZATION
-) -> list[list[str]]:
+def prepare_sentences(texts: Sequence[str]) -> list[list[str]]:
     """Per-sentence scoring-token streams for a candidate summary."""
-    return [tokenize(t, config) for t in texts]
+    return [tokenize(t, ROUGE_TOKENIZATION) for t in texts]
 
 
 def rouge_n_recall(
@@ -150,7 +148,6 @@ class NgramIndex:
         self._vocab: dict[int, dict[tuple[str, ...], int]] = {}
         self._references: dict[int, list[Counter]] = {}
         self._ids: dict[tuple[int, str], list[int]] = {}
-        self._counts: dict[tuple[int, tuple[str, ...]], Counter] = {}
 
     def add(self, texts: Iterable[str], tokenize: Callable[[list[str]], TokenLists]) -> None:
         """Tokenize the distinct texts not seen yet, in one call."""
@@ -174,18 +171,15 @@ class NgramIndex:
 
     def counts(self, unit: tuple[str, ...], n: int) -> Counter:
         """The unit's order-``n`` n-grams that some reference holds, by
-        number, counted once per unit."""
-        key = (n, unit)
-        if key not in self._counts:
-            vocab = self._vocab[n]
-            ids = []
-            for text in unit:
-                if (n, text) not in self._ids:
-                    grams = _grams(self.tokens[text], n)
-                    self._ids[n, text] = [i for i in map(vocab.get, grams) if i is not None]
-                ids += self._ids[n, text]
-            self._counts[key] = Counter(ids)
-        return self._counts[key]
+        number."""
+        vocab = self._vocab[n]
+        ids = []
+        for text in unit:
+            if (n, text) not in self._ids:
+                grams = _grams(self.tokens[text], n)
+                self._ids[n, text] = [i for i in map(vocab.get, grams) if i is not None]
+            ids += self._ids[n, text]
+        return Counter(ids)
 
     def unigrams(self, unit: tuple[str, ...]) -> Counter:
         """All of the unit's unigrams, by token: the peer summaries'

@@ -43,7 +43,7 @@ from ngram_counting import ngram_counts
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 
 WORDS = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+    remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from summ.cli import main
+from summ.cli import _build_parser, _run_config, main
+from summ.harness import RunConfig
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
 
@@ -213,6 +214,23 @@ class TestRunCommand:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0
+
+    def test_unset_settings_take_the_config_classes_defaults(self):
+        args = _build_parser().parse_args(["run", "--corpus", FIXTURE])
+        assert _run_config(args, {}) == RunConfig(corpus=FIXTURE)
+
+    def test_readme_flags_give_the_defaults_report(self, tmp_path):
+        # README's run command spells out every default
+        readme = tmp_path / "readme.json"
+        assert main([
+            "run", "--corpus", FIXTURE, "--format", "jsonl", "--budget", "words:100",
+            "--systems", "lexrank,textrank,centroid,freqsum,topicsum,greedykl",
+            "--aggregators", "borda,wcs,cwcs,oracle", "--lambda", "0.5", "--rouge", "1,2,4",
+            "--out", str(readme), "--emit", "json", "--jobs", "1",
+        ]) == 0
+        defaults = tmp_path / "defaults.json"
+        assert main(["run", "--corpus", FIXTURE, "--out", str(defaults), "--emit", "json"]) == 0
+        assert defaults.read_bytes() == readme.read_bytes()
 
 
 class TestSummarizeCommand:

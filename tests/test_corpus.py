@@ -30,9 +30,6 @@ from test_porter import oracle_stem
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 BOM = "\ufeff".encode()
-PLAIN = TokenizationConfig(
-    lowercase=False, remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
 
 
 # text built from sentence punctuation, abbreviations, initials, numbers,
@@ -122,32 +119,32 @@ class TestSegmentation:
 
 
 class TestTokenize:
-    @given(texts, st.sampled_from([PLAIN, TokenizationConfig()]))
+    @given(texts, st.sampled_from([RAW_SEQUENCE_CONFIG, TokenizationConfig()]))
     def test_tokens_of_text_are_tokens_of_segments(self, text, config):
         by_segment = [t for s in segment_sentences(text) for t in tokenize(s, config)]
         assert tokenize(text, config) == by_segment
 
     @given(texts, st.booleans())
     def test_lowercase_tokens(self, text, stemmed):
-        config = TokenizationConfig(lowercase=True, remove_stopwords=True, stem=stemmed)
+        config = TokenizationConfig(remove_stopwords=True, stem=stemmed)
         tokens = tokenize(text, config)
         assert all(re.fullmatch(r"[a-z0-9]+", t) for t in tokens)
         if not stemmed:  # a stem may happen to spell a stopword
             assert not STOPWORDS.intersection(tokens)
 
     def test_full_pipeline(self):
-        config = TokenizationConfig(lowercase=True, remove_stopwords=True, stem=True)
+        config = TokenizationConfig(remove_stopwords=True, stem=True)
         assert tokenize("The cats sat", config) == ["cat", "sat"]
 
     def test_identity_pipeline(self):
-        assert tokenize("X y z", PLAIN) == ["X", "y", "z"]
+        assert tokenize("x y z", RAW_SEQUENCE_CONFIG) == ["x", "y", "z"]
 
     def test_no_word_characters(self):
-        for config in (PLAIN, TokenizationConfig()):
+        for config in (RAW_SEQUENCE_CONFIG, TokenizationConfig()):
             assert tokenize("...", config) == []
 
     def test_idempotent_without_stemming(self):
-        config = TokenizationConfig(lowercase=True, remove_stopwords=True, stem=False)
+        config = TokenizationConfig(remove_stopwords=True, stem=False)
         rng = random.Random(7)
         vocab = ["storm", "the", "coast", "on", "Power", "ran", "a", "42"]
         for _ in range(50):
@@ -164,13 +161,12 @@ class TestTokenize:
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
-def oracle_words(text, lowercase):
-    words = _TOKEN_RE.findall(text)
-    return [w.lower() for w in words] if lowercase else words
+def oracle_words(text):
+    return [w.lower() for w in _TOKEN_RE.findall(text)]
 
 
 def oracle_tokens(text, config):
-    tokens = oracle_words(text, config.lowercase)
+    tokens = oracle_words(text)
     if config.remove_stopwords:
         tokens = [t for t in tokens if t not in STOPWORDS]
     if config.stem:
@@ -200,12 +196,9 @@ WORD_TEXTS = st.lists(
 
 class TestWordFinder:
     @settings(max_examples=500)
-    @given(WORD_TEXTS, st.booleans())
-    def test_words_match_regex_oracle(self, text, lowercase):
-        config = TokenizationConfig(
-            lowercase=lowercase, remove_stopwords=False, stem=False, min_sentence_tokens=1
-        )
-        assert tokenize(text, config) == oracle_words(text, lowercase)
+    @given(WORD_TEXTS)
+    def test_words_match_regex_oracle(self, text):
+        assert tokenize(text, RAW_SEQUENCE_CONFIG) == oracle_words(text)
 
     @given(WORD_TEXTS, st.sampled_from([TokenizationConfig(), ROUGE_TOKENIZATION]))
     def test_pipeline_matches_oracle_pipeline(self, text, config):
@@ -213,12 +206,11 @@ class TestWordFinder:
 
     def test_tricky_characters_separate_words(self):
         for c in TRICKY_CHARS:
-            for config in (PLAIN, RAW_SEQUENCE_CONFIG):
-                assert tokenize(f"ab{c}Cd", config) == oracle_words(f"ab{c}Cd", config.lowercase)
+            assert tokenize(f"ab{c}Cd", RAW_SEQUENCE_CONFIG) == oracle_words(f"ab{c}Cd")
 
     def test_fixture_matches_oracle_pipeline(self):
         texts = [d.text for r in read_corpus(FIXTURE, "jsonl") for d in r.documents]
-        for config in (TokenizationConfig(), ROUGE_TOKENIZATION, RAW_SEQUENCE_CONFIG, PLAIN):
+        for config in (TokenizationConfig(), ROUGE_TOKENIZATION, RAW_SEQUENCE_CONFIG):
             for text in texts:
                 assert tokenize(text, config) == oracle_tokens(text, config)
 
@@ -242,7 +234,7 @@ class TestStemSeam:
         calls = self.counting_stem(monkeypatch)
         text = "The cats sat on the mats; the CATS ran, and 42 dogs barked."
         tokens = tokenize(text, TokenizationConfig())
-        kept = [w for w in oracle_words(text, True) if w not in STOPWORDS]
+        kept = [w for w in oracle_words(text) if w not in STOPWORDS]
         assert calls == kept
         assert tokens == [stem(w) for w in kept]
         calls.clear()
@@ -289,9 +281,6 @@ class TestPorter:
         assert stem(word) == stem.__wrapped__(word)
 
     def test_cached_stem_matches_uncached_on_fixture(self):
-        surface = TokenizationConfig(
-            lowercase=False, remove_stopwords=False, stem=False
-        )
         words = set()
         for line in FIXTURE.read_text(encoding="utf-8").split("\n"):
             if not line.strip():
@@ -300,7 +289,6 @@ class TestPorter:
             texts = [d["text"] for d in record["documents"]]
             texts += [r["text"] for r in record.get("references", [])]
             for text in texts:
-                words.update(tokenize(text, surface))
                 words.update(tokenize(text, RAW_SEQUENCE_CONFIG))
         assert len(words) > 100
         for word in sorted(words):
@@ -312,7 +300,7 @@ class TestLoading:
         path = tmp_path / "corpus.jsonl"
         text = "Alpha beta gamma. Delta epsilon zeta. Eta theta iota."
         write_jsonl(path, [make_record(texts=(text, text))])
-        cluster = load_one(path, "jsonl", PLAIN)
+        cluster = load_one(path, "jsonl", RAW_SEQUENCE_CONFIG)
         assert len(cluster.sentences) == 6
         assert [s.doc_id for s in cluster.sentences] == ["d0"] * 3 + ["d1"] * 3
         assert [s.raw_text for s in cluster.sentences] == [
@@ -372,7 +360,7 @@ class TestLoading:
                 newline.join(json.dumps(r, ensure_ascii=False) for r in records),
                 encoding="utf-8", newline="",
             )
-            clusters = load_corpus(path, "jsonl", PLAIN)
+            clusters = load_corpus(path, "jsonl", RAW_SEQUENCE_CONFIG)
             assert [c.cluster_id for c in clusters] == ["c1", "c2"]
             assert clusters[0].references[0].text == text
             assert clusters[0].documents[0].text.startswith("Alpha beta")
@@ -441,7 +429,7 @@ class TestLoading:
             ]
             path = tmp_path / "corpus.jsonl"
             write_jsonl(path, [record])
-            cluster = load_one(path, "jsonl", PLAIN)
+            cluster = load_one(path, "jsonl", RAW_SEQUENCE_CONFIG)
             multiset = sorted(s.raw_text for s in cluster.sentences)
             if base is None:
                 base = multiset
@@ -460,9 +448,8 @@ def write_duc_dir(root, clusters):
 
 CONFIGS = (
     TokenizationConfig(),
-    PLAIN,
-    TokenizationConfig(lowercase=True, remove_stopwords=False, stem=True,
-                       min_sentence_tokens=5),
+    RAW_SEQUENCE_CONFIG,
+    TokenizationConfig(remove_stopwords=False, stem=True, min_sentence_tokens=5),
 )
 
 
@@ -683,7 +670,7 @@ class TestDucDirFuzz:
 
 class TestDuplicateStats:
     def build(self, sentences):
-        return cluster_from_sentences("c", [("d0", sentences)], config=PLAIN)
+        return cluster_from_sentences("c", [("d0", sentences)], config=RAW_SEQUENCE_CONFIG)
 
     def test_all_unique(self):
         cluster = self.build(["Red fox.", "Blue bird.", "Green frog."])

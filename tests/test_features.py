@@ -19,7 +19,7 @@ from ngram_counting import ngrams
 from tfidf_reference import tfidf_vectors
 
 PLAIN = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+    remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
 
 

@@ -76,9 +76,9 @@ def document_counts(records, config):
 
 COUNT_CONFIGS = (
     TokenizationConfig(),
-    TokenizationConfig(lowercase=False, remove_stopwords=False, stem=False),
-    TokenizationConfig(lowercase=True, remove_stopwords=False, stem=True),
-    TokenizationConfig(lowercase=False, remove_stopwords=True, stem=True),
+    TokenizationConfig(remove_stopwords=False, stem=False),
+    TokenizationConfig(remove_stopwords=False, stem=True),
+    TokenizationConfig(remove_stopwords=True, stem=False),
 )
 
 # document text with every kind of sentence boundary and non-boundary:
@@ -109,13 +109,13 @@ def corpus_records(corpus):
     ]
 
 
-def assert_cluster_counts_exact(records, config):
+def assert_cluster_counts_exact(records):
     """``summarize_cluster``'s corpus counts equal the whole corpus's at
     every token of each cluster, and so does their total."""
-    full = document_counts(records, config)
+    full = document_counts(records, TokenizationConfig())
     for record in records:
-        cluster = build_cluster(record, config)
-        corpus = harness._cluster_corpus_counts(records, cluster, config)
+        cluster = build_cluster(record)
+        corpus = harness._cluster_corpus_counts(records, cluster)
         assert corpus.total == full.total()
         tokens = {t for s in cluster.sentences for t in s.tokens}
         assert {t: corpus.counts.get(t, 0) for t in tokens} == {t: full[t] for t in tokens}
@@ -139,15 +139,13 @@ class TestCorpusCounts:
         ) == counts
 
     @settings(max_examples=150, deadline=None)
-    @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
-    def test_summarize_counts_match_on_generated_corpora(self, corpus, config):
-        assert_cluster_counts_exact(corpus_records(corpus), config)
+    @given(CORPORA)
+    def test_summarize_counts_match_on_generated_corpora(self, corpus):
+        assert_cluster_counts_exact(corpus_records(corpus))
 
-    @pytest.mark.parametrize("config", COUNT_CONFIGS)
-    def test_summarize_counts_match_on_fixture(self, config):
-        assert_cluster_counts_exact(read_corpus(FIXTURE, "jsonl"), config)
+    def test_summarize_counts_match_on_fixture(self):
+        assert_cluster_counts_exact(read_corpus(FIXTURE, "jsonl"))
 
-    @pytest.mark.parametrize("config", COUNT_CONFIGS)
     @pytest.mark.parametrize("corpus", [
         # tokens of two letters or fewer, which the stemmer leaves alone
         [["an ox is at Go, ox oxen."], ["Ox go oxes at it, a b c."]],
@@ -155,13 +153,13 @@ class TestCorpusCounts:
         [["In 1990 the 1990s ended 747 jets in 19 runs."], ["1990 1990s 7 747s 19th"]],
         # bate's only core is "b" (tail "ate"), so every b-word is stemmed
         [["Bate bate."], ["bated bating bates bat bait baiting bats able b"]],
-        # uppercase tokens, which stemming leaves alone without lowercasing
+        # uppercase words, which are lowercased before they are stemmed
         [["RUNNING Running running RUNS."], ["Runs runner RUNNING running Run"]],
         # tails cut short: -tion by step 4, an appended i and e
         [["Conditional happiness hoping."], ["condition conditions happy hope hoped"]],
     ])
-    def test_summarize_counts_match_on_edge_tokens(self, corpus, config):
-        assert_cluster_counts_exact(corpus_records(corpus), config)
+    def test_summarize_counts_match_on_edge_tokens(self, corpus):
+        assert_cluster_counts_exact(corpus_records(corpus))
 
 
 class TestKendallTau:
@@ -602,7 +600,7 @@ class TestSummarizeCluster:
                 ])
                 assert code == 0
                 config = configs.pop()
-                clusters = load_corpus(FIXTURE, "jsonl", config.tokenization)
+                clusters = load_corpus(FIXTURE, "jsonl")
                 [cluster] = [c for c in clusters if c.cluster_id == cluster_id]
                 pipeline = harness._ClusterPipeline(cluster, corpus_counts(clusters), config)
                 summary = pipeline.extract(pipeline.fuse(aggregator)[0])
@@ -616,11 +614,23 @@ class TestSummarizeCluster:
         built = []
         original = harness.build_cluster
         monkeypatch.setattr(
-            harness, "build_cluster", lambda record, config: built.append(record.cluster_id)
-            or original(record, config)
+            harness, "build_cluster", lambda record: built.append(record.cluster_id)
+            or original(record)
         )
         assert summarize_cluster(fixture_config(), "c02-election", "cwcs")
         assert built == ["c02-election"]
+
+    @pytest.mark.parametrize("systems, calls", [
+        (("lexrank", "textrank"), 0), (CANDIDATE_SYSTEMS, 1),
+    ])
+    def test_counts_the_corpus_only_for_topicsum(self, monkeypatch, systems, calls):
+        made = []
+        original = harness._cluster_corpus_counts
+        monkeypatch.setattr(
+            harness, "_cluster_corpus_counts", lambda *a: made.append(a) or original(*a)
+        )
+        assert summarize_cluster(fixture_config(systems=systems), "c01-storm", "borda")
+        assert len(made) == calls
 
     @pytest.mark.parametrize("aggregator, calls", [
         ("borda", 1), ("wcs", 1), ("cwcs", 4), ("oracle", 4),

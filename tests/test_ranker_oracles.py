@@ -208,7 +208,7 @@ PAIRS = {
     "freqsum": (freqsum_rank, reference_freqsum_rank),
 }
 WORDS = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+    remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
 VOCAB = ["ash", "birch", "cedar", "dune", "elm", "fern", "gale", "haze", "iris"]
 

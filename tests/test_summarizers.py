@@ -28,7 +28,7 @@ from llr_reference import log_likelihood_ratio
 from test_ranker_oracles import textrank_edge_weight, zipf_corpus
 
 WORDS = TokenizationConfig(
-    lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=1
+    remove_stopwords=False, stem=False, min_sentence_tokens=1
 )
 CONFIG = SummarizerConfig()
 
@@ -485,7 +485,7 @@ class TestExtractSummary:
 
     def test_ineligible_sentences_skipped(self):
         config = TokenizationConfig(
-            lowercase=True, remove_stopwords=False, stem=False, min_sentence_tokens=3
+            remove_stopwords=False, stem=False, min_sentence_tokens=3
         )
         cluster = make_cluster([["too short", "this one is long enough"]], config)
         rl = RankList.from_scores("x", [2.0, 1.0])
