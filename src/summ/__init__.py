@@ -22,8 +22,6 @@ from .corpus import (
     DocumentCluster,
     ReferenceSummary,
     Sentence,
-    TokenizationConfig,
-    cluster_from_sentences,
     duplicate_stats,
     load_corpus,
     segment_sentences,
@@ -46,7 +44,6 @@ from .summarizers import (
     LengthBudget,
     RankList,
     Summary,
-    SummarizerConfig,
     centroid_rank,
     cosine_similarity,
     extract_summary,

@@ -26,7 +26,7 @@ from .harness import (
     run_evaluation,
     summarize_cluster,
 )
-from .summarizers import LengthBudget, SummarizerConfig
+from .summarizers import LengthBudget
 
 
 class UsageError(Exception):
@@ -139,7 +139,7 @@ def _rouge_orders(value) -> tuple[int, ...]:
 # each setting a flag or the config file can give, in the order it is checked,
 # and the RunConfig field it sets; one not given keeps the field's default
 _RUN_SETTINGS = {
-    "budget": ("summarizer", lambda v: SummarizerConfig(budget=LengthBudget.parse(v))),
+    "budget": ("budget", LengthBudget.parse),
     "systems": ("systems", _split_list),
     "aggregators": ("aggregators", _split_list),
     "rouge": ("rouge_orders", _rouge_orders),

@@ -4,8 +4,8 @@ A cluster is a set of topically related documents that get summarized
 jointly.  Loading runs in two steps: ``read_corpus`` parses and validates
 every record of a corpus, and ``build_cluster`` segments one record's
 documents into sentences, kept in document order (a sentence's index is
-its position in ``DocumentCluster.sentences``), runs the token pipeline
-and attaches the record's reference summaries.
+its position in ``DocumentCluster.sentences``), and tokenizes each
+sentence.
 Loaded clusters are immutable.
 
 Two on-disk layouts are supported:
@@ -43,23 +43,8 @@ class CorpusError(Exception):
     """Unreadable, malformed or empty corpus data."""
 
 
-@dataclass(frozen=True)
-class TokenizationConfig:
-    """Token pipeline switches, applied to the lowercased words: stopwords -> stem."""
-
-    remove_stopwords: bool = True
-    stem: bool = True
-    min_sentence_tokens: int = 3
-
-    def __post_init__(self):
-        if self.min_sentence_tokens < 1:
-            raise ValueError("min_sentence_tokens must be >= 1")
-
-
-#: Pipeline used for duplicate detection: surface forms, stopwords kept.
-RAW_SEQUENCE_CONFIG = TokenizationConfig(
-    remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
+#: Tokens a sentence needs to be eligible for a summary.
+MIN_SENTENCE_TOKENS = 3
 
 
 @dataclass(frozen=True)
@@ -172,85 +157,20 @@ def segment_sentences(raw_text: str) -> list[str]:
     return sentences
 
 
-def tokenize(text: str, config: TokenizationConfig) -> list[str]:
-    """Run the token pipeline: words, then the config stages.
-
-    A word is a maximal run of ASCII letters and digits, lowercased; any
-    other character, non-ASCII included, separates words.
-    """
+def words(text: str) -> list[str]:
+    """The surface words of ``text``: each maximal run of ASCII letters and
+    digits, lowercased; any other character, non-ASCII included,
+    separates words."""
     # each non-ASCII code point, a lone surrogate too, encodes to one "?",
     # which the table turns into a space like every other separator
-    tokens = (
-        text.encode("ascii", "replace")
-        .translate(_WORD_TABLE)
-        .decode("ascii")
-        .split()
-    )
-    if config.remove_stopwords:
-        tokens = [t for t in tokens if t not in STOPWORDS]
-    if config.stem:
-        # porter.stem is looked up on each call, so a wrapper patched onto
-        # the module (the benchmark's call counter) sees every token
-        tokens = list(map(porter.stem, tokens))
-    return tokens
+    return text.encode("ascii", "replace").translate(_WORD_TABLE).decode("ascii").split()
 
 
-def cluster_from_sentences(
-    cluster_id: str,
-    doc_sentences: list[tuple[str, list[str]]],
-    references: list[tuple[str, str]] | None = None,
-    config: TokenizationConfig | None = None,
-) -> DocumentCluster:
-    """Build a cluster from pre-segmented sentences.
-
-    ``doc_sentences`` is a list of ``(doc_id, sentences)`` pairs; the
-    cluster keeps the sentences in that order.  This is the common
-    constructor behind both loaders and is handy for synthetic clusters.
-    """
-    config = config or TokenizationConfig()
-    refs = _checked_references(
-        cluster_id,
-        [doc_id for doc_id, _ in doc_sentences],
-        not any(sents for _, sents in doc_sentences),
-        references or [],
-    )
-    documents = []
-    sentences: list[Sentence] = []
-    for doc_id, sents in doc_sentences:
-        documents.append(Document(doc_id=doc_id, text=" ".join(sents)))
-        for raw in sents:
-            tokens = tuple(tokenize(raw, config))
-            sentences.append(
-                Sentence(
-                    raw_text=raw,
-                    tokens=tokens,
-                    doc_id=doc_id,
-                    eligible=len(tokens) >= config.min_sentence_tokens,
-                )
-            )
-    return DocumentCluster(
-        cluster_id=cluster_id,
-        documents=tuple(documents),
-        sentences=tuple(sentences),
-        references=refs,
-    )
-
-
-def _checked_references(
-    cluster_id: str,
-    doc_ids: list[str],
-    empty: bool,
-    references: list[tuple[str, str]],
-) -> tuple[ReferenceSummary, ...]:
-    """The cluster's references, once its ids and contents pass the checks."""
-    if len(set(doc_ids)) != len(doc_ids):
-        raise CorpusError(f"cluster {cluster_id!r}: duplicate document ids")
-    if empty:
-        raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
-    try:
-        return tuple(ReferenceSummary(author_id=a, text=t) for a, t in references)
-    except ValueError as exc:
-        raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
+def tokenize(text: str) -> list[str]:
+    """The content tokens of ``text``: its words, stopwords dropped, stemmed."""
+    # porter.stem is looked up on each call, so a wrapper patched onto the
+    # module (the benchmark's call counter) sees every token
+    return list(map(porter.stem, [w for w in words(text) if w not in STOPWORDS]))
 
 
 def _record(
@@ -264,22 +184,37 @@ def _record(
     for doc_id, text in raw_documents:
         if not text.strip():
             raise CorpusError(f"{source}: empty document {doc_id!r}")
-    refs = _checked_references(
-        cluster_id, [doc_id for doc_id, _ in raw_documents], not raw_documents, references
-    )
+    doc_ids = {doc_id for doc_id, _ in raw_documents}
+    if len(doc_ids) != len(raw_documents):
+        raise CorpusError(f"cluster {cluster_id!r}: duplicate document ids")
+    if not raw_documents:
+        raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
+    try:
+        refs = tuple(ReferenceSummary(author_id=a, text=t) for a, t in references)
+    except ValueError as exc:
+        raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
     documents = tuple(Document(doc_id=d, text=t) for d, t in raw_documents)
     return ClusterRecord(cluster_id=cluster_id, documents=documents, references=refs)
 
 
-def build_cluster(
-    record: ClusterRecord, config: TokenizationConfig | None = None
-) -> DocumentCluster:
-    """Segment and tokenize one record that ``read_corpus`` returned."""
-    return cluster_from_sentences(
-        record.cluster_id,
-        [(d.doc_id, segment_sentences(d.text)) for d in record.documents],
-        [(r.author_id, r.text) for r in record.references],
-        config,
+def build_cluster(record: ClusterRecord) -> DocumentCluster:
+    """Segment and tokenize one record that ``read_corpus`` returned; the
+    cluster keeps the record's documents and references."""
+    sentences = []
+    for document in record.documents:
+        for raw in segment_sentences(document.text):
+            tokens = tuple(tokenize(raw))
+            sentences.append(Sentence(
+                raw_text=raw,
+                tokens=tokens,
+                doc_id=document.doc_id,
+                eligible=len(tokens) >= MIN_SENTENCE_TOKENS,
+            ))
+    return DocumentCluster(
+        cluster_id=record.cluster_id,
+        documents=record.documents,
+        sentences=tuple(sentences),
+        references=record.references,
     )
 
 
@@ -388,24 +323,16 @@ def read_corpus(path: str | Path, format: str) -> list[ClusterRecord]:
     return records
 
 
-def load_corpus(
-    path: str | Path,
-    format: str,
-    config: TokenizationConfig | None = None,
-) -> list[DocumentCluster]:
+def load_corpus(path: str | Path, format: str) -> list[DocumentCluster]:
     """Load every cluster under ``path``, sorted by cluster id."""
-    config = config or TokenizationConfig()
-    return [build_cluster(record, config) for record in read_corpus(path, format)]
+    return [build_cluster(record) for record in read_corpus(path, format)]
 
 
 def duplicate_stats(cluster: DocumentCluster) -> int:
     """Count distinct sentence token sequences occurring at least twice.
 
-    Sequences are the lowercased, punctuation-stripped surface tokens
-    (stopwords kept, no stemming), so near-identical wire copy in
-    different documents counts as a repeat.
+    Sequences are the sentences' ``words`` (stopwords kept, no stemming),
+    so near-identical wire copy in different documents counts as a repeat.
     """
-    counts = Counter(
-        tuple(tokenize(s.raw_text, RAW_SEQUENCE_CONFIG)) for s in cluster.sentences
-    )
+    counts = Counter(tuple(words(s.raw_text)) for s in cluster.sentences)
     return sum(1 for n in counts.values() if n >= 2)

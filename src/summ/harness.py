@@ -32,14 +32,13 @@ from .consensus import (
     wcs_aggregate,
 )
 from .corpus import (
-    RAW_SEQUENCE_CONFIG,
     ClusterRecord,
     DocumentCluster,
     build_cluster,
     duplicate_stats,
     load_corpus,
     read_corpus,
-    tokenize,
+    words,
 )
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .stopwords import STOPWORDS
@@ -47,9 +46,9 @@ from .summarizers import (
     CANDIDATE_SYSTEMS,
     ClusterFeatures,
     CorpusCounts,
+    LengthBudget,
     RankList,
     Summary,
-    SummarizerConfig,
     centroid_rank,
     extract_summary,
     freqsum_rank,
@@ -80,7 +79,7 @@ class NoSuccessfulClustersError(Exception):
 class RunConfig:
     corpus: str | Path
     corpus_format: str = "jsonl"
-    summarizer: SummarizerConfig = field(default_factory=SummarizerConfig)
+    budget: LengthBudget = LengthBudget("words", 100)
     wcs: WcsConfig = field(default_factory=WcsConfig)
     systems: tuple[str, ...] = CANDIDATE_SYSTEMS
     aggregators: tuple[str, ...] = AGGREGATORS
@@ -220,9 +219,9 @@ class _ClusterPipeline:
         for name in config.systems:
             try:
                 self.rank_lists[name] = (
-                    topicsum_rank(self.features, corpus, config.summarizer)
+                    topicsum_rank(self.features, corpus)
                     if name == "topicsum"
-                    else _RANKERS[name](self.features, config.summarizer)
+                    else _RANKERS[name](self.features)
                 )
             except Exception as exc:
                 self.failures[name] = str(exc)
@@ -242,7 +241,7 @@ class _ClusterPipeline:
     @cached_property
     def system_units(self) -> dict[str, tuple[str, ...]]:
         """The systems' own (uncapped) summaries, as index units."""
-        budget = self.config.summarizer.budget
+        budget = self.config.budget
         return self.units({
             s: extract_summary(self.rank_lists[s], self.features, budget) for s in self.systems
         })
@@ -274,7 +273,7 @@ class _ClusterPipeline:
     def extract(self, rank_list: RankList) -> Summary:
         """The rank list's summary under the configured redundancy cap."""
         return extract_summary(
-            rank_list, self.features, self.config.summarizer.budget, self.config.redundancy_cap
+            rank_list, self.features, self.config.budget, self.config.redundancy_cap
         )
 
     def fuse(self, aggregator: str) -> tuple[RankList, str | None]:
@@ -390,26 +389,26 @@ def _cluster_corpus_counts(
     """Topicsum's corpus counts at the cluster's own tokens, and the total,
     from every raw document of the corpus.
 
-    Both come from the surface words (the token pipeline short of its
-    stem step), which stem one by one into the tokens.  A word that stems
-    to a token starts with the token's core, its shortest non-empty prefix
-    that leaves a tail (``porter.TAILS``), so only the words that start
-    with a core are stemmed.
+    Both come from the surface words less the stopwords (``tokenize``
+    short of its stem step), which stem one by one into the tokens.  A
+    word that stems to a token starts with the token's core, its shortest
+    non-empty prefix that leaves a tail (``porter.TAILS``), so only the
+    words that start with a core are stemmed.
     """
     surface = Counter(chain.from_iterable(
-        tokenize(d.text, RAW_SEQUENCE_CONFIG) for r in records for d in r.documents
+        words(d.text) for r in records for d in r.documents
     ))
     for word in STOPWORDS.intersection(surface):  # once per distinct word
         del surface[word]
     tails = porter.TAILS
     tokens = {t for s in cluster.sentences for t in s.tokens}
     cores = {next(t[:p] for p in range(1, len(t) + 1) if t[p:] in tails) for t in tokens}
-    words = sorted(surface)
+    ordered = sorted(surface)
     candidates = set()
     for core in cores:
         # the words from the core up to, not including, its successor
         after = core[:-1] + chr(ord(core[-1]) + 1)
-        candidates.update(words[bisect_left(words, core):bisect_left(words, after)])
+        candidates.update(ordered[bisect_left(ordered, core):bisect_left(ordered, after)])
     counts = Counter()
     for word in candidates:
         token = porter.stem(word)

@@ -20,15 +20,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .corpus import TokenizationConfig, tokenize
+from . import porter
+from .corpus import words
 
 logger = logging.getLogger(__name__)
-
-#: Scoring pipeline: the words stemmed, stopwords kept (the usual
-#: recall-evaluation setup for newswire summaries).
-ROUGE_TOKENIZATION = TokenizationConfig(
-    remove_stopwords=False, stem=True, min_sentence_tokens=1
-)
 
 TokenLists = Sequence[Sequence[str]]
 
@@ -42,13 +37,16 @@ class RougeScore:
 
 
 def prepare_text(text: str) -> list[str]:
-    """Flat scoring-token stream for a reference text."""
-    return tokenize(text, ROUGE_TOKENIZATION)
+    """Flat scoring-token stream for a reference text: its words stemmed,
+    stopwords kept (the usual recall-evaluation setup for newswire
+    summaries)."""
+    # porter.stem is looked up on each call, as in ``corpus.tokenize``
+    return list(map(porter.stem, words(text)))
 
 
 def prepare_sentences(texts: Sequence[str]) -> list[list[str]]:
     """Per-sentence scoring-token streams for a candidate summary."""
-    return [tokenize(t, ROUGE_TOKENIZATION) for t in texts]
+    return [prepare_text(t) for t in texts]
 
 
 def rouge_n_recall(

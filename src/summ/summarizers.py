@@ -2,8 +2,9 @@
 
 Every ranker scores *all* sentences of a cluster and returns a total
 order, so downstream aggregation always works with full rank vectors.
-All rankers are pure functions of (``ClusterFeatures``, config): reruns
-are bit-identical.
+All rankers are pure functions of ``ClusterFeatures`` (topicsum's of the
+corpus counts too): reruns are bit-identical.  Each runs at one fixed,
+published setting, the constants below.
 
 Ties are broken by the smaller sentence index everywhere.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Mapping, NamedTuple, Sequence
@@ -34,6 +35,20 @@ CANDIDATE_SYSTEMS = (
 )
 
 BUDGET_KINDS = ("words", "bytes")
+
+# lexrank keeps the sentence pairs whose cosine exceeds 0.1 (Erkan & Radev,
+# JAIR 2004); lexrank and textrank walk the graph with damping 0.85
+LEXRANK_THRESHOLD = 0.1
+DAMPING = 0.85
+POWER_ITER_TOL = 1e-6  # on the L1 change of one step
+# a guard: the L1 change contracts by DAMPING, to at most 2 * 0.85**t,
+# which is below POWER_ITER_TOL by step 90
+POWER_ITER_MAX = 200
+# topicsum's signature words: log-likelihood ratio above 10.83, the
+# chi-square critical value at p = 0.001 (Lin & Hovy, COLING 2000)
+TOPIC_LLR_THRESHOLD = 10.83
+# greedykl smooths each count by 0.0005 per cluster vocabulary word
+KL_SMOOTHING = 0.0005
 
 
 @dataclass(frozen=True)
@@ -56,36 +71,6 @@ class LengthBudget:
         if not sep or not re.fullmatch(r"-?[0-9]+", limit):
             raise ValueError(f"bad budget {text!r}, expected kind:limit")
         return cls(kind=kind, limit=int(limit))
-
-
-@dataclass(frozen=True)
-class SummarizerConfig:
-    lexrank_threshold: float = 0.1
-    damping: float = 0.85
-    power_iter_tol: float = 1e-6
-    power_iter_max: int = 200
-    topic_llr_threshold: float = 10.83
-    kl_smoothing_k: float | None = None  # None: 0.0005 * vocabulary size
-    budget: LengthBudget = field(default_factory=lambda: LengthBudget("words", 100))
-
-    def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.lexrank_threshold >= 0:
-            raise ValueError("lexrank_threshold must be >= 0")
-        if not 0 < self.damping < 1:
-            raise ValueError("damping must be in (0, 1)")
-        if (
-            not self.power_iter_tol > 0
-            or isinstance(self.power_iter_max, bool)
-            or not isinstance(self.power_iter_max, int)
-            or self.power_iter_max < 1
-        ):
-            raise ValueError("bad power iteration settings")
-        if not self.topic_llr_threshold > 0:
-            raise ValueError("topic_llr_threshold must be > 0")
-        # a NaN k makes every KL NaN, and argmin takes the first NaN, chosen or not
-        if self.kl_smoothing_k is not None and not 0 <= self.kl_smoothing_k < math.inf:
-            raise ValueError("kl_smoothing_k must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,9 +126,7 @@ def _uniform_ranklist(system_id: str, n: int) -> RankList:
     return RankList.from_scores(system_id, [1.0 / n] * n)
 
 
-def _power_iteration(
-    adjacency: np.ndarray, config: SummarizerConfig
-) -> np.ndarray:
+def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     """Stationary distribution of the damped, row-normalized walk.  The
     adjacency is row-normalized in place; a row with no edges is uniform."""
     n = adjacency.shape[0]
@@ -151,21 +134,18 @@ def _power_iteration(
     nonzero = row_sums > 0
     transition = np.divide(adjacency, row_sums[:, None], out=adjacency, where=nonzero[:, None])
     transition[~nonzero] = 1.0 / n
-    teleport = (1.0 - config.damping) / n
+    teleport = (1.0 - DAMPING) / n
     p = np.full(n, 1.0 / n)
-    for _ in range(config.power_iter_max):
-        p_next = config.damping * (transition.T @ p) + teleport
-        if np.abs(p_next - p).sum() <= config.power_iter_tol:
+    for _ in range(POWER_ITER_MAX):
+        p_next = DAMPING * (transition.T @ p) + teleport
+        if np.abs(p_next - p).sum() <= POWER_ITER_TOL:
             return p_next
         p = p_next
-    logger.warning("power iteration did not reach tol in %d steps", config.power_iter_max)
+    logger.warning("power iteration did not reach tol in %d steps", POWER_ITER_MAX)
     return p
 
 
-def _graph_rank(
-    system_id: str, adjacency: np.ndarray, cluster: DocumentCluster,
-    config: SummarizerConfig,
-) -> RankList:
+def _graph_rank(system_id: str, adjacency: np.ndarray, cluster: DocumentCluster) -> RankList:
     n = len(cluster.sentences)
     if n == 1:
         return RankList.from_scores(system_id, [1.0])
@@ -175,7 +155,7 @@ def _graph_rank(
             system_id, cluster.cluster_id,
         )
         return _uniform_ranklist(system_id, n)
-    return RankList.from_scores(system_id, _power_iteration(adjacency, config))
+    return RankList.from_scores(system_id, _power_iteration(adjacency))
 
 
 class ClusterFeatures:
@@ -387,10 +367,10 @@ def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarra
     return edges.astype(float)
 
 
-def lexrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
+def lexrank_rank(features: ClusterFeatures) -> RankList:
     """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
-    adjacency = _lexrank_adjacency(features, config.lexrank_threshold)
-    return _graph_rank("lexrank", adjacency, features.cluster, config)
+    adjacency = _lexrank_adjacency(features, LEXRANK_THRESHOLD)
+    return _graph_rank("lexrank", adjacency, features.cluster)
 
 
 def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
@@ -416,12 +396,12 @@ def _textrank_adjacency(features: ClusterFeatures) -> np.ndarray:
     return weights
 
 
-def textrank_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
+def textrank_rank(features: ClusterFeatures) -> RankList:
     """Centrality over the content-word-overlap graph."""
-    return _graph_rank("textrank", _textrank_adjacency(features), features.cluster, config)
+    return _graph_rank("textrank", _textrank_adjacency(features), features.cluster)
 
 
-def centroid_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
+def centroid_rank(features: ClusterFeatures) -> RankList:
     """Sum of cluster-centroid TF-IDF weights over each sentence's types.
     ``np.bincount`` adds in input order: the centroid's weights in sentence
     order, a sentence's types in first-occurrence order."""
@@ -431,7 +411,7 @@ def centroid_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     return RankList.from_scores("centroid", np.bincount(rows, centroid[cols], minlength=n))
 
 
-def freqsum_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
+def freqsum_rank(features: ClusterFeatures) -> RankList:
     """Average cluster-frequency of a sentence's content words, added in
     text order; a sentence with no tokens scores 0.0."""
     rows, tokens = features.stream
@@ -499,25 +479,15 @@ def topic_words(
     return set(compress(tokens, (llr > threshold).tolist()))
 
 
-def topicsum_rank(
-    features: ClusterFeatures,
-    corpus: CorpusCounts,
-    config: SummarizerConfig,
-) -> RankList:
+def topicsum_rank(features: ClusterFeatures, corpus: CorpusCounts) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = topic_words(features, corpus, config.topic_llr_threshold)
+    signature = topic_words(features, corpus, TOPIC_LLR_THRESHOLD)
     rows, tokens = features.stream
     lengths = features.lengths
     in_signature = np.zeros(len(features.ids), dtype=bool)
     in_signature[np.fromiter(map(features.ids.__getitem__, signature), np.int64)] = True
     hits = np.bincount(rows, in_signature[tokens], minlength=len(lengths))
     return RankList.from_scores("topicsum", hits / np.maximum(lengths, 1))
-
-
-def _kl_smoothing(cluster_vocab_size: int, config: SummarizerConfig) -> float:
-    if config.kl_smoothing_k is not None:
-        return config.kl_smoothing_k
-    return 0.0005 * cluster_vocab_size
 
 
 def _math_log(values: np.ndarray) -> np.ndarray:
@@ -531,7 +501,7 @@ def _distinct_log(values: np.ndarray) -> np.ndarray:
     return _math_log(distinct)[inverse].reshape(values.shape)
 
 
-def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankList:
+def greedykl_rank(features: ClusterFeatures) -> RankList:
     """Greedy selection minimizing the summary-to-cluster KL divergence.
 
     Selection continues past any length budget until every sentence is
@@ -553,18 +523,16 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     if total == 0:
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
     vocab_size = len(counts)
-    k = _kl_smoothing(vocab_size, config)
+    k = KL_SMOOTHING * vocab_size  # > 0: the cluster has a token
     log_pc = _math_log(counts / total)
     entry_sentence, token, extra = features.entries
     # table columns: 0, then each distinct count a sentence adds to a token
     steps, entry_column = np.unique(np.append(extra, 0), return_inverse=True)
-    # gain(c, t) = (c + k) * (log(c + k) - log_pc[t]), and 0 when c + k == 0
-    # (k == 0, c == 0): the log entry 0.0 is then multiplied by a zero mass.
-    # The entries of chosen sentences are scored too, and ignored, so a
-    # count reaches a token's cluster count plus the largest step.
+    # gain(c, t) = (c + k) * (log(c + k) - log_pc[t]).  The entries of
+    # chosen sentences are scored too, and ignored, so a count reaches a
+    # token's cluster count plus the largest step.
     mass = np.arange(int(counts.max()) + int(steps[-1]) + 1) + k
-    log_mass = np.zeros(len(mass))
-    log_mass[mass != 0.0] = _math_log(mass[mass != 0.0])
+    log_mass = _math_log(mass)
     # gains[first_row[t] + c, j] = gain(c + steps[j], t) for each count
     # c = 0..counts[t] that token t can have in the summary; steps[0] == 0
     first_row = np.cumsum(counts + 1) - (counts + 1)
@@ -577,14 +545,12 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
     base = sum(map(zero_gains.__getitem__, features.ids.values()))
     # for each summary length t = 0..total, the KL numerator's last term
     # (t + k * V) * log(t + k * (V + 1)) and the divisor t + k * (V + 1);
-    # a zero divisor (k == 0, t == 0), and the entry past the end that a
-    # chosen sentence's length reaches, get (-inf, 1.0), so they score inf
+    # the entry past the end, which a chosen sentence's length reaches,
+    # gets (-inf, 1.0), so it scores inf
     totals = np.arange(total + 1)
     divisor = totals + k * (vocab_size + 1)
-    finite = divisor != 0.0
-    term = np.full(total + 2, -math.inf)
-    term[:-1][finite] = (totals[finite] + k * vocab_size) * _math_log(divisor[finite])
-    divisor = np.append(np.where(finite, divisor, 1.0), 1.0)
+    term = np.append((totals + k * vocab_size) * _math_log(divisor), -math.inf)
+    divisor = np.append(divisor, 1.0)
     table = rows[first_row]  # every token's count starts at 0
     cells = table.reshape(-1)  # a view: row updates show through
     cell = token * len(steps) + entry_column[:-1]
@@ -607,8 +573,7 @@ def greedykl_rank(features: ClusterFeatures, config: SummarizerConfig) -> RankLi
         kl = base + cand_sum
         kl -= term.take(cand_total, mode="clip")
         kl /= divisor.take(cand_total, mode="clip")
-        # some sentence left scores finite (a divisor is 0 only while k == 0
-        # and the summary is empty), so a chosen one never wins
+        # every sentence left scores finite, so a chosen one never wins
         best = int(kl.argmin())  # the first minimum: ties go to the smaller index
         picked = slice(starts[best], starts[best + 1])
         tokens = token[picked]

@@ -27,24 +27,19 @@ from summ.consensus import (
     cwcs_weights,
     wcs_aggregate,
 )
-from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.harness import RunConfig, emit_report, run_evaluation
 from summ.rouge import rouge_n_recall
 from summ.summarizers import (
     ClusterFeatures,
     LengthBudget,
     RankList,
-    SummarizerConfig,
     greedykl_rank,
 )
 
 from ngram_counting import ngram_counts
+from word_clusters import word_cluster
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
-
-WORDS = TokenizationConfig(
-    remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
 
 
 def report_line(criterion: str, ok: bool, detail: str = "") -> None:
@@ -262,7 +257,7 @@ def fixture_config(**overrides):
     defaults = dict(
         corpus=FIXTURE,
         corpus_format="jsonl",
-        summarizer=SummarizerConfig(budget=LengthBudget("words", 50)),
+        budget=LengthBudget("words", 50),
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -304,30 +299,24 @@ def brute_single_sentence_kl(cluster, index, k):
     counts = Counter(cluster.sentences[index].tokens)
     t = sum(counts.values())
     denom = t + k * (len(cluster_counts) + 1)
-    if denom == 0:
-        return math.inf
     kl = 0.0
     for token, c in sorted(cluster_counts.items()):
-        mass = counts[token] + k
-        if mass == 0:
-            continue
-        p = mass / denom
+        p = (counts[token] + k) / denom
         kl += p * math.log(p / (c / total))
     return kl
 
 
 def test_criterion_7_greedykl_first_pick():
     rng = random.Random(7777)
-    config = SummarizerConfig()
     vocab = ["ash", "birch", "cedar", "dune", "elm", "fern", "gorse", "heath"]
     for instance in range(50):
         sentences = [
             " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
             for _ in range(rng.randint(2, 6))
         ]
-        cluster = cluster_from_sentences("c", [("d0", sentences)], config=WORDS)
+        cluster = word_cluster([sentences])
         k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
-        first = greedykl_rank(ClusterFeatures(cluster), config).order()[0]
+        first = greedykl_rank(ClusterFeatures(cluster)).order()[0]
         values = [
             brute_single_sentence_kl(cluster, i, k)
             for i in range(len(cluster.sentences))
@@ -370,7 +359,7 @@ def duc_report(year):
     config = RunConfig(
         corpus=duc_corpus(year),
         corpus_format="duc-dir",
-        summarizer=SummarizerConfig(budget=budget),
+        budget=budget,
     )
     return run_evaluation(config)
 

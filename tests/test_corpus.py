@@ -12,21 +12,20 @@ from hypothesis import strategies as st
 from summ.corpus import (
     ABBREVIATIONS,
     CorpusError,
-    RAW_SEQUENCE_CONFIG,
-    TokenizationConfig,
     build_cluster,
-    cluster_from_sentences,
     duplicate_stats,
     load_corpus,
     read_corpus,
     segment_sentences,
     tokenize,
+    words,
 )
 from summ import porter
 from summ.porter import stem
-from summ.rouge import ROUGE_TOKENIZATION
+from summ.rouge import prepare_text
 from summ.stopwords import STOPWORDS
 from test_porter import oracle_stem
+from word_clusters import word_cluster
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
 BOM = "\ufeff".encode()
@@ -45,8 +44,8 @@ TEXT_PIECES = st.one_of(
 texts = st.lists(TEXT_PIECES, max_size=40).map("".join)
 
 
-def load_one(path, format, config=None):
-    [cluster] = load_corpus(path, format, config)
+def load_one(path, format):
+    [cluster] = load_corpus(path, format)
     return cluster
 
 
@@ -119,45 +118,23 @@ class TestSegmentation:
 
 
 class TestTokenize:
-    @given(texts, st.sampled_from([RAW_SEQUENCE_CONFIG, TokenizationConfig()]))
-    def test_tokens_of_text_are_tokens_of_segments(self, text, config):
-        by_segment = [t for s in segment_sentences(text) for t in tokenize(s, config)]
-        assert tokenize(text, config) == by_segment
-
-    @given(texts, st.booleans())
-    def test_lowercase_tokens(self, text, stemmed):
-        config = TokenizationConfig(remove_stopwords=True, stem=stemmed)
-        tokens = tokenize(text, config)
-        assert all(re.fullmatch(r"[a-z0-9]+", t) for t in tokens)
-        if not stemmed:  # a stem may happen to spell a stopword
-            assert not STOPWORDS.intersection(tokens)
+    @given(texts, st.sampled_from([words, tokenize]))
+    def test_tokens_of_text_are_tokens_of_segments(self, text, pipeline):
+        by_segment = [t for s in segment_sentences(text) for t in pipeline(s)]
+        assert pipeline(text) == by_segment
 
     def test_full_pipeline(self):
-        config = TokenizationConfig(remove_stopwords=True, stem=True)
-        assert tokenize("The cats sat", config) == ["cat", "sat"]
+        assert tokenize("The cats sat") == ["cat", "sat"]
 
     def test_identity_pipeline(self):
-        assert tokenize("x y z", RAW_SEQUENCE_CONFIG) == ["x", "y", "z"]
+        assert words("x y z") == ["x", "y", "z"]
 
     def test_no_word_characters(self):
-        for config in (RAW_SEQUENCE_CONFIG, TokenizationConfig()):
-            assert tokenize("...", config) == []
-
-    def test_idempotent_without_stemming(self):
-        config = TokenizationConfig(remove_stopwords=True, stem=False)
-        rng = random.Random(7)
-        vocab = ["storm", "the", "coast", "on", "Power", "ran", "a", "42"]
-        for _ in range(50):
-            text = " ".join(rng.choices(vocab, k=rng.randint(0, 12)))
-            once = tokenize(text, config)
-            assert tokenize(" ".join(once), config) == once
-
-    def test_min_tokens_validation(self):
-        with pytest.raises(ValueError):
-            TokenizationConfig(min_sentence_tokens=0)
+        for pipeline in (words, tokenize, prepare_text):
+            assert pipeline("...") == []
 
 
-# the word rule stated plainly, kept as the oracle for ``tokenize``
+# the word rule stated plainly, kept as the oracle for ``words``
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -165,13 +142,20 @@ def oracle_words(text):
     return [w.lower() for w in _TOKEN_RE.findall(text)]
 
 
-def oracle_tokens(text, config):
-    tokens = oracle_words(text)
-    if config.remove_stopwords:
-        tokens = [t for t in tokens if t not in STOPWORDS]
-    if config.stem:
-        tokens = [oracle_stem(t) for t in tokens]
-    return tokens
+def oracle_tokens(text):
+    """``tokenize``: the words, stopwords dropped, stemmed."""
+    return [oracle_stem(w) for w in oracle_words(text) if w not in STOPWORDS]
+
+
+def oracle_scoring_tokens(text):
+    """``rouge.prepare_text``: the words stemmed, stopwords kept."""
+    return [oracle_stem(w) for w in oracle_words(text)]
+
+
+# each token pipeline the package runs, with its oracle
+PIPELINES = [
+    (words, oracle_words), (tokenize, oracle_tokens), (prepare_text, oracle_scoring_tokens),
+]
 
 
 # characters that trip a finder which lowercases the text first ("İ"
@@ -198,26 +182,28 @@ class TestWordFinder:
     @settings(max_examples=500)
     @given(WORD_TEXTS)
     def test_words_match_regex_oracle(self, text):
-        assert tokenize(text, RAW_SEQUENCE_CONFIG) == oracle_words(text)
+        assert words(text) == oracle_words(text)
 
-    @given(WORD_TEXTS, st.sampled_from([TokenizationConfig(), ROUGE_TOKENIZATION]))
-    def test_pipeline_matches_oracle_pipeline(self, text, config):
-        assert tokenize(text, config) == oracle_tokens(text, config)
+    @given(WORD_TEXTS, st.sampled_from(PIPELINES[1:]))
+    def test_pipeline_matches_oracle_pipeline(self, text, pipelines):
+        pipeline, oracle = pipelines
+        assert pipeline(text) == oracle(text)
 
     def test_tricky_characters_separate_words(self):
         for c in TRICKY_CHARS:
-            assert tokenize(f"ab{c}Cd", RAW_SEQUENCE_CONFIG) == oracle_words(f"ab{c}Cd")
+            assert words(f"ab{c}Cd") == oracle_words(f"ab{c}Cd")
 
     def test_fixture_matches_oracle_pipeline(self):
         texts = [d.text for r in read_corpus(FIXTURE, "jsonl") for d in r.documents]
-        for config in (TokenizationConfig(), ROUGE_TOKENIZATION, RAW_SEQUENCE_CONFIG):
+        for pipeline, oracle in PIPELINES:
             for text in texts:
-                assert tokenize(text, config) == oracle_tokens(text, config)
+                assert pipeline(text) == oracle(text)
 
 
 class TestStemSeam:
-    """``tokenize`` reaches the stemmer as ``porter.stem``, looked up on each
-    call, so a wrapper patched onto the module sees every stemmed token."""
+    """``tokenize`` and ``rouge.prepare_text`` reach the stemmer as
+    ``porter.stem``, looked up on each call, so a wrapper patched onto the
+    module sees every stemmed token."""
 
     def counting_stem(self, monkeypatch):
         calls = []
@@ -233,13 +219,13 @@ class TestStemSeam:
     def test_one_call_per_kept_token(self, monkeypatch):
         calls = self.counting_stem(monkeypatch)
         text = "The cats sat on the mats; the CATS ran, and 42 dogs barked."
-        tokens = tokenize(text, TokenizationConfig())
+        tokens = tokenize(text)
         kept = [w for w in oracle_words(text) if w not in STOPWORDS]
         assert calls == kept
         assert tokens == [stem(w) for w in kept]
         calls.clear()
-        tokenize(text, TokenizationConfig(stem=False))
-        assert calls == []
+        assert prepare_text(text) == [stem(w) for w in oracle_words(text)]
+        assert calls == oracle_words(text)
 
     def test_load_corpus_reaches_the_stemmer(self, monkeypatch):
         calls = self.counting_stem(monkeypatch)
@@ -281,7 +267,7 @@ class TestPorter:
         assert stem(word) == stem.__wrapped__(word)
 
     def test_cached_stem_matches_uncached_on_fixture(self):
-        words = set()
+        found = set()
         for line in FIXTURE.read_text(encoding="utf-8").split("\n"):
             if not line.strip():
                 continue
@@ -289,9 +275,9 @@ class TestPorter:
             texts = [d["text"] for d in record["documents"]]
             texts += [r["text"] for r in record.get("references", [])]
             for text in texts:
-                words.update(tokenize(text, RAW_SEQUENCE_CONFIG))
-        assert len(words) > 100
-        for word in sorted(words):
+                found.update(words(text))
+        assert len(found) > 100
+        for word in sorted(found):
             assert stem(word) == stem.__wrapped__(word), word
 
 
@@ -300,7 +286,7 @@ class TestLoading:
         path = tmp_path / "corpus.jsonl"
         text = "Alpha beta gamma. Delta epsilon zeta. Eta theta iota."
         write_jsonl(path, [make_record(texts=(text, text))])
-        cluster = load_one(path, "jsonl", RAW_SEQUENCE_CONFIG)
+        cluster = load_one(path, "jsonl")
         assert len(cluster.sentences) == 6
         assert [s.doc_id for s in cluster.sentences] == ["d0"] * 3 + ["d1"] * 3
         assert [s.raw_text for s in cluster.sentences] == [
@@ -360,7 +346,7 @@ class TestLoading:
                 newline.join(json.dumps(r, ensure_ascii=False) for r in records),
                 encoding="utf-8", newline="",
             )
-            clusters = load_corpus(path, "jsonl", RAW_SEQUENCE_CONFIG)
+            clusters = load_corpus(path, "jsonl")
             assert [c.cluster_id for c in clusters] == ["c1", "c2"]
             assert clusters[0].references[0].text == text
             assert clusters[0].documents[0].text.startswith("Alpha beta")
@@ -429,7 +415,7 @@ class TestLoading:
             ]
             path = tmp_path / "corpus.jsonl"
             write_jsonl(path, [record])
-            cluster = load_one(path, "jsonl", RAW_SEQUENCE_CONFIG)
+            cluster = load_one(path, "jsonl")
             multiset = sorted(s.raw_text for s in cluster.sentences)
             if base is None:
                 base = multiset
@@ -446,21 +432,17 @@ def write_duc_dir(root, clusters):
                 (root / cluster_id / folder / f"{stem}.txt").write_text(text, encoding="utf-8")
 
 
-CONFIGS = (
-    TokenizationConfig(),
-    RAW_SEQUENCE_CONFIG,
-    TokenizationConfig(remove_stopwords=False, stem=True, min_sentence_tokens=5),
-)
-
-
 class TestReadThenBuild:
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_jsonl_fixture(self, config):
-        built = [build_cluster(r, config) for r in read_corpus(FIXTURE, "jsonl")]
-        assert built == load_corpus(FIXTURE, "jsonl", config)
+    def test_jsonl_fixture(self):
+        records = read_corpus(FIXTURE, "jsonl")
+        built = [build_cluster(r) for r in records]
+        assert built == load_corpus(FIXTURE, "jsonl")
+        # a built cluster keeps its record's documents and references
+        for cluster, record in zip(built, records):
+            assert cluster.documents == record.documents
+            assert cluster.references == record.references
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_duc_dir(self, tmp_path, config):
+    def test_duc_dir(self, tmp_path):
         write_duc_dir(tmp_path, {
             "b2": ({"x": "Red fox runs far. Mr. Fox rests.", "a": "Blue bird\n\nsings."},
                    {"r1": "A fox ran."}),
@@ -469,8 +451,8 @@ class TestReadThenBuild:
         records = read_corpus(tmp_path, "duc-dir")
         assert [r.cluster_id for r in records] == ["a1", "b2"]
         assert [d.doc_id for d in records[1].documents] == ["a", "x"]
-        built = [build_cluster(r, config) for r in records]
-        assert built == load_corpus(tmp_path, "duc-dir", config)
+        built = [build_cluster(r) for r in records]
+        assert built == load_corpus(tmp_path, "duc-dir")
 
     def test_record_keeps_raw_text(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -670,7 +652,7 @@ class TestDucDirFuzz:
 
 class TestDuplicateStats:
     def build(self, sentences):
-        return cluster_from_sentences("c", [("d0", sentences)], config=RAW_SEQUENCE_CONFIG)
+        return word_cluster([sentences])
 
     def test_all_unique(self):
         cluster = self.build(["Red fox.", "Blue bird.", "Green frog."])
@@ -697,7 +679,6 @@ class TestDuplicateStats:
             assert duplicate_stats(self.build(shuffled)) == expected
 
     def test_stopwords_kept_in_sequences(self):
-        assert RAW_SEQUENCE_CONFIG.remove_stopwords is False
         cluster = self.build(["The fox runs.", "Fox runs."])
         assert duplicate_stats(cluster) == 0
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.summarizers import (
     ClusterFeatures,
     LengthBudget,
@@ -17,17 +16,7 @@ from summ.summarizers import (
 import tfidf_reference
 from ngram_counting import ngrams
 from tfidf_reference import tfidf_vectors
-
-PLAIN = TokenizationConfig(
-    remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
-
-
-def make_cluster(docs):
-    """docs: list of lists of sentence strings."""
-    return cluster_from_sentences(
-        "c", [(f"d{i}", sents) for i, sents in enumerate(docs)], config=PLAIN
-    )
+from word_clusters import word_cluster as make_cluster
 
 
 class TestNgrams:

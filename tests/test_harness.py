@@ -14,11 +14,11 @@ from summ.cli import main
 from summ.corpus import (
     ClusterRecord,
     Document,
-    TokenizationConfig,
     build_cluster,
     load_corpus,
     read_corpus,
     tokenize,
+    words,
 )
 from summ.harness import (
     EvalReport,
@@ -31,7 +31,7 @@ from summ.harness import (
     summarize_cluster,
 )
 from summ.rouge import prepare_sentences, prepare_text, rouge_n_recall
-from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget, SummarizerConfig
+from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget
 
 from ngram_counting import ngram_counts
 
@@ -42,7 +42,7 @@ def fixture_config(**overrides):
     defaults = dict(
         corpus=FIXTURE,
         corpus_format="jsonl",
-        summarizer=SummarizerConfig(budget=LengthBudget("words", 50)),
+        budget=LengthBudget("words", 50),
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
@@ -52,12 +52,13 @@ def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
 
 
-def sentence_counts(clusters):
-    """Oracle: token counts pooled over every built sentence of the corpus."""
+def sentence_counts(clusters, pipeline=None):
+    """Oracle: token counts pooled over every built sentence of the corpus,
+    its tokens or, with ``pipeline``, that function of its text."""
     total = Counter()
     for cluster in clusters:
         for sentence in cluster.sentences:
-            total.update(sentence.tokens)
+            total.update(pipeline(sentence.raw_text) if pipeline else sentence.tokens)
     return total
 
 
@@ -67,19 +68,12 @@ def corpus_counts(clusters):
     return summarizers.CorpusCounts(counts, counts.total())
 
 
-def document_counts(records, config):
-    """Oracle: token counts pooled over every raw document of the corpus."""
+def document_counts(records, pipeline=tokenize):
+    """Oracle: token counts pooled over every raw document of the corpus,
+    tokenized by ``pipeline``."""
     return harness._token_counts(
-        tokenize(d.text, config) for r in records for d in r.documents
+        pipeline(d.text) for r in records for d in r.documents
     )
-
-
-COUNT_CONFIGS = (
-    TokenizationConfig(),
-    TokenizationConfig(remove_stopwords=False, stem=False),
-    TokenizationConfig(remove_stopwords=False, stem=True),
-    TokenizationConfig(remove_stopwords=True, stem=False),
-)
 
 # document text with every kind of sentence boundary and non-boundary:
 # abbreviations, initials, blank lines, quotes or brackets after a
@@ -112,7 +106,7 @@ def corpus_records(corpus):
 def assert_cluster_counts_exact(records):
     """``summarize_cluster``'s corpus counts equal the whole corpus's at
     every token of each cluster, and so does their total."""
-    full = document_counts(records, TokenizationConfig())
+    full = document_counts(records)
     for record in records:
         cluster = build_cluster(record)
         corpus = harness._cluster_corpus_counts(records, cluster)
@@ -122,21 +116,25 @@ def assert_cluster_counts_exact(records):
 
 
 class TestCorpusCounts:
+    # the tokens (run's counts) and the surface words (summarize's) of the
+    # documents are those of their sentences
     @settings(max_examples=150, deadline=None)
-    @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
-    def test_documents_count_as_their_sentences(self, corpus, config):
+    @given(CORPORA)
+    def test_documents_count_as_their_sentences(self, corpus):
         records = corpus_records(corpus)
-        clusters = [build_cluster(r, config) for r in records]
-        assert document_counts(records, config) == sentence_counts(clusters)
+        clusters = [build_cluster(r) for r in records]
+        assert document_counts(records) == sentence_counts(clusters)
+        assert document_counts(records, words) == sentence_counts(clusters, words)
 
-    @pytest.mark.parametrize("config", COUNT_CONFIGS)
-    def test_fixture(self, config):
-        clusters = load_corpus(FIXTURE, "jsonl", config)
-        counts = document_counts(read_corpus(FIXTURE, "jsonl"), config)
+    def test_fixture(self):
+        clusters = load_corpus(FIXTURE, "jsonl")
+        records = read_corpus(FIXTURE, "jsonl")
+        counts = document_counts(records)
         assert counts == sentence_counts(clusters)
         assert harness._token_counts(
             s.tokens for c in clusters for s in c.sentences
         ) == counts
+        assert document_counts(records, words) == sentence_counts(clusters, words)
 
     @settings(max_examples=150, deadline=None)
     @given(CORPORA)
@@ -492,13 +490,11 @@ class TestScoreOnce:
             features = summarizers.ClusterFeatures(cluster)
             for name in config.systems:
                 rank_list = (
-                    summarizers.topicsum_rank(features, counts, config.summarizer)
+                    summarizers.topicsum_rank(features, counts)
                     if name == "topicsum"
-                    else harness._RANKERS[name](features, config.summarizer)
+                    else harness._RANKERS[name](features)
                 )
-                summary = summarizers.extract_summary(
-                    rank_list, features, config.summarizer.budget
-                )
+                summary = summarizers.extract_summary(rank_list, features, config.budget)
                 units[name] = tuple(
                     cluster.sentences[i].raw_text for i in summary.sentence_indices
                 )
@@ -696,3 +692,19 @@ class TestEmitReport:
         report = run_evaluation(fixture_config())
         with pytest.raises(OSError):
             emit_report(report, "csv", tmp_path / "missing-dir" / "x.csv")
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch):
+    # README's "Library use" block, run as written from a checkout's root
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    (tmp_path / "tests" / "data" / "fixture.jsonl").write_bytes(FIXTURE.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    report = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert report.startswith("| System | R-1 | R-2 | R-4 |\n")
+    assert "| cwcs |" in report

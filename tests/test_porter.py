@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summ.corpus import RAW_SEQUENCE_CONFIG, tokenize
+from summ.corpus import words as surface_words
 from summ.porter import TAILS, stem
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
@@ -279,7 +279,7 @@ def test_matches_oracle_on_fixture_tokens():
         texts = [d["text"] for d in record["documents"]]
         texts += [r["text"] for r in record.get("references", [])]
         for text in texts:
-            words.update(tokenize(text, RAW_SEQUENCE_CONFIG))
+            words.update(surface_words(text))
     assert len(words) > 350
     for word in words:
         assert stem.__wrapped__(word) == oracle_stem(word), word

@@ -14,7 +14,10 @@ of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
 must give the plain-loop ``M @ M.T`` off the diagonal from the pairs of
 entries that share a column, one chunk of pairs or several: exactly for
 textrank's 0/1 M, within the error bound its docstring states for
-lexrank's TF-IDF weights.
+lexrank's TF-IDF weights.  The rankers run at their fixed settings; the
+lexrank graph (``_lexrank_adjacency``) and the topic signature
+(``topic_words``) are also checked at other thresholds, the realised
+cosines and ratios among them.
 """
 
 import math
@@ -28,16 +31,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summ.corpus import DocumentCluster, TokenizationConfig, cluster_from_sentences
+from summ.corpus import DocumentCluster
 from summ import summarizers
 from summ.harness import _token_counts
 from summ.summarizers import (
+    DAMPING,
+    KL_SMOOTHING,
+    LEXRANK_THRESHOLD,
+    POWER_ITER_MAX,
+    POWER_ITER_TOL,
+    TOPIC_LLR_THRESHOLD,
     ClusterFeatures,
     CorpusCounts,
     RankList,
-    SummarizerConfig,
     _graph_rank,
-    _kl_smoothing,
+    _lexrank_adjacency,
     _power_iteration,
     centroid_rank,
     freqsum_rank,
@@ -50,6 +58,7 @@ from summ.summarizers import (
 
 from llr_reference import log_likelihood_ratio
 from tfidf_reference import cosine_similarity, tfidf_vectors
+from word_clusters import word_cluster
 
 
 def reference_cosines(cluster: DocumentCluster) -> dict[tuple[int, int], float]:
@@ -62,17 +71,32 @@ def reference_cosines(cluster: DocumentCluster) -> dict[tuple[int, int], float]:
     }
 
 
-def reference_lexrank_rank(
-    cluster: DocumentCluster, config: SummarizerConfig, cosines=None
-) -> RankList:
-    """Eigenvector centrality over the thresholded cosine-TF-IDF graph;
+def reference_lexrank_graph(
+    cluster: DocumentCluster, threshold: float, cosines=None
+) -> np.ndarray:
+    """0/1 graph of the pairs whose cosine exceeds ``threshold``;
     ``cosines`` are ``reference_cosines(cluster)``, computed if not given."""
     n = len(cluster.sentences)
     adjacency = np.zeros((n, n))
     for (i, j), cosine in (cosines or reference_cosines(cluster)).items():
-        if cosine > config.lexrank_threshold:
+        if cosine > threshold:
             adjacency[i, j] = adjacency[j, i] = 1.0
-    return _graph_rank("lexrank", adjacency, cluster, config)
+    return adjacency
+
+
+def reference_lexrank_rank(cluster: DocumentCluster) -> RankList:
+    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
+    adjacency = reference_lexrank_graph(cluster, LEXRANK_THRESHOLD)
+    return _graph_rank("lexrank", adjacency, cluster)
+
+
+def assert_graph_identical(cluster, threshold, cosines=None):
+    """``_lexrank_adjacency`` at ``threshold`` is the reference graph, with
+    exact ``==``."""
+    got = _lexrank_adjacency(ClusterFeatures(cluster), threshold)
+    want = reference_lexrank_graph(cluster, threshold, cosines)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), threshold
 
 
 def textrank_edge_weight(a: Sequence[str], b: Sequence[str]) -> float:
@@ -88,9 +112,7 @@ def textrank_edge_weight(a: Sequence[str], b: Sequence[str]) -> float:
     return overlap / (math.log(len(a)) + math.log(len(b)))
 
 
-def reference_textrank_rank(
-    cluster: DocumentCluster, config: SummarizerConfig
-) -> RankList:
+def reference_textrank_rank(cluster: DocumentCluster) -> RankList:
     """Centrality over the content-word-overlap graph."""
     n = len(cluster.sentences)
     adjacency = np.zeros((n, n))
@@ -100,12 +122,10 @@ def reference_textrank_rank(
             weight = textrank_edge_weight(tokens[i], tokens[j])
             if weight > 0.0:
                 adjacency[i, j] = adjacency[j, i] = weight
-    return _graph_rank("textrank", adjacency, cluster, config)
+    return _graph_rank("textrank", adjacency, cluster)
 
 
-def reference_greedykl_rank(
-    cluster: DocumentCluster, config: SummarizerConfig
-) -> RankList:
+def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
     """Greedy selection minimizing the summary-to-cluster KL divergence.
 
     Selection continues past any length budget until every sentence is
@@ -119,14 +139,12 @@ def reference_greedykl_rank(
     total = sum(cluster_counts.values())
     if total == 0:
         return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
-    k = _kl_smoothing(len(cluster_counts), config)
+    k = KL_SMOOTHING * len(cluster_counts)
     log_pc = {t: math.log(c / total) for t, c in cluster_counts.items()}
     vocab_size = len(cluster_counts)
 
     def gain(count: int, token: str) -> float:
         mass = count + k
-        if mass == 0.0:
-            return 0.0
         return mass * (math.log(mass) - log_pc[token])
 
     base = sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
@@ -149,11 +167,8 @@ def reference_greedykl_rank(
                 cand_sum += gain(have + extra, token) - gain(have, token)
             cand_total = current_total + sum(c for _, c in deltas[idx])
             denom = cand_total + k * (vocab_size + 1)
-            if denom == 0.0:
-                kl = math.inf
-            else:
-                mass = cand_total + k * vocab_size
-                kl = (base + cand_sum - mass * math.log(denom)) / denom
+            mass = cand_total + k * vocab_size
+            kl = (base + cand_sum - mass * math.log(denom)) / denom
             if best_idx is None or kl < best_kl:
                 best_idx, best_kl, best_sum = idx, kl, cand_sum
         for token, extra in deltas[best_idx]:
@@ -165,9 +180,7 @@ def reference_greedykl_rank(
     return RankList.from_scores("greedykl", scores)
 
 
-def reference_centroid_rank(
-    cluster: DocumentCluster, config: SummarizerConfig
-) -> RankList:
+def reference_centroid_rank(cluster: DocumentCluster) -> RankList:
     """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
     vectors = tfidf_vectors(cluster)
     n = len(vectors)
@@ -183,9 +196,7 @@ def reference_centroid_rank(
     return RankList.from_scores("centroid", scores)
 
 
-def reference_freqsum_rank(
-    cluster: DocumentCluster, config: SummarizerConfig
-) -> RankList:
+def reference_freqsum_rank(cluster: DocumentCluster) -> RankList:
     """Average cluster-frequency of a sentence's content words."""
     counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
     total = sum(counts.values())
@@ -207,21 +218,12 @@ PAIRS = {
     "centroid": (centroid_rank, reference_centroid_rank),
     "freqsum": (freqsum_rank, reference_freqsum_rank),
 }
-WORDS = TokenizationConfig(
-    remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
 VOCAB = ["ash", "birch", "cedar", "dune", "elm", "fern", "gale", "haze", "iris"]
 
 
-def make_cluster(docs):
-    return cluster_from_sentences(
-        "c", [(f"d{i}", sents) for i, sents in enumerate(docs)], config=WORDS
-    )
-
-
-def assert_identical(cluster, config):
+def assert_identical(cluster):
     for name, (ranker, reference) in PAIRS.items():
-        got, want = ranker(ClusterFeatures(cluster), config), reference(cluster, config)
+        got, want = ranker(ClusterFeatures(cluster)), reference(cluster)
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
     # the same weights, each sentence's tokens in the same order
@@ -240,17 +242,17 @@ sentence_text = st.lists(st.sampled_from(VOCAB), max_size=7).map(
 cluster_docs = st.lists(
     st.lists(sentence_text, min_size=1, max_size=6), min_size=1, max_size=4
 )
-configs = st.builds(
-    SummarizerConfig,
-    lexrank_threshold=st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
-    kl_smoothing_k=st.sampled_from([None, 0.0, 0.01, 1.0]),
-)
+# lexrank graph thresholds: 0 links every pair that shares a weighted
+# token, 1 links none
+thresholds = st.sampled_from([0.0, LEXRANK_THRESHOLD, 0.3, 0.5, 1.0])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(docs=cluster_docs, config=configs)
-def test_random_clusters_match_references(docs, config):
-    assert_identical(make_cluster(docs), config)
+@given(docs=cluster_docs, threshold=thresholds)
+def test_random_clusters_match_references(docs, threshold):
+    cluster = word_cluster(docs)
+    assert_identical(cluster)
+    assert_graph_identical(cluster, threshold)
 
 
 EDGE_CASES = {
@@ -266,7 +268,7 @@ EDGE_CASES = {
     "type_repeated_five_times": [
         ["ash ash ash ash ash birch", "ash birch"], ["birch birch ash", "cedar ash ash ash"],
     ],
-    # leading empty sentences: zero denominators at the first step when k = 0
+    # leading empty sentences, which greedykl's first step scores too
     "empty_sentences_first": [[".", "!", "ash birch ash"], ["...", "birch cedar"]],
     # every token is in every document: no TF-IDF weight at all
     "single_document": [["ash birch ash", ".", "cedar birch dune"]],
@@ -275,7 +277,7 @@ EDGE_CASES = {
         ["ash birch ash", "cedar"], ["dune ash", "."], ["elm fern ash birch fern"],
     ],
     # greedykl's base sum, added in sorted-id order instead of first-occurrence
-    # order, rounds differently here and changes the default config's picks
+    # order, rounds differently here and changes the picks
     "base_sum_order": [
         ["w0"], ["w7 w1 w4 w11 w5 w7 w2", "w10 w2 w3 w11 w9 w10 w6"], [".", "w0 w2"],
     ],
@@ -283,13 +285,13 @@ EDGE_CASES = {
 
 
 @pytest.mark.parametrize("docs", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
-@pytest.mark.parametrize("config", [
-    SummarizerConfig(),
-    SummarizerConfig(kl_smoothing_k=0),
-    SummarizerConfig(kl_smoothing_k=0.0, lexrank_threshold=0.0),
-], ids=["default", "k0", "k0_threshold0"])
-def test_edge_cases_match_references(docs, config):
-    assert_identical(make_cluster(docs), config)
+@pytest.mark.parametrize(
+    "threshold", [LEXRANK_THRESHOLD, 0.0], ids=["default", "threshold0"]
+)
+def test_edge_cases_match_references(docs, threshold):
+    cluster = word_cluster(docs)
+    assert_identical(cluster)
+    assert_graph_identical(cluster, threshold)
 
 
 def reference_entries(cluster: DocumentCluster, order=sorted) -> list[list[int]]:
@@ -323,7 +325,7 @@ def assert_entries_identical(cluster):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(docs=cluster_docs)
 def test_random_cluster_entries_match_reference(docs):
-    assert_entries_identical(make_cluster(docs))
+    assert_entries_identical(word_cluster(docs))
 
 
 @pytest.mark.parametrize("docs", [
@@ -333,7 +335,7 @@ def test_random_cluster_entries_match_reference(docs):
     [["ash birch", "."], [".", "cedar ash"], ["..."]],
 ], ids=["no_tokens", "zero_and_one_token_mix", "repeated_type", "empty_sentences"])
 def test_edge_cluster_entries_match_reference(docs):
-    assert_entries_identical(make_cluster(docs))
+    assert_entries_identical(word_cluster(docs))
 
 
 def test_threshold_at_realised_cosine():
@@ -347,22 +349,14 @@ def test_threshold_at_realised_cosine():
         ["elm fern haze", "ash birch cedar"],
         ["iris gale iris", "birch elm"],
     ]
-    cluster = make_cluster(docs)
-    vectors = tfidf_vectors(cluster)
-    n = len(vectors)
-    realised = sorted({
-        cosine_similarity(vectors[i], vectors[j])
-        for i in range(n) for j in range(i + 1, n)
-    } - {0.0})
+    cluster = word_cluster(docs)
+    cosines = reference_cosines(cluster)
+    realised = sorted(set(cosines.values()) - {0.0})
     assert len(realised) > 5
     for value in realised:
         below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
         for threshold in (below, value, above):
-            config = SummarizerConfig(lexrank_threshold=threshold)
-            got = lexrank_rank(ClusterFeatures(cluster), config)
-            want = reference_lexrank_rank(cluster, config)
-            assert got.scores == want.scores
-            assert got.ranks == want.ranks
+            assert_graph_identical(cluster, threshold, cosines)
 
 
 def test_long_cluster_matches_references():
@@ -379,23 +373,21 @@ def test_long_cluster_matches_references():
             for _ in range(25)
         ]
         docs.append(doc + doc[:2])  # copied lead sentences give exact ties
-    assert_identical(make_cluster(docs), SummarizerConfig())
+    assert_identical(word_cluster(docs))
 
 
-def reference_power_iteration(
-    adjacency: np.ndarray, config: SummarizerConfig
-) -> np.ndarray:
+def reference_power_iteration(adjacency: np.ndarray) -> np.ndarray:
     """Stationary distribution of the damped, row-normalized walk."""
     n = adjacency.shape[0]
     row_sums = adjacency.sum(axis=1)
     transition = np.full((n, n), 1.0 / n)
     nonzero = row_sums > 0
     transition[nonzero] = adjacency[nonzero] / row_sums[nonzero, None]
-    teleport = (1.0 - config.damping) / n
+    teleport = (1.0 - DAMPING) / n
     p = np.full(n, 1.0 / n)
-    for _ in range(config.power_iter_max):
-        p_next = config.damping * (transition.T @ p) + teleport
-        if np.abs(p_next - p).sum() <= config.power_iter_tol:
+    for _ in range(POWER_ITER_MAX):
+        p_next = DAMPING * (transition.T @ p) + teleport
+        if np.abs(p_next - p).sum() <= POWER_ITER_TOL:
             return p_next
         p = p_next
     return p
@@ -409,9 +401,8 @@ def test_power_iteration_in_place_matches_reference(n):
     weights[:, rng.random(n) < 0.2] = 0.0
     weights = weights + weights.T
     weights[rng.random(n) < 0.2] = 0.0
-    for config in (SummarizerConfig(), SummarizerConfig(power_iter_max=3)):
-        want = reference_power_iteration(weights, config)
-        assert _power_iteration(weights.copy(), config).tolist() == want.tolist()
+    want = reference_power_iteration(weights)
+    assert _power_iteration(weights.copy()).tolist() == want.tolist()
 
 
 def reference_background_counts(
@@ -458,11 +449,9 @@ def reference_topic_words(
     return result
 
 
-def reference_topicsum_rank(
-    cluster: DocumentCluster, background: Counter, config: SummarizerConfig
-) -> RankList:
+def reference_topicsum_rank(cluster: DocumentCluster, background: Counter) -> RankList:
     """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = reference_topic_words(cluster, background, config.topic_llr_threshold)
+    signature = reference_topic_words(cluster, background, TOPIC_LLR_THRESHOLD)
     scores = []
     for sentence in cluster.sentences:
         if not sentence.tokens:
@@ -473,28 +462,29 @@ def reference_topicsum_rank(
     return RankList.from_scores("topicsum", scores)
 
 
-def assert_topicsum_identical(corpus_docs, config):
-    clusters = [
-        cluster_from_sentences(
-            f"c{c}",
-            [(f"d{i}", sents) for i, sents in enumerate(docs)],
-            config=WORDS,
-        )
-        for c, docs in enumerate(corpus_docs)
-    ]
+def assert_topicsum_identical(corpus_docs, threshold):
+    """Over each cluster of the corpus, ``topic_words`` at ``threshold`` and
+    ``topicsum_rank`` match their leave-one-out references, or both raise
+    for want of a background."""
+    clusters = [word_cluster(docs) for docs in corpus_docs]
     counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     corpus = CorpusCounts(counts, counts.total())
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
+        features = ClusterFeatures(cluster)
         try:
-            want = reference_topicsum_rank(cluster, background, config)
+            want = reference_topicsum_rank(cluster, background)
         except ValueError as exc:
-            with pytest.raises(ValueError, match="background required"):
-                topicsum_rank(ClusterFeatures(cluster), corpus, config)
             assert "background required" in str(exc)
+            with pytest.raises(ValueError, match="background required"):
+                topicsum_rank(features, corpus)
+            with pytest.raises(ValueError, match="background required"):
+                topic_words(features, corpus, threshold)
             continue
-        got = topicsum_rank(ClusterFeatures(cluster), corpus, config)
+        got = topicsum_rank(features, corpus)
         assert got.scores == want.scores
         assert got.ranks == want.ranks
+        signature = topic_words(features, corpus, threshold)
+        assert signature == reference_topic_words(cluster, background, threshold)
 
 
 def own_words(c):
@@ -524,9 +514,7 @@ def topic_corpora(draw):
     threshold=st.sampled_from([0.5, 2.0, 3.84, 10.83]),
 )
 def test_topicsum_corpus_totals_match_leave_one_out(corpus_docs, threshold):
-    assert_topicsum_identical(
-        corpus_docs, SummarizerConfig(topic_llr_threshold=threshold)
-    )
+    assert_topicsum_identical(corpus_docs, threshold)
 
 
 TOPIC_CORPORA = {
@@ -542,7 +530,7 @@ TOPIC_CORPORA = {
     "corpus_docs", list(TOPIC_CORPORA.values()), ids=list(TOPIC_CORPORA)
 )
 def test_topicsum_edge_corpora_match_leave_one_out(corpus_docs):
-    assert_topicsum_identical(corpus_docs, SummarizerConfig(topic_llr_threshold=0.5))
+    assert_topicsum_identical(corpus_docs, 0.5)
 
 
 def zipf_corpus(seed: int, clusters: int, docs: int, sentences: int) -> list:
@@ -567,26 +555,21 @@ def zipf_corpus(seed: int, clusters: int, docs: int, sentences: int) -> list:
     return corpus
 
 
-@pytest.mark.parametrize("config", [
-    SummarizerConfig(), SummarizerConfig(kl_smoothing_k=0),
-], ids=["default", "k0"])
-def test_duc_scale_greedykl_matches_reference(config):
+def test_duc_scale_greedykl_matches_reference():
     # a DUC-sized cluster: 200 sentences, hundreds of distinct words, and
     # tokens repeated within a sentence, so every table row and step is used
-    cluster = make_cluster(zipf_corpus(3, 1, 10, 20)[0])
+    cluster = word_cluster(zipf_corpus(3, 1, 10, 20)[0])
     assert len(cluster.sentences) == 200
     assert int(ClusterFeatures(cluster).entries[2].max()) >= 3
-    got = greedykl_rank(ClusterFeatures(cluster), config)
-    want = reference_greedykl_rank(cluster, config)
+    got = greedykl_rank(ClusterFeatures(cluster))
+    want = reference_greedykl_rank(cluster)
     assert got.scores == want.scores
     assert got.ranks == want.ranks
 
 
 @pytest.mark.parametrize("threshold", [3.84, 10.83])
 def test_duc_scale_topicsum_matches_leave_one_out(threshold):
-    assert_topicsum_identical(
-        zipf_corpus(5, 3, 10, 20), SummarizerConfig(topic_llr_threshold=threshold)
-    )
+    assert_topicsum_identical(zipf_corpus(5, 3, 10, 20), threshold)
 
 
 def test_topic_threshold_at_realised_ratio():
@@ -594,7 +577,7 @@ def test_topic_threshold_at_realised_ratio():
     # the decision boundary, as does the threshold one ulp either side;
     # there only a numpy ratio with the scalar rule's exact bits (its
     # operands, order of operations and math.log logs) picks the same tokens
-    clusters = [make_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
+    clusters = [word_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
     counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     corpus = CorpusCounts(counts, counts.total())
     tested = 0
@@ -699,15 +682,14 @@ def test_cross_products_add_across_chunks_in_column_order():
 
 def test_thousand_sentence_zipf_cluster_matches_references():
     # textrank's products take several chunks of pairs, lexrank's one
-    cluster = make_cluster(zipf_corpus(13, 1, 10, 100)[0])
+    cluster = word_cluster(zipf_corpus(13, 1, 10, 100)[0])
     n = len(cluster.sentences)
     assert n == 1000
     ranked = ranked_dfs(ClusterFeatures(cluster).entries[1])
     assert int((ranked * ranked).sum()) > n * n // 8
-    config = SummarizerConfig()
     for name in ("lexrank", "textrank"):
         ranker, reference = PAIRS[name]
-        got, want = ranker(ClusterFeatures(cluster), config), reference(cluster, config)
+        got, want = ranker(ClusterFeatures(cluster)), reference(cluster)
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
 
@@ -720,15 +702,11 @@ def test_threshold_at_realised_cosine_on_the_pair_route():
     planted = [(s, 1 + s % 5) for s in range(12)]  # (sentence, its copy's document)
     for s, d in planted:
         docs[d][s] = docs[0][s] + "".join(f" new{s}x{k}" for k in range(s % 4))
-    cluster = make_cluster(docs)
+    cluster = word_cluster(docs)
     cosines = reference_cosines(cluster)
     realised = {cosines[s, 50 * d + s] for s, d in planted} - {0.0}
     assert len(realised) >= 10
     for value in sorted(realised):
         below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
         for threshold in (below, value, above):
-            config = SummarizerConfig(lexrank_threshold=threshold)
-            got = lexrank_rank(ClusterFeatures(cluster), config)
-            want = reference_lexrank_rank(cluster, config, cosines)
-            assert got.scores == want.scores
-            assert got.ranks == want.ranks
+            assert_graph_identical(cluster, threshold, cosines)

@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from summ.corpus import TokenizationConfig, cluster_from_sentences
 from summ.summarizers import (
+    DAMPING,
+    POWER_ITER_TOL,
+    TOPIC_LLR_THRESHOLD,
     LengthBudget,
     ClusterFeatures,
     CorpusCounts,
     RankList,
-    SummarizerConfig,
     _power_iteration,
     centroid_rank,
     extract_summary,
@@ -26,17 +27,7 @@ from summ.summarizers import (
 
 from llr_reference import log_likelihood_ratio
 from test_ranker_oracles import textrank_edge_weight, zipf_corpus
-
-WORDS = TokenizationConfig(
-    remove_stopwords=False, stem=False, min_sentence_tokens=1
-)
-CONFIG = SummarizerConfig()
-
-
-def make_cluster(docs, config=WORDS):
-    return cluster_from_sentences(
-        "c", [(f"d{i}", sents) for i, sents in enumerate(docs)], config=config
-    )
+from word_clusters import word_cluster as make_cluster
 
 
 def cluster_counts(cluster):
@@ -137,31 +128,6 @@ class TestConfigs:
         with pytest.raises(ValueError, match="budget limit must be > 0"):
             LengthBudget.parse("words:-5")
 
-    def test_summarizer_config_ranges(self):
-        with pytest.raises(ValueError):
-            SummarizerConfig(damping=1.0)
-        with pytest.raises(ValueError):
-            SummarizerConfig(power_iter_max=0)
-        with pytest.raises(ValueError):
-            SummarizerConfig(kl_smoothing_k=-1.0)
-
-    @pytest.mark.parametrize("settings", [
-        {"kl_smoothing_k": math.nan},
-        {"kl_smoothing_k": math.inf},
-        {"lexrank_threshold": math.nan},
-        {"power_iter_tol": math.nan},
-        {"topic_llr_threshold": math.nan},
-        {"power_iter_max": 2.5},
-        {"power_iter_max": True},
-    ], ids=lambda settings: "-".join(f"{k}={v}" for k, v in settings.items()))
-    def test_summarizer_config_rejects_nan_inf_and_non_integers(self, settings):
-        # NaN fails no "<" check; True and 2.5 pass "power_iter_max >= 1"
-        with pytest.raises(ValueError):
-            SummarizerConfig(**settings)
-
-    def test_summarizer_config_accepts_boundary_values(self):
-        SummarizerConfig(kl_smoothing_k=0.0, lexrank_threshold=0.0, power_iter_max=1)
-
 
 class TestPowerIteration:
     def test_residual_below_tol_and_sums_to_one(self):
@@ -175,25 +141,25 @@ class TestPowerIteration:
                         adjacency[i, j] = adjacency[j, i] = rng.uniform(0.1, 1.0)
             if adjacency.sum() == 0:
                 continue
-            p = _power_iteration(adjacency.copy(), CONFIG)  # it normalizes in place
+            p = _power_iteration(adjacency.copy())  # it normalizes in place
             assert p.sum() == pytest.approx(1.0, abs=1e-6)
             row_sums = adjacency.sum(axis=1)
             transition = np.full((n, n), 1.0 / n)
             mask = row_sums > 0
             transition[mask] = adjacency[mask] / row_sums[mask, None]
-            step = CONFIG.damping * transition.T @ p + (1 - CONFIG.damping) / n
-            assert np.abs(step - p).sum() <= CONFIG.power_iter_tol
+            step = DAMPING * transition.T @ p + (1 - DAMPING) / n
+            assert np.abs(step - p).sum() <= POWER_ITER_TOL
 
 
 class TestLexrank:
     def test_identical_pair(self):
         cluster = make_cluster([["red fox runs", "red fox runs"], ["other words here"]])
-        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster))
         assert rl.scores[0] == pytest.approx(rl.scores[1], abs=1e-9)
 
     def test_singleton(self):
         cluster = make_cluster([["only one sentence"]])
-        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster))
         assert rl.scores == (1.0,)
         assert rl.ranks == (1,)
 
@@ -201,7 +167,7 @@ class TestLexrank:
         # s0~s1, s1~s2, s0 and s2 disjoint: adjacency is a 3-chain and the
         # damped stationary distribution is (19/74, 18/37, 19/74)
         cluster = make_cluster([["alpha beta"], ["beta gamma"], ["gamma delta"]])
-        rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
+        rl = lexrank_rank(ClusterFeatures(cluster))
         assert rl.ranks[1] == 1
         assert rl.scores[0] == pytest.approx(19 / 74, abs=1e-4)
         assert rl.scores[1] == pytest.approx(18 / 37, abs=1e-4)
@@ -210,7 +176,7 @@ class TestLexrank:
     def test_isolated_graph_uniform_fallback(self, caplog):
         cluster = make_cluster([["alpha beta"], ["gamma delta"]])
         with caplog.at_level("WARNING"):
-            rl = lexrank_rank(ClusterFeatures(cluster), CONFIG)
+            rl = lexrank_rank(ClusterFeatures(cluster))
         assert "falling back to uniform" in caplog.text
         assert rl.scores == (0.5, 0.5)
         assert rl.ranks == (1, 2)
@@ -224,7 +190,7 @@ def _peak_arrays(ranker, cluster) -> float:
     features.entries, features.vectors
     tracemalloc.start()
     try:
-        ranker(features, CONFIG)
+        ranker(features)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,13 +229,13 @@ class TestTextrank:
         cluster = make_cluster(
             [["red fox runs far", "red fox runs far"], ["more unrelated words here"]]
         )
-        rl = textrank_rank(ClusterFeatures(cluster), CONFIG)
+        rl = textrank_rank(ClusterFeatures(cluster))
         assert rl.scores[0] == pytest.approx(rl.scores[1], abs=1e-9)
 
     def test_zero_overlap_uniform_fallback(self, caplog):
         cluster = make_cluster([["alpha beta"], ["gamma delta"]])
         with caplog.at_level("WARNING"):
-            rl = textrank_rank(ClusterFeatures(cluster), CONFIG)
+            rl = textrank_rank(ClusterFeatures(cluster))
         assert "falling back to uniform" in caplog.text
         assert rl.scores == (0.5, 0.5)
 
@@ -277,7 +243,7 @@ class TestTextrank:
 class TestCentroid:
     def test_single_document_all_zero(self):
         cluster = make_cluster([["red fox runs", "blue bird sings"]])
-        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster))
         assert rl.scores == (0.0, 0.0)
         assert rl.ranks == (1, 2)
 
@@ -285,7 +251,7 @@ class TestCentroid:
         # d0: "alpha beta gamma", d1: "beta delta"; beta occurs in both
         # documents so it drops out; centroid = {alpha, gamma, delta: ln2/2}
         cluster = make_cluster([["alpha beta gamma"], ["beta delta"]])
-        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster))
         assert rl.scores[0] == pytest.approx(math.log(2))
         assert rl.scores[1] == pytest.approx(math.log(2) / 2)
         assert rl.ranks == (1, 2)
@@ -294,20 +260,20 @@ class TestCentroid:
         cluster = make_cluster(
             [["alpha beta gamma delta", "alpha beta"], ["unrelated filler words"]]
         )
-        rl = centroid_rank(ClusterFeatures(cluster), CONFIG)
+        rl = centroid_rank(ClusterFeatures(cluster))
         assert rl.ranks[0] == 1
 
 
 class TestFreqsum:
     def test_singleton(self):
         cluster = make_cluster([["lone sentence here"]])
-        rl = freqsum_rank(ClusterFeatures(cluster), CONFIG)
+        rl = freqsum_rank(ClusterFeatures(cluster))
         assert rl.ranks == (1,)
 
     def test_hand_computed(self):
         # counts: a=3, b=1; scores: [a a] -> 0.75, [a b] -> 0.5
         cluster = make_cluster([["a a", "a b"]])
-        rl = freqsum_rank(ClusterFeatures(cluster), CONFIG)
+        rl = freqsum_rank(ClusterFeatures(cluster))
         assert rl.scores == (0.75, 0.5)
 
     def test_duplicating_documents_is_invariant(self):
@@ -315,8 +281,8 @@ class TestFreqsum:
         cluster = make_cluster(docs)
         doubled = make_cluster(docs + docs)
         assert (
-            freqsum_rank(ClusterFeatures(doubled), CONFIG).scores[: len(cluster.sentences)]
-            == freqsum_rank(ClusterFeatures(cluster), CONFIG).scores
+            freqsum_rank(ClusterFeatures(doubled)).scores[: len(cluster.sentences)]
+            == freqsum_rank(ClusterFeatures(cluster)).scores
         )
 
 
@@ -332,32 +298,32 @@ class TestTopicsum:
     def test_background_equal_to_cluster_gives_all_zero(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
         corpus = pooled(cluster_counts(cluster) + cluster_counts(cluster))
-        rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
+        rl = topicsum_rank(ClusterFeatures(cluster), corpus)
         assert rl.scores == (0.0,) * len(cluster.sentences)
 
     def test_overrepresented_token_becomes_topic_word(self):
         sentences = [["storm storm storm storm storm surge", "other words here"]]
         cluster = make_cluster(sentences)
         corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)}))
-        signature = topic_words(ClusterFeatures(cluster), corpus, CONFIG.topic_llr_threshold)
+        signature = topic_words(ClusterFeatures(cluster), corpus, TOPIC_LLR_THRESHOLD)
         assert "storm" in signature
 
     def test_pure_topic_sentence_scores_one(self):
         cluster = make_cluster([["storm storm storm storm storm", "calm words today"]])
         corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)}))
-        rl = topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG)
+        rl = topicsum_rank(ClusterFeatures(cluster), corpus)
         assert max(rl.scores) == rl.scores[0] == 1.0
 
     def test_empty_background_is_error(self):
         cluster = make_cluster([["red fox runs"]])
         with pytest.raises(ValueError, match="background required"):
-            topicsum_rank(ClusterFeatures(cluster), pooled(cluster_counts(cluster)), CONFIG)
+            topicsum_rank(ClusterFeatures(cluster), pooled(cluster_counts(cluster)))
 
     def test_corpus_counts_must_include_the_cluster(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
         background = pooled(Counter({"red": 1, "noise": 50}))
         with pytest.raises(ValueError, match="corpus counts miss"):
-            topicsum_rank(ClusterFeatures(cluster), background, CONFIG)
+            topicsum_rank(ClusterFeatures(cluster), background)
 
 
 def brute_force_kl(cluster, indices, k):
@@ -371,14 +337,9 @@ def brute_force_kl(cluster, indices, k):
         counts.update(cluster.sentences[i].tokens)
     t = sum(counts.values())
     denom = t + k * (len(cluster_counts) + 1)
-    if denom == 0:
-        return math.inf
     kl = 0.0
     for token, c in sorted(cluster_counts.items()):
-        mass = counts[token] + k
-        if mass == 0:
-            continue
-        p = mass / denom
+        p = (counts[token] + k) / denom
         kl += p * math.log(p / (c / total))
     return kl
 
@@ -386,7 +347,7 @@ def brute_force_kl(cluster, indices, k):
 class TestGreedyKL:
     def test_identical_sentences_select_in_index_order(self):
         cluster = make_cluster([["red fox runs"] * 4])
-        rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
+        rl = greedykl_rank(ClusterFeatures(cluster))
         assert rl.ranks == (1, 2, 3, 4)
 
     def test_first_pick_matches_exhaustive_search(self):
@@ -399,7 +360,7 @@ class TestGreedyKL:
             ]
             cluster = make_cluster([sentences])
             k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
-            rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
+            rl = greedykl_rank(ClusterFeatures(cluster))
             first = rl.order()[0]
             kls = [
                 brute_force_kl(cluster, [i], k)
@@ -414,7 +375,7 @@ class TestGreedyKL:
             " ".join(rng.choices(vocab, k=rng.randint(1, 5))) for _ in range(5)
         ]
         cluster = make_cluster([sentences])
-        rl = greedykl_rank(ClusterFeatures(cluster), CONFIG)
+        rl = greedykl_rank(ClusterFeatures(cluster))
         order = rl.order()
         k = 0.0005 * len({t for s in cluster.sentences for t in s.tokens})
         # each incremental pick must minimize the direct KL of the prefix
@@ -484,10 +445,7 @@ class TestExtractSummary:
         assert byte_cost(cluster, summary) == 19
 
     def test_ineligible_sentences_skipped(self):
-        config = TokenizationConfig(
-            remove_stopwords=False, stem=False, min_sentence_tokens=3
-        )
-        cluster = make_cluster([["too short", "this one is long enough"]], config)
+        cluster = make_cluster([["too short", "this one is long enough"]], min_tokens=3)
         rl = RankList.from_scores("x", [2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("words", 10))
         assert summary.sentence_indices == (1,)
@@ -551,9 +509,9 @@ class TestRankerProperties:
         cluster = make_cluster(docs)
         corpus = pooled(cluster_counts(cluster) + Counter({"noise": 50, "words": 50}))
         for name, ranker in SYSTEMS.items():
-            assert ranker(ClusterFeatures(cluster), CONFIG) == ranker(ClusterFeatures(cluster), CONFIG), name
-        assert topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG) == topicsum_rank(
-            ClusterFeatures(cluster), corpus, CONFIG
+            assert ranker(ClusterFeatures(cluster)) == ranker(ClusterFeatures(cluster)), name
+        assert topicsum_rank(ClusterFeatures(cluster), corpus) == topicsum_rank(
+            ClusterFeatures(cluster), corpus
         )
 
     def test_token_bijection_leaves_ranks_unchanged(self):
@@ -575,11 +533,11 @@ class TestRankerProperties:
             ))
             for name, ranker in SYSTEMS.items():
                 assert (
-                    ranker(ClusterFeatures(cluster), CONFIG).ranks == ranker(ClusterFeatures(mirrored), CONFIG).ranks
+                    ranker(ClusterFeatures(cluster)).ranks == ranker(ClusterFeatures(mirrored)).ranks
                 ), (name, trial)
             assert (
-                topicsum_rank(ClusterFeatures(cluster), corpus, CONFIG).ranks
-                == topicsum_rank(ClusterFeatures(mirrored), renamed_corpus, CONFIG).ranks
+                topicsum_rank(ClusterFeatures(cluster), corpus).ranks
+                == topicsum_rank(ClusterFeatures(mirrored), renamed_corpus).ranks
             )
 
     def test_scores_sum_to_one_for_graph_rankers(self):
@@ -588,6 +546,6 @@ class TestRankerProperties:
         for _ in range(10):
             cluster = make_cluster(random_cluster(rng, vocab))
             for ranker in (lexrank_rank, textrank_rank):
-                assert sum(ranker(ClusterFeatures(cluster), CONFIG).scores) == pytest.approx(
+                assert sum(ranker(ClusterFeatures(cluster)).scores) == pytest.approx(
                     1.0, abs=1e-6
                 )
