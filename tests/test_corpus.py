@@ -123,6 +123,10 @@ class TestTokenize:
         by_segment = [t for s in segment_sentences(text) for t in pipeline(s)]
         assert pipeline(text) == by_segment
 
+    @given(texts, st.sampled_from([words, tokenize, prepare_text]))
+    def test_lowercase_tokens(self, text, pipeline):
+        assert all(re.fullmatch(r"[a-z0-9]+", t) for t in pipeline(text))
+
     def test_full_pipeline(self):
         assert tokenize("The cats sat") == ["cat", "sat"]
 
@@ -132,6 +136,15 @@ class TestTokenize:
     def test_no_word_characters(self):
         for pipeline in (words, tokenize, prepare_text):
             assert pipeline("...") == []
+
+    def test_idempotent_without_stemming(self):
+        # the surface words, rejoined by spaces, are their own words
+        rng = random.Random(7)
+        vocab = ["storm", "the", "coast", "on", "Power", "ran", "a", "42", "U.S.", "don't"]
+        for _ in range(50):
+            text = " ".join(rng.choices(vocab, k=rng.randint(0, 12)))
+            once = words(text)
+            assert words(" ".join(once)) == once
 
 
 # the word rule stated plainly, kept as the oracle for ``words``
@@ -432,8 +445,26 @@ def write_duc_dir(root, clusters):
                 (root / cluster_id / folder / f"{stem}.txt").write_text(text, encoding="utf-8")
 
 
+# each token pipeline the package runs, and whether a built sentence
+# keeps its output as the sentence's tokens
+BUILD_CONFIGS = ((tokenize, True), (words, False), (prepare_text, False))
+
+
+def assert_build_keeps_words(records, built, config):
+    """Every sentence of a document is built, in order: the pipeline's
+    tokens of the built sentences are those of the document."""
+    pipeline, stored = config
+    for cluster, record in zip(built, records):
+        for document in record.documents:
+            sentences = [s for s in cluster.sentences if s.doc_id == document.doc_id]
+            assert [t for s in sentences for t in pipeline(s.raw_text)] == pipeline(document.text)
+            if stored:
+                assert all(s.tokens == tuple(pipeline(s.raw_text)) for s in sentences)
+
+
 class TestReadThenBuild:
-    def test_jsonl_fixture(self):
+    @pytest.mark.parametrize("config", BUILD_CONFIGS)
+    def test_jsonl_fixture(self, config):
         records = read_corpus(FIXTURE, "jsonl")
         built = [build_cluster(r) for r in records]
         assert built == load_corpus(FIXTURE, "jsonl")
@@ -441,8 +472,10 @@ class TestReadThenBuild:
         for cluster, record in zip(built, records):
             assert cluster.documents == record.documents
             assert cluster.references == record.references
+        assert_build_keeps_words(records, built, config)
 
-    def test_duc_dir(self, tmp_path):
+    @pytest.mark.parametrize("config", BUILD_CONFIGS)
+    def test_duc_dir(self, tmp_path, config):
         write_duc_dir(tmp_path, {
             "b2": ({"x": "Red fox runs far. Mr. Fox rests.", "a": "Blue bird\n\nsings."},
                    {"r1": "A fox ran."}),
@@ -453,6 +486,7 @@ class TestReadThenBuild:
         assert [d.doc_id for d in records[1].documents] == ["a", "x"]
         built = [build_cluster(r) for r in records]
         assert built == load_corpus(tmp_path, "duc-dir")
+        assert_build_keeps_words(records, built, config)
 
     def test_record_keeps_raw_text(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -31,6 +31,7 @@ from summ.harness import (
     summarize_cluster,
 )
 from summ.rouge import prepare_sentences, prepare_text, rouge_n_recall
+from summ.stopwords import STOPWORDS
 from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget
 
 from ngram_counting import ngram_counts
@@ -115,26 +116,41 @@ def assert_cluster_counts_exact(records):
         assert {t: corpus.counts.get(t, 0) for t in tokens} == {t: full[t] for t in tokens}
 
 
+def content_words(text):
+    """The surface words less the stopwords, as summarize counts its
+    corpus total."""
+    return [w for w in words(text) if w not in STOPWORDS]
+
+
+# each count the package takes of a text: run's tokens, which a built
+# sentence keeps (so its sentence pipeline is None), the surface words,
+# ROUGE's stemmed words and summarize's corpus total
+COUNT_CONFIGS = (
+    (tokenize, None), (words, words), (prepare_text, prepare_text),
+    (content_words, content_words),
+)
+
+
 class TestCorpusCounts:
-    # the tokens (run's counts) and the surface words (summarize's) of the
-    # documents are those of their sentences
+    # each count of the documents is that of their sentences
     @settings(max_examples=150, deadline=None)
-    @given(CORPORA)
-    def test_documents_count_as_their_sentences(self, corpus):
+    @given(CORPORA, st.sampled_from(COUNT_CONFIGS))
+    def test_documents_count_as_their_sentences(self, corpus, config):
         records = corpus_records(corpus)
         clusters = [build_cluster(r) for r in records]
-        assert document_counts(records) == sentence_counts(clusters)
-        assert document_counts(records, words) == sentence_counts(clusters, words)
+        pipeline, sentence_pipeline = config
+        assert document_counts(records, pipeline) == sentence_counts(clusters, sentence_pipeline)
 
-    def test_fixture(self):
+    @pytest.mark.parametrize("config", COUNT_CONFIGS)
+    def test_fixture(self, config):
         clusters = load_corpus(FIXTURE, "jsonl")
-        records = read_corpus(FIXTURE, "jsonl")
-        counts = document_counts(records)
-        assert counts == sentence_counts(clusters)
+        pipeline, sentence_pipeline = config
+        counts = document_counts(read_corpus(FIXTURE, "jsonl"), pipeline)
+        assert counts == sentence_counts(clusters, sentence_pipeline)
         assert harness._token_counts(
-            s.tokens for c in clusters for s in c.sentences
+            sentence_pipeline(s.raw_text) if sentence_pipeline else s.tokens
+            for c in clusters for s in c.sentences
         ) == counts
-        assert document_counts(records, words) == sentence_counts(clusters, words)
 
     @settings(max_examples=150, deadline=None)
     @given(CORPORA)
