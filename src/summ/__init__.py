@@ -9,7 +9,6 @@ them against reference summaries.
 
 from .consensus import (
     AggregateResult,
-    WcsConfig,
     WeightVector,
     borda_aggregate,
     cwcs_aggregate,

@@ -16,7 +16,6 @@ import logging
 import sys
 from pathlib import Path
 
-from .consensus import WcsConfig
 from .corpus import CorpusError, invalid_json
 from .harness import (
     EMIT_FORMATS,
@@ -145,7 +144,7 @@ _RUN_SETTINGS = {
     "rouge": ("rouge_orders", _rouge_orders),
     "redundancy_cap": ("redundancy_cap", float),
     "format": ("corpus_format", str),
-    "lambda_": ("wcs", lambda v: WcsConfig(lambda_=float(v))),
+    "lambda_": ("lambda_", float),
     "jobs": ("jobs", int),
 }
 

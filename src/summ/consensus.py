@@ -49,24 +49,17 @@ class WeightVector:
             raise ValueError("weights must sum to 1")
 
 
-@dataclass(frozen=True)
-class WcsConfig:
-    lambda_: float = 0.5
-    tol: float = 1e-8
-    max_iter: int = 500
+# a wcs restart stops once a step lowers its objective by no more than
+# WCS_TOL, or after WCS_MAX_ITER steps
+WCS_TOL = 1e-8
+WCS_MAX_ITER = 500
 
-    def __post_init__(self):
-        # lambda = 1 would drop the distance term and leave r* unconstrained
-        if not 0.0 <= self.lambda_ < 1.0:
-            raise ValueError("lambda must lie in [0, 1)")
-        # "not tol > 0" rejects a NaN tolerance too, which would never converge
-        if (
-            not self.tol > 0
-            or isinstance(self.max_iter, bool)
-            or not isinstance(self.max_iter, int)
-            or self.max_iter < 1
-        ):
-            raise ValueError("bad convergence settings")
+
+def check_lambda(lambda_: float) -> None:
+    """Reject a uniformity penalty outside [0, 1), NaN included."""
+    # lambda = 1 would drop the distance term and leave r* unconstrained
+    if not 0.0 <= lambda_ < 1.0:
+        raise ValueError("lambda must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,9 @@ class AggregateResult:
 
     For wcs, ``iterations``, ``converged`` and ``objective_trace`` describe
     the winning restart only (the trace from running it again alone); the
-    other restarts' iterations are not counted anywhere.
+    other restarts' iterations are not counted anywhere.  ``converged`` is
+    false when the restart stopped after ``WCS_MAX_ITER`` steps without a
+    step that lowered its objective by no more than ``WCS_TOL``.
     """
 
     method: str
@@ -144,7 +139,7 @@ def _project_row(y: list[float]) -> list[float]:
 
 
 def wcs_aggregate(
-    rank_lists: Sequence[RankList], config: WcsConfig | None = None
+    rank_lists: Sequence[RankList], lambda_: float
 ) -> AggregateResult:
     """Alternating minimization of the weighted-consensus objective.
 
@@ -156,13 +151,14 @@ def wcs_aggregate(
     preferred whenever it reaches the optimum.
 
     The restarts run together, one row of a weight matrix each; a row
-    leaves the active set once it converges or reaches ``max_iter``.
+    leaves the active set once a step lowers its objective by no more than
+    ``WCS_TOL``, or after ``WCS_MAX_ITER`` steps.
     The winning restart is then run again alone to record its
     ``objective_trace``.  ``iterations``, ``converged`` and
     ``objective_trace`` of the result describe the winning restart only,
     not the work of all restarts.
     """
-    config = config or WcsConfig()
+    check_lambda(lambda_)
     n = _common_length(rank_lists)
     k = len(rank_lists)
     if k < 2:
@@ -172,7 +168,6 @@ def wcs_aggregate(
     else:
         rows = [np.zeros(1) for _ in rank_lists]
     ranks = np.vstack(rows)
-    lam = config.lambda_
 
     def consensus(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact r* minimizer of each row, and its distances to the systems.
@@ -185,14 +180,14 @@ def wcs_aggregate(
 
     def objective(weights: np.ndarray, distances: np.ndarray) -> np.ndarray:
         spread = (weights * distances).sum(axis=1)
-        return (1.0 - lam) * spread + lam * (weights * weights).sum(axis=1)
+        return (1.0 - lambda_) * spread + lambda_ * (weights * weights).sum(axis=1)
 
     def minimize_weights(distances: np.ndarray) -> np.ndarray:
         """Exact w minimizer of each row for fixed r*."""
-        if lam == 0.0:
+        if lambda_ == 0.0:
             at_min = distances == distances.min(axis=1, keepdims=True)
             return at_min / at_min.sum(axis=1, keepdims=True)
-        scaled = -(1.0 - lam) / (2.0 * lam) * distances
+        scaled = -(1.0 - lambda_) / (2.0 * lambda_) * distances
         return np.array([_project_row(row) for row in scaled.tolist()])
 
     eye = np.eye(k)
@@ -202,17 +197,17 @@ def wcs_aggregate(
     )
     restarts = len(starts)
     weights = starts.copy()
-    iterations = np.full(restarts, config.max_iter)
+    iterations = np.full(restarts, WCS_MAX_ITER)
     converged = np.zeros(restarts, dtype=bool)
     running = np.arange(restarts)
     current = starts
     previous = None
-    for step in range(config.max_iter):
+    for step in range(WCS_MAX_ITER):
         _, distances = consensus(current)
         current = minimize_weights(distances)
         after = objective(current, distances)
         if previous is not None:
-            done = previous - after <= config.tol
+            done = previous - after <= WCS_TOL
             if done.any():
                 finished = running[done]
                 weights[finished] = current[done]

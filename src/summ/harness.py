@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple, Sequence
 from . import porter
 from .consensus import (
     AGGREGATORS,
-    WcsConfig,
     borda_aggregate,
+    check_lambda,
     cwcs_aggregate,
     cwcs_raw_weights,
     cwcs_weights,
@@ -80,7 +80,7 @@ class RunConfig:
     corpus: str | Path
     corpus_format: str = "jsonl"
     budget: LengthBudget = LengthBudget("words", 100)
-    wcs: WcsConfig = field(default_factory=WcsConfig)
+    lambda_: float = 0.5  # the uniformity penalty of wcs
     systems: tuple[str, ...] = CANDIDATE_SYSTEMS
     aggregators: tuple[str, ...] = AGGREGATORS
     rouge_orders: tuple[int, ...] = (1, 2, 4)
@@ -108,6 +108,7 @@ class RunConfig:
         # nan fails this too: no similarity exceeds it, so it disables the cap
         if self.redundancy_cap is not None and not 0.0 <= self.redundancy_cap <= 1.0:
             raise ValueError("redundancy cap must lie in [0, 1]")
+        check_lambda(self.lambda_)
         if len(set(self.systems)) != len(self.systems):
             raise ValueError("duplicate system names")
         if len(set(self.aggregators)) != len(self.aggregators):
@@ -285,7 +286,7 @@ class _ClusterPipeline:
         if aggregator == "borda":
             return borda_aggregate(lists).rank_list, None
         if aggregator == "wcs":
-            return wcs_aggregate(lists, self.config.wcs).rank_list, None
+            return wcs_aggregate(lists, self.config.lambda_).rank_list, None
         if aggregator == "cwcs":
             try:
                 weights = cwcs_weights(self.raw_weights)
@@ -523,7 +524,6 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     # serial for every jobs value: a thread pool was slower, since the
     # pipeline holds the interpreter lock (README, --jobs)
     outcomes = [_evaluate_cluster(cluster, corpus, config) for cluster in clusters]
-    outcomes.sort(key=lambda o: o.cluster_id)
 
     if not any(o.scored for o in outcomes):
         raise NoSuccessfulClustersError(

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from summ.consensus import (
-    WcsConfig,
     WeightVector,
     _project_row,
     borda_aggregate,
@@ -153,13 +152,13 @@ def wcs_grid_search_minimum(rank_rows, lam, rng, step=0.01):
 
 def test_criterion_2_wcs_matches_grid_search():
     rng = random.Random(77)
-    config = WcsConfig()
+    lam = RunConfig.lambda_
     worst_gap = -math.inf
     for instance in range(100):
         k = rng.randint(2, 4)
         n = rng.randint(2, 5)
         lists = random_permutation_lists(rng, k, n)
-        result = wcs_aggregate(lists, config)
+        result = wcs_aggregate(lists, lam)
         trace = result.objective_trace
         if not all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1)):
             report_line("criterion 2: consensus optimizer vs grid search", False,
@@ -171,7 +170,7 @@ def test_criterion_2_wcs_matches_grid_search():
         rows = np.array([
             (np.asarray(rl.ranks, dtype=float) - 1.0) / (n - 1) for rl in lists
         ])
-        grid_minimum = wcs_grid_search_minimum(rows, config.lambda_, rng)
+        grid_minimum = wcs_grid_search_minimum(rows, lam, rng)
         gap = result.objective - grid_minimum
         worst_gap = max(worst_gap, gap)
         if gap > 1e-3:

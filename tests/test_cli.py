@@ -63,6 +63,14 @@ class TestRunCommand:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_lambda_is_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        code = main([
+            "run", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--out", str(tmp_path / "x.csv"), "--lambda", "1",
+        ])
+        assert code == 1
+        assert "lambda must lie in [0, 1)" in capsys.readouterr().err
+
     def test_no_references_is_exit_three(self, tmp_path):
         corpus = tmp_path / "bare.jsonl"
         corpus.write_text(json.dumps({
@@ -218,6 +226,13 @@ class TestRunCommand:
     def test_unset_settings_take_the_config_classes_defaults(self):
         args = _build_parser().parse_args(["run", "--corpus", FIXTURE])
         assert _run_config(args, {}) == RunConfig(corpus=FIXTURE)
+
+    def test_lambda_from_flag_and_config_file(self):
+        want = RunConfig(corpus=FIXTURE, lambda_=0.25)
+        flag = _build_parser().parse_args(["run", "--corpus", FIXTURE, "--lambda", "0.25"])
+        assert _run_config(flag, {}) == want
+        unset = _build_parser().parse_args(["run", "--corpus", FIXTURE])
+        assert _run_config(unset, {"lambda": 0.25}) == want
 
     def test_readme_flags_give_the_defaults_report(self, tmp_path):
         # README's run command spells out every default

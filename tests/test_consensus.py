@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from summ import consensus
 from summ.consensus import (
     AggregateResult,
-    WcsConfig,
     WeightVector,
     _project_row,
     borda_aggregate,
@@ -184,7 +184,7 @@ def dense_grid_min_2x2(rank_rows, lam, step=0.01):
 class TestWcs:
     def test_identical_lists_fixed_point(self):
         rl = ranklist_with_ranks("a", [2, 1, 3])
-        result = wcs_aggregate([rl, rl, rl], WcsConfig(lambda_=0.5))
+        result = wcs_aggregate([rl, rl, rl], 0.5)
         assert result.method == "wcs"
         assert result.weights.weights == pytest.approx((1 / 3,) * 3)
         assert result.objective == pytest.approx(0.5 / 3)
@@ -195,13 +195,13 @@ class TestWcs:
         a = ranklist_with_ranks("a", [1, 2, 3, 4])
         b = ranklist_with_ranks("b", [4, 3, 2, 1])
         c = ranklist_with_ranks("c", [1, 3, 2, 4])
-        result = wcs_aggregate([a, b, c], WcsConfig(lambda_=0.999))
+        result = wcs_aggregate([a, b, c], 0.999)
         assert result.weights.weights == pytest.approx((1 / 3,) * 3, abs=1e-2)
 
     def test_derived_symmetric_instance(self):
         a = ranklist_with_ranks("a", [1, 2])  # normalized (0, 1)
         b = ranklist_with_ranks("b", [2, 1])  # normalized (1, 0)
-        result = wcs_aggregate([a, b], WcsConfig(lambda_=0.5))
+        result = wcs_aggregate([a, b], 0.5)
         assert result.weights.weights == pytest.approx((0.5, 0.5))
         assert result.objective == pytest.approx(0.5)
         grid = dense_grid_min_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
@@ -212,7 +212,7 @@ class TestWcs:
         for pa in perms:
             for pb in perms:
                 lists = [ranklist_with_ranks("a", pa), ranklist_with_ranks("b", pb)]
-                result = wcs_aggregate(lists, WcsConfig(lambda_=0.5))
+                result = wcs_aggregate(lists, 0.5)
                 rows = np.array([
                     [(r - 1) for r in pa], [(r - 1) for r in pb]
                 ], dtype=float)
@@ -229,7 +229,7 @@ class TestWcs:
                 ranks = list(range(1, n + 1))
                 rng.shuffle(ranks)
                 lists.append(ranklist_with_ranks(f"s{s}", ranks))
-            result = wcs_aggregate(lists, WcsConfig(lambda_=0.5))
+            result = wcs_aggregate(lists, 0.5)
             trace = result.objective_trace
             assert all(
                 trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1)
@@ -239,35 +239,24 @@ class TestWcs:
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            WcsConfig(lambda_=1.0)
-        with pytest.raises(ValueError):
-            WcsConfig(lambda_=-0.1)
+        a = ranklist_with_ranks("a", [1, 2, 3])
+        b = ranklist_with_ranks("b", [1, 3, 2])
+        assert wcs_aggregate([a, b], 0.0).method == "wcs"
+        for lambda_ in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
+                wcs_aggregate([a, b], lambda_)
 
-    @pytest.mark.parametrize(
-        "settings",
-        [
-            {"tol": float("nan")},
-            {"tol": 0.0},
-            {"max_iter": 2.5},
-            {"max_iter": True},
-            {"max_iter": 0},
-        ],
-    )
-    def test_convergence_settings_validation(self, settings):
-        with pytest.raises(ValueError, match="bad convergence settings"):
-            WcsConfig(**settings)
-
-    def test_non_convergence_flag(self):
+    def test_non_convergence_flag(self, monkeypatch):
+        monkeypatch.setattr(consensus, "WCS_MAX_ITER", 1)
         a = ranklist_with_ranks("a", [1, 2, 3, 4])
         b = ranklist_with_ranks("b", [4, 3, 2, 1])
-        result = wcs_aggregate([a, b], WcsConfig(lambda_=0.5, max_iter=1))
+        result = wcs_aggregate([a, b], 0.5)
         assert not result.converged
         assert result.iterations == 1
 
     def test_needs_two_lists(self):
         with pytest.raises(ValueError):
-            wcs_aggregate([ranklist_with_ranks("a", [1, 2])], WcsConfig())
+            wcs_aggregate([ranklist_with_ranks("a", [1, 2])], 0.5)
 
 
 class TestCwcsWeights:

@@ -423,6 +423,33 @@ class TestRunEvaluation:
         with pytest.raises(ValueError):
             fixture_config(rouge_orders=())
 
+    def test_lambda_validation(self):
+        assert fixture_config(lambda_=0.0).lambda_ == 0.0
+        for lambda_ in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
+                fixture_config(lambda_=lambda_)
+
+    def test_report_lists_clusters_in_id_order(self, tmp_path):
+        # the loader's order: run_evaluation keeps the clusters as read
+        documents = [
+            {"id": "d0", "text": "Storm flooded the coast. Rescue teams arrived."},
+            {"id": "d1", "text": "The storm cut power. Crews repaired lines."},
+        ]
+        reference = [{"author": "A", "text": "Storm flooded the coast and cut power."}]
+        records = [
+            {"cluster_id": "d-scored", "documents": documents, "references": reference},
+            {"cluster_id": "c-unscored", "documents": documents},
+            {"cluster_id": "a-scored", "documents": documents, "references": reference},
+            {"cluster_id": "b-unscored", "documents": documents},
+        ]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, records)
+        stats = run_evaluation(fixture_config(corpus=path)).stats
+        assert stats["unscored_clusters"] == ["b-unscored", "c-unscored"]
+        assert list(stats["duplicate_sentences"]) == [
+            "a-scored", "b-unscored", "c-unscored", "d-scored"
+        ]
+
 
 class TestTokenizeOnce:
     @pytest.mark.parametrize("cap", [None, 0.5])

@@ -18,15 +18,18 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from summ import consensus
 from summ.consensus import (
+    WCS_MAX_ITER,
+    WCS_TOL,
     AggregateResult,
-    WcsConfig,
     WeightVector,
     _common_length,
     _project_row,
@@ -75,9 +78,10 @@ def reference_project_simplex(y: Sequence[float]) -> WeightVector:
     return WeightVector(tuple(np.maximum(y - tau, 0.0)))
 
 
-def reference_alternate_minimize(ranks: np.ndarray, start: np.ndarray, config: WcsConfig):
+def reference_alternate_minimize(
+    ranks: np.ndarray, start: np.ndarray, lam: float, tol: float, max_iter: int
+):
     """One alternating-minimization run from the given weight start."""
-    lam = config.lambda_
 
     def objective(w: np.ndarray, distances: np.ndarray) -> float:
         return float((1.0 - lam) * (w * distances).sum() + lam * (w * w).sum())
@@ -87,7 +91,7 @@ def reference_alternate_minimize(ranks: np.ndarray, start: np.ndarray, config: W
     converged = False
     iterations = 0
     previous = None
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         iterations += 1
         # exact r* minimizer for fixed w
         r_star = weights @ ranks
@@ -103,7 +107,7 @@ def reference_alternate_minimize(ranks: np.ndarray, start: np.ndarray, config: W
             )
         current = objective(weights, distances)
         trace.append(current)
-        if previous is not None and previous - current <= config.tol:
+        if previous is not None and previous - current <= tol:
             converged = True
             break
         previous = current
@@ -116,11 +120,10 @@ def reference_alternate_minimize(ranks: np.ndarray, start: np.ndarray, config: W
 
 
 def reference_wcs_aggregate(
-    rank_lists: Sequence[RankList], config: WcsConfig | None = None
+    rank_lists: Sequence[RankList], lam: float, tol: float, max_iter: int
 ) -> AggregateResult:
     """Alternating minimization of the weighted-consensus objective,
     restarted from uniform, each vertex and each edge midpoint."""
-    config = config or WcsConfig()
     n = _common_length(rank_lists)
     k = len(rank_lists)
     if k < 2:
@@ -138,7 +141,7 @@ def reference_wcs_aggregate(
     )
     best = None
     for start in starts:
-        run = reference_alternate_minimize(ranks, start, config)
+        run = reference_alternate_minimize(ranks, start, lam, tol, max_iter)
         if best is None or run[0] < best[0]:
             best = run
     final, weights, r_star, iterations, converged, trace = best
@@ -304,9 +307,11 @@ def outcome(fn, *args):
 # -- wcs -------------------------------------------------------------------
 
 
-def assert_same_wcs(rank_lists, config):
-    expected = reference_wcs_aggregate(rank_lists, config)
-    got = wcs_aggregate(rank_lists, config)
+def assert_same_wcs(rank_lists, lam, max_iter=WCS_MAX_ITER):
+    expected = reference_wcs_aggregate(rank_lists, lam, WCS_TOL, max_iter)
+    # patched here, not by a fixture: hypothesis rejects function-scoped ones
+    with patch.object(consensus, "WCS_MAX_ITER", max_iter):
+        got = wcs_aggregate(rank_lists, lam)
     assert got.rank_list == expected.rank_list
     assert got.weights == expected.weights
     assert got.iterations == expected.iterations
@@ -328,24 +333,21 @@ def rank_list_sets(draw, k_max=6):
     ]
 
 
-wcs_configs = st.builds(
-    WcsConfig,
-    lambda_=st.sampled_from([0.0, 0.1, 0.5, 0.99]),
-    max_iter=st.sampled_from([1, 2, 500]),
-)
+# (lambda, step cap) pairs
+wcs_configs = st.tuples(st.sampled_from([0.0, 0.1, 0.5, 0.99]), st.sampled_from([1, 2, 500]))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rank_lists=rank_list_sets(), config=wcs_configs)
 def test_batched_wcs_matches_sequential_restarts(rank_lists, config):
-    assert_same_wcs(rank_lists, config)
+    assert_same_wcs(rank_lists, *config)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rank_lists=rank_list_sets(k_max=11), config=wcs_configs)
 def test_batched_wcs_matches_beyond_eight_systems(rank_lists, config):
     # from eight entries up numpy sums rows pairwise, not left to right
-    assert_same_wcs(rank_lists, config)
+    assert_same_wcs(rank_lists, *config)
 
 
 def many_short_rank_lists(seed: int) -> list[RankList]:
@@ -366,7 +368,7 @@ def test_batched_wcs_matches_on_the_many_short_shape():
     # restarts leave the batch at 3-12 different steps per case and a vertex
     # or edge start wins in most, so the winner's replayed trace is checked
     for seed in range(120):
-        assert_same_wcs(many_short_rank_lists(seed), WcsConfig(lambda_=0.5))
+        assert_same_wcs(many_short_rank_lists(seed), 0.5)
 
 
 def test_wcs_identical_and_reversed_lists_match():
@@ -374,7 +376,7 @@ def test_wcs_identical_and_reversed_lists_match():
     backward = RankList.from_scores("b", [1.0, 2.0, 3.0, 4.0])
     for lists in ([forward, forward], [forward, backward], [forward, backward, forward]):
         for lam in (0.0, 0.1, 0.5, 0.99):
-            assert_same_wcs(lists, WcsConfig(lambda_=lam))
+            assert_same_wcs(lists, lam)
 
 
 @settings(max_examples=200, deadline=None)
