@@ -30,6 +30,7 @@ import numpy as np
 from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .rouge import prepare_text  # noqa: F401  (traced here by bench/tracing.py)
 from .summarizers import RankList
+from .sums import left_sum
 
 AGGREGATORS = ("borda", "wcs", "cwcs", "oracle")
 
@@ -93,19 +94,17 @@ class AggregateResult:
 def _common_length(rank_lists: Sequence[RankList]) -> int:
     if not rank_lists:
         raise ValueError("at least one rank list is required")
-    n = len(rank_lists[0].ranks)
-    if any(len(rl.ranks) != n for rl in rank_lists):
+    n = len(rank_lists[0].scores)
+    if any(len(rl.scores) != n for rl in rank_lists):
         raise ValueError("rank lists cover different sentence counts")
     return n
 
 
 def borda_aggregate(rank_lists: Sequence[RankList]) -> AggregateResult:
     """Order sentences by their mean rank across systems (lower wins)."""
-    n = _common_length(rank_lists)
+    _common_length(rank_lists)
     k = len(rank_lists)
-    mean_ranks = [
-        sum(rl.ranks[i] for rl in rank_lists) / k for i in range(n)
-    ]
+    mean_ranks = [sum(ranks) / k for ranks in zip(*(rl.ranks for rl in rank_lists))]
     rank_list = RankList.from_scores("borda", [-m for m in mean_ranks])
     return AggregateResult(method="borda", rank_list=rank_list)
 
@@ -252,7 +251,7 @@ def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
         raise ValueError("peers required: need at least two summaries")
     matrix = pairwise_sim_matrix(unigrams)
     return [
-        sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
+        left_sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
     ]
 
 
@@ -263,7 +262,7 @@ def cwcs_weights(raw: Sequence[float]) -> WeightVector:
     All-zero agreement (every summary disjoint from every other) falls
     back to uniform weights.
     """
-    total = sum(raw)
+    total = left_sum(raw)
     if total == 0.0:
         return WeightVector(tuple(1.0 / len(raw) for _ in raw))
     return WeightVector(tuple(r / total for r in raw))

@@ -42,6 +42,7 @@ from .corpus import (
 )
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .stopwords import STOPWORDS
+from .sums import left_sum
 from .summarizers import (
     CANDIDATE_SYSTEMS,
     ClusterFeatures,
@@ -419,7 +420,7 @@ def _cluster_corpus_counts(
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def _ranking(means: dict[str, float]) -> list[str]:

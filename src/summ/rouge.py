@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import porter
 from .corpus import words
+from .sums import left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -87,7 +88,7 @@ def rouge_n_recall(
         raise ValueError(f"no scorable reference: none has {n}-grams")
     return RougeScore(
         n=n,
-        recall=sum(recalls) / len(recalls),
+        recall=left_sum(recalls) / len(recalls),
         match_count=match_total,
         reference_count=reference_total,
     )

@@ -22,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DocumentCluster
+from .sums import left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -75,44 +76,38 @@ class LengthBudget:
 
 @dataclass(frozen=True)
 class RankList:
-    """Scores plus the derived permutation over a cluster's sentences.
-
-    ``ranks[i]`` is the rank of sentence i (1 = best); higher score means
-    smaller rank, ties go to the smaller sentence index.
-    """
+    """A system's scores over a cluster's sentences, and the order they
+    give: higher score first, ties to the smaller sentence index.  The
+    order and ``ranks`` are derived once, on first use."""
 
     system_id: str
     scores: tuple[float, ...]
-    ranks: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.scores)
-        if len(self.ranks) != n:
-            raise ValueError("scores and ranks must have equal length")
-        order = self.order()  # holds None for each of 1..N that ranks lack
-        if None in order:
-            raise ValueError("ranks must be a permutation of 1..N")
-        scores = self.scores
-        for a, b in zip(order, order[1:]):
-            if not (scores[a] > scores[b] or (scores[a] == scores[b] and a < b)):
-                raise ValueError("ranks inconsistent with scores")
+        if any(map(math.isnan, self.scores)):
+            raise ValueError("scores must not contain NaN")
 
     @classmethod
     def from_scores(cls, system_id: str, scores: Sequence[float]) -> "RankList":
-        scores = tuple(map(float, scores))
-        if any(map(math.isnan, scores)):
-            raise ValueError("scores must not contain NaN")
+        return cls(system_id=system_id, scores=tuple(map(float, scores)))
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
         # a stable sort, so equal scores keep ascending index
-        order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-        ranks = [0] * len(scores)
-        for position, idx in enumerate(order):
-            ranks[idx] = position + 1
-        return cls(system_id=system_id, scores=scores, ranks=tuple(ranks))
+        scores = self.scores
+        return tuple(sorted(range(len(scores)), key=scores.__getitem__, reverse=True))
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """``ranks[i]`` is the rank of sentence i, 1 the best."""
+        ranks = [0] * len(self.scores)
+        for position, idx in enumerate(self._order, 1):
+            ranks[idx] = position
+        return tuple(ranks)
 
     def order(self) -> list[int]:
         """Sentence indices from best to worst."""
-        position = dict(zip(self.ranks, range(len(self.ranks))))
-        return list(map(position.get, range(1, len(self.ranks) + 1)))
+        return list(self._order)
 
 
 @dataclass(frozen=True)
@@ -348,23 +343,37 @@ _NEAR_THRESHOLD = 1e-9
 
 
 def _lexrank_adjacency(features: ClusterFeatures, threshold: float) -> np.ndarray:
-    """0/1 graph of the sentence pairs whose cosine exceeds ``threshold``."""
+    """0/1 graph of the sentence pairs whose cosine exceeds ``threshold``.
+
+    The products are thresholded in place, ``_chunk_rows(n)`` rows at a
+    time: a pair i < j is decided from its cell (i, j), and cell (j, i)
+    copies that decision, which an earlier chunk or this one's own
+    diagonal block has made."""
     rows, cols, weights = features.tfidf
     n = len(features.cluster.sentences)
-    cosine = _cross_products(n, rows, cols, weights)
+    graph = _cross_products(n, rows, cols, weights)
     norms = np.array(features.norms)
-    cosine /= norms[:, None]
-    cosine /= norms
-    edges = np.triu(cosine > threshold, 1)
-    # an exact 0 means no shared token, which the reference also scores 0
-    near = cosine >= threshold - _NEAR_THRESHOLD
-    near &= cosine <= threshold + _NEAR_THRESHOLD
-    near &= cosine > 0.0
-    del cosine  # freed before the float adjacency is made
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        edges[i, j] = cosine_similarity(features, i, j) > threshold
-    edges |= edges.T
-    return edges.astype(float)
+    step = _chunk_rows(n)
+    below = np.tri(step, k=-1, dtype=bool)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        upper = graph[lo:hi, lo:]  # the block's columns from its first row on
+        upper /= norms[lo:hi, None]
+        upper /= norms[lo:]
+        # an exact 0 means no shared token, which the reference also scores 0
+        near = upper >= threshold - _NEAR_THRESHOLD
+        near &= upper <= threshold + _NEAR_THRESHOLD
+        near &= upper > 0.0
+        near_rows, near_cols = np.divmod(np.flatnonzero(near), n - lo)
+        np.greater(upper, threshold, out=upper)
+        for i, j in zip((near_rows + lo).tolist(), (near_cols + lo).tolist()):
+            if i < j:
+                graph[i, j] = cosine_similarity(features, i, j) > threshold
+        square = graph[lo:hi, lo:hi]
+        np.copyto(square, square.T, where=below[:hi - lo, :hi - lo])
+        np.fill_diagonal(square, 0.0)
+        graph[lo:hi, :lo] = graph[:lo, lo:hi].T
+    return graph
 
 
 def lexrank_rank(features: ClusterFeatures) -> RankList:
@@ -501,6 +510,15 @@ def _distinct_log(values: np.ndarray) -> np.ndarray:
     return _math_log(distinct)[inverse].reshape(values.shape)
 
 
+# greedykl drops the chosen sentences' entries from its gather once they
+# are a quarter of it (so O(log n) times a cluster) and at least 512: a
+# compaction costs a few numpy calls, about what gathering a few hundred
+# entries does, so a short cluster's gather (many-short's hold 276-377
+# entries) is never compacted
+_GREEDYKL_DEAD = 0.25
+_GREEDYKL_MIN = 512
+
+
 def greedykl_rank(features: ClusterFeatures) -> RankList:
     """Greedy selection minimizing the summary-to-cluster KL divergence.
 
@@ -516,7 +534,9 @@ def greedykl_rank(features: ClusterFeatures) -> RankList:
     sentence's sum starts from the running sum and adds its table cells in
     sorted token order (``np.bincount`` accumulates in input order).  The
     KL's ``mass * log(denom)`` term and its divisor are looked up by the
-    candidate's summary length.
+    candidate's summary length.  The chosen sentences' entries leave the
+    gather by the ``_GREEDYKL_DEAD`` rule; the rest keep their order, so
+    every sum keeps its bits, and a chosen sentence still scores inf.
     """
     n = len(features.cluster.sentences)
     counts, total = features.counts, len(features.stream[1])
@@ -542,7 +562,7 @@ def greedykl_rank(features: ClusterFeatures) -> RankList:
     rows = gains - gains[:, :1]  # a row's change for each step
     zero_gains = gains[first_row, 0].tolist()
     # all-zero summary counts, summed in the cluster's first-occurrence order
-    base = sum(map(zero_gains.__getitem__, features.ids.values()))
+    base = left_sum(map(zero_gains.__getitem__, features.ids.values()))
     # for each summary length t = 0..total, the KL numerator's last term
     # (t + k * V) * log(t + k * (V + 1)) and the divisor t + k * (V + 1);
     # the entry past the end, which a chosen sentence's length reaches,
@@ -553,36 +573,46 @@ def greedykl_rank(features: ClusterFeatures) -> RankList:
     divisor = np.append(divisor, 1.0)
     table = rows[first_row]  # every token's count starts at 0
     cells = table.reshape(-1)  # a view: row updates show through
-    cell = token * len(steps) + entry_column[:-1]
-    starts = np.searchsorted(entry_sentence, np.arange(n + 1))
+    starts = np.searchsorted(entry_sentence, np.arange(n + 1)).tolist()
+    picks = [slice(a, b) for a, b in zip(starts, starts[1:])]
     lengths = features.lengths.copy()  # a chosen sentence's entry is overwritten
-    # slot i first receives the running sum, then sentence i's addends
+    # the gathered entries: each one's table cell and its sentence; slot i
+    # first receives the running sum, then sentence i's addends
+    cell = token * len(steps) + entry_column[:-1]
     slots = np.concatenate((np.arange(n), entry_sentence))
     addends = np.empty(len(slots))
-    current = np.zeros(vocab_size, dtype=np.int64)
+    head = n  # slots that receive the running sum: the sentences left at the last compaction
+    dead = 0  # gathered entries of chosen sentences
+    row_at = first_row.copy()  # each token's row at its summary count
     current_total = 0
     current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
     scores = [0.0] * n
     for step in range(1, n + 1):
-        addends[:n] = current_sum
+        addends[:head] = current_sum
         # every cell is in range: "clip" only spares take a checking copy
-        cells.take(cell, out=addends[n:], mode="clip")
+        cells.take(cell, out=addends[head:], mode="clip")
         cand_sum = np.bincount(slots, weights=addends, minlength=n)
-        # a chosen sentence's total clips to the last entry
-        cand_total = current_total + lengths
         kl = base + cand_sum
-        kl -= term.take(cand_total, mode="clip")
-        kl /= divisor.take(cand_total, mode="clip")
+        # a chosen sentence's length clips to the last entry
+        kl -= term[current_total:].take(lengths, mode="clip")
+        kl /= divisor[current_total:].take(lengths, mode="clip")
         # every sentence left scores finite, so a chosen one never wins
         best = int(kl.argmin())  # the first minimum: ties go to the smaller index
-        picked = slice(starts[best], starts[best + 1])
+        picked = picks[best]
         tokens = token[picked]
-        current[tokens] += extra[picked]
-        table[tokens] = rows[first_row[tokens] + current[tokens]]
+        row_at[tokens] += extra[picked]
+        table[tokens] = rows.take(row_at[tokens], axis=0)
         current_total += int(lengths[best])
         current_sum = float(cand_sum[best])
         lengths[best] = total + 1
         scores[best] = -float(step)
+        dead += len(tokens)
+        if dead > _GREEDYKL_DEAD * len(cell) and dead >= _GREEDYKL_MIN:
+            live = lengths[slots] <= total
+            cell = cell[live[head:]]
+            slots = slots[live]
+            addends = addends[:len(slots)]
+            head, dead = n - step, 0
     return RankList.from_scores("greedykl", scores)
 
 

@@ -25,6 +25,7 @@ import operator
 from collections import Counter
 from functools import reduce
 from typing import Sequence
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 from summ.corpus import DocumentCluster
 from summ import summarizers
 from summ.harness import _token_counts
+from summ.sums import left_sum
 from summ.summarizers import (
     DAMPING,
     KL_SMOOTHING,
@@ -147,7 +149,7 @@ def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
         mass = count + k
         return mass * (math.log(mass) - log_pc[token])
 
-    base = sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
+    base = left_sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
     current: Counter = Counter()
     current_total = 0
     current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
@@ -180,6 +182,26 @@ def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
     return RankList.from_scores("greedykl", scores)
 
 
+def greedykl_compactions(cluster: DocumentCluster, share: float, least: int) -> list[int]:
+    """The steps after which ``greedykl_rank`` compacts its gather, by its
+    rule (the chosen sentences' entries exceed ``share`` of the gathered
+    ones and number at least ``least``), replayed on the reference's picks."""
+    entries = [len(set(s.tokens)) for s in cluster.sentences]
+    gathered, dead, steps = sum(entries), 0, []
+    for step, idx in enumerate(reference_greedykl_rank(cluster).order(), 1):
+        dead += entries[idx]
+        if dead > share * gathered and dead >= least:
+            gathered, dead = gathered - dead, 0
+            steps.append(step)
+    return steps
+
+
+def assert_greedykl_identical(cluster):
+    got, want = greedykl_rank(ClusterFeatures(cluster)), reference_greedykl_rank(cluster)
+    assert got.scores == want.scores
+    assert got.ranks == want.ranks
+
+
 def reference_centroid_rank(cluster: DocumentCluster) -> RankList:
     """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
     vectors = tfidf_vectors(cluster)
@@ -192,7 +214,7 @@ def reference_centroid_rank(cluster: DocumentCluster) -> RankList:
     scores = []
     for sentence in cluster.sentences:
         seen = dict.fromkeys(sentence.tokens)
-        scores.append(sum(centroid.get(t, 0.0) for t in seen))
+        scores.append(left_sum(centroid.get(t, 0.0) for t in seen))
     return RankList.from_scores("centroid", scores)
 
 
@@ -206,7 +228,7 @@ def reference_freqsum_rank(cluster: DocumentCluster) -> RankList:
             scores.append(0.0)
             continue
         scores.append(
-            sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
+            left_sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
         )
     return RankList.from_scores("freqsum", scores)
 
@@ -561,10 +583,10 @@ def test_duc_scale_greedykl_matches_reference():
     cluster = word_cluster(zipf_corpus(3, 1, 10, 20)[0])
     assert len(cluster.sentences) == 200
     assert int(ClusterFeatures(cluster).entries[2].max()) >= 3
-    got = greedykl_rank(ClusterFeatures(cluster))
-    want = reference_greedykl_rank(cluster)
-    assert got.scores == want.scores
-    assert got.ranks == want.ranks
+    # at the package's own rule, the gather is compacted several times
+    rule = summarizers._GREEDYKL_DEAD, summarizers._GREEDYKL_MIN
+    assert len(greedykl_compactions(cluster, *rule)) >= 3
+    assert_greedykl_identical(cluster)
 
 
 @pytest.mark.parametrize("threshold", [3.84, 10.83])
@@ -710,3 +732,37 @@ def test_threshold_at_realised_cosine_on_the_pair_route():
         below, above = math.nextafter(value, 0.0), math.nextafter(value, 2.0)
         for threshold in (below, value, above):
             assert_graph_identical(cluster, threshold, cosines)
+
+
+GREEDYKL_CASES = {
+    "one_sentence": [["ash birch cedar"]],
+    "two_sentences": [["ash birch", "birch cedar cedar"]],
+    "two_with_one_token_less": [[".", "ash birch"]],
+    "token_less_among_others": [[".", "ash birch ash", "!"], ["birch cedar", "...", "dune"]],
+    "all_token_less": EDGE_CASES["all_sentences_empty"],
+    "duplicates": EDGE_CASES["duplicates"],
+    "type_repeated_five_times": EDGE_CASES["type_repeated_five_times"],
+}
+
+
+@pytest.mark.parametrize("docs", list(GREEDYKL_CASES.values()), ids=list(GREEDYKL_CASES))
+def test_greedykl_compacting_small_gathers_matches_reference(docs):
+    # with no least count, every gather compacts, at the last step too
+    cluster = word_cluster(docs)
+    with patch.object(summarizers, "_GREEDYKL_MIN", 0):
+        assert_greedykl_identical(cluster)
+    steps = greedykl_compactions(cluster, summarizers._GREEDYKL_DEAD, 0)
+    n = len(cluster.sentences)
+    if any(s.tokens for s in cluster.sentences):
+        assert steps
+        last = reference_greedykl_rank(cluster).order()[-1]
+        assert (n in steps) == bool(cluster.sentences[last].tokens)
+    else:
+        assert steps == []
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(docs=cluster_docs)
+def test_random_clusters_greedykl_compacting_matches_reference(docs):
+    with patch.object(summarizers, "_GREEDYKL_MIN", 0):
+        assert_greedykl_identical(word_cluster(docs))

@@ -50,6 +50,7 @@ from summ.rouge import (
     rouge_n_recall,
 )
 from summ.summarizers import RankList
+from summ.sums import left_sum
 
 from ngram_counting import ngram_counts, ngrams
 
@@ -230,7 +231,7 @@ def reference_rouge_n_recall(candidate: TokenLists, references: TokenLists, n: i
         raise ValueError(f"no scorable reference: none has {n}-grams")
     return RougeScore(
         n=n,
-        recall=sum(recalls) / len(recalls),
+        recall=left_sum(recalls) / len(recalls),
         match_count=match_total,
         reference_count=reference_total,
     )
@@ -262,14 +263,14 @@ def reference_cwcs_raw_weights(summaries: Sequence[TokenLists]) -> list[float]:
         raise ValueError("peers required: need at least two summaries")
     matrix = reference_pairwise_sim_matrix(summaries)
     return [
-        sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
+        left_sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
     ]
 
 
 def reference_cwcs_weights(summaries: Sequence[TokenLists]) -> WeightVector:
     """Peer-agreement weights, normalized to the simplex."""
     raw = reference_cwcs_raw_weights(summaries)
-    total = sum(raw)
+    total = left_sum(raw)
     if total == 0.0:
         return WeightVector(tuple(1.0 / len(raw) for _ in raw))
     return WeightVector(tuple(r / total for r in raw))

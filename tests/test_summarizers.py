@@ -47,11 +47,9 @@ class TestRankList:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RankList("x", (1.0, 2.0), (1, 1))
-        with pytest.raises(ValueError):
-            RankList("x", (1.0, 2.0), (1, 2))  # higher score must rank first
-        with pytest.raises(ValueError):
             RankList.from_scores("x", [float("nan"), 1.0])
+        with pytest.raises(ValueError):
+            RankList("x", (1.0, float("nan")))
 
     def test_permutation_property(self):
         rng = random.Random(31)
@@ -61,55 +59,24 @@ class TestRankList:
             rl = RankList.from_scores("x", scores)
             assert sorted(rl.ranks) == list(range(1, n + 1))
 
-    def test_tie_ranked_against_index_order(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            RankList("x", (1.0, 1.0), (2, 1))
-
     def test_checks_match_sorted_key_reference(self):
-        # scores with ties, signed zeros and infinities; ranks that are the
-        # derived permutation, a transposition of it, out of range, repeated
-        # or of the wrong length
+        # scores with ties, signed zeros and infinities: the derived ranks
+        # and order are the (-score, index) sorted-key reference's
         rng = random.Random(47)
         values = [0.0, -0.0, 0.5, 1.0, -1.0, math.inf, -math.inf]
-        accepted = 0
         for _ in range(3000):
             n = rng.randint(0, 6)
             scores = tuple(rng.choice(values) for _ in range(n))
+            expected = sorted(range(n), key=lambda i: (-scores[i], i))
             derived = [0] * n
-            for position, idx in enumerate(sorted(range(n), key=lambda i: (-scores[i], i))):
+            for position, idx in enumerate(expected):
                 derived[idx] = position + 1
-            kind = rng.randrange(4)
-            if kind == 0:
-                ranks = derived
-            elif kind == 1 and n >= 2:
-                i, j = rng.sample(range(n), 2)
-                ranks = derived[:]
-                ranks[i], ranks[j] = ranks[j], ranks[i]
-            elif kind == 2:
-                ranks = rng.sample(range(1, n + 1), n)
-            else:
-                ranks = [rng.randint(0, n + 1) for _ in range(n + rng.choice([-1, 0, 0, 1]))]
-            ranks = tuple(ranks)
-            try:
-                RankList("x", scores, ranks)
-            except ValueError:
-                ok = False
-            else:
-                ok = True
-            assert ok == reference_ranks_valid(scores, ranks), (scores, ranks)
-            accepted += ok
-            assert RankList.from_scores("x", scores).ranks == tuple(derived)
-        assert 0 < accepted < 3000
-
-
-def reference_ranks_valid(scores, ranks):
-    """The sorted-key check: ranks are 1..N and order sentences by
-    descending score, ties by ascending index."""
-    n = len(scores)
-    if len(ranks) != n or sorted(ranks) != list(range(1, n + 1)):
-        return False
-    expected = sorted(range(n), key=lambda i: (-scores[i], i))
-    return [ranks[i] - 1 for i in expected] == list(range(n))
+            rl = RankList.from_scores("x", scores)
+            assert rl.ranks == tuple(derived), scores
+            assert rl.order() == expected, scores
+            # derived once: a second read gives the same objects
+            assert rl.ranks is rl.ranks
+            assert rl.order() == rl.order()
 
 
 class TestConfigs:
@@ -204,9 +171,10 @@ class TestGraphMemory:
         # the cluster's features, set the peak
         cluster = make_cluster(zipf_corpus(11, 1, 10, 100)[0])
         assert len(cluster.sentences) == 1000
-        # textrank's products and divisor are made a chunk of rows at a
-        # time, so its one n x n array is the adjacency it returns
-        bound = 1.6 if ranker is textrank_rank else 2.5
+        # textrank's products and divisor, and lexrank's threshold, are
+        # made a chunk of rows at a time, so each one's n x n array is the
+        # adjacency it returns (lexrank measured 1.15 arrays)
+        bound = 1.6 if ranker is textrank_rank else 1.25
         assert _peak_arrays(ranker, cluster) <= bound
 
     def test_textrank_chunks_rows_just_above_one_gemm(self):
