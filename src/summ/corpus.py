@@ -47,16 +47,14 @@ class CorpusError(Exception):
 MIN_SENTENCE_TOKENS = 3
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     raw_text: str
     tokens: tuple[str, ...]
     doc_id: str
     eligible: bool = True  # long enough for summary membership
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     text: str
 
@@ -193,7 +191,7 @@ def _record(
         refs = tuple(ReferenceSummary(author_id=a, text=t) for a, t in references)
     except ValueError as exc:
         raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
-    documents = tuple(Document(doc_id=d, text=t) for d, t in raw_documents)
+    documents = tuple(Document(d, t) for d, t in raw_documents)
     return ClusterRecord(cluster_id=cluster_id, documents=documents, references=refs)
 
 
@@ -205,10 +203,7 @@ def build_cluster(record: ClusterRecord) -> DocumentCluster:
         for raw in segment_sentences(document.text):
             tokens = tuple(tokenize(raw))
             sentences.append(Sentence(
-                raw_text=raw,
-                tokens=tokens,
-                doc_id=document.doc_id,
-                eligible=len(tokens) >= MIN_SENTENCE_TOKENS,
+                raw, tokens, document.doc_id, len(tokens) >= MIN_SENTENCE_TOKENS
             ))
     return DocumentCluster(
         cluster_id=record.cluster_id,

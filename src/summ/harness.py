@@ -8,7 +8,6 @@ the report is byte-identical for every ``jobs`` value.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -187,8 +186,7 @@ def sign_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignTestR
     return SignTestResult(p, wins_a, wins_b, ties)
 
 
-@dataclass
-class _ClusterOutcome:
+class _ClusterOutcome(NamedTuple):
     cluster_id: str
     duplicates: int
     scores: dict  # unit -> {"R-n": recall}
@@ -591,6 +589,8 @@ def emit_report(report: EvalReport, format: str, path: str | Path) -> Path:
         raise ValueError("report is empty")
     orders = sorted({k for row in report.averages.values() for k in row}, key=lambda k: int(k[2:]))
     if format == "csv":
+        import csv  # only this format uses it, so other runs skip the import
+
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["system"] + orders)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import porter
 from .corpus import words
@@ -29,8 +28,7 @@ logger = logging.getLogger(__name__)
 TokenLists = Sequence[Sequence[str]]
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     n: int
     recall: float
     match_count: int

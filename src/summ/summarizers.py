@@ -110,9 +110,9 @@ class RankList:
         return list(self._order)
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Extracted sentence indices in selection order."""
+class Summary(NamedTuple):
+    """Extracted sentence indices in selection order.  As a one-field tuple
+    it is always truthy: an empty summary has empty ``sentence_indices``."""
 
     sentence_indices: tuple[int, ...]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import threading
 from collections import Counter
@@ -14,6 +15,7 @@ from summ.cli import main
 from summ.corpus import (
     ClusterRecord,
     Document,
+    Sentence,
     build_cluster,
     load_corpus,
     read_corpus,
@@ -735,6 +737,23 @@ class TestEmitReport:
         report = run_evaluation(fixture_config())
         with pytest.raises(OSError):
             emit_report(report, "csv", tmp_path / "missing-dir" / "x.csv")
+
+
+def test_loaded_corpus_config_counts_and_outcome_pickle():
+    # what a process pool sends to its workers and gets back from them
+    clusters = load_corpus(FIXTURE, "jsonl")
+    config = fixture_config(redundancy_cap=0.95)
+    counts = corpus_counts(clusters)
+    outcome = harness._evaluate_cluster(clusters[0], counts, config)
+    assert outcome.scored
+    values = [*clusters, config, counts, outcome]
+    copies = [pickle.loads(pickle.dumps(value)) for value in values]
+    assert copies == values
+    assert [type(c) for c in copies] == [type(v) for v in values]
+    # a NamedTuple equals a plain tuple of its fields, so check the records' types
+    records = [x for c in copies[:len(clusters)] for x in c.sentences + c.documents]
+    assert {type(x) for x in records} == {Sentence, Document}
+    assert copies[-1].scored
 
 
 README = Path(__file__).parent.parent / "README.md"
