@@ -59,14 +59,9 @@ class Document(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class ReferenceSummary:
+class ReferenceSummary(NamedTuple):
     author_id: str
     text: str
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("reference summary text must be non-empty")
 
 
 class ClusterRecord(NamedTuple):
@@ -79,8 +74,11 @@ class ClusterRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class DocumentCluster:
+    """A segmented cluster, its documents known only by their sentences'
+    ``doc_id``s: ``_record`` rejects a blank document, and every other
+    document segments into at least one sentence."""
+
     cluster_id: str
-    documents: tuple[Document, ...]
     sentences: tuple[Sentence, ...]
     references: tuple[ReferenceSummary, ...] = ()
 
@@ -182,22 +180,23 @@ def _record(
     for doc_id, text in raw_documents:
         if not text.strip():
             raise CorpusError(f"{source}: empty document {doc_id!r}")
+    if any(not text.strip() for _, text in references):
+        raise CorpusError(f"cluster {cluster_id!r}: reference summary text must be non-empty")
     doc_ids = {doc_id for doc_id, _ in raw_documents}
     if len(doc_ids) != len(raw_documents):
         raise CorpusError(f"cluster {cluster_id!r}: duplicate document ids")
     if not raw_documents:
         raise CorpusError(f"empty cluster: {cluster_id!r} has no sentences")
-    try:
-        refs = tuple(ReferenceSummary(author_id=a, text=t) for a, t in references)
-    except ValueError as exc:
-        raise CorpusError(f"cluster {cluster_id!r}: {exc}") from None
-    documents = tuple(Document(d, t) for d, t in raw_documents)
-    return ClusterRecord(cluster_id=cluster_id, documents=documents, references=refs)
+    return ClusterRecord(
+        cluster_id,
+        tuple(Document(d, t) for d, t in raw_documents),
+        tuple(ReferenceSummary(a, t) for a, t in references),
+    )
 
 
 def build_cluster(record: ClusterRecord) -> DocumentCluster:
     """Segment and tokenize one record that ``read_corpus`` returned; the
-    cluster keeps the record's documents and references."""
+    cluster keeps the record's references, not its documents' raw text."""
     sentences = []
     for document in record.documents:
         for raw in segment_sentences(document.text):
@@ -205,12 +204,7 @@ def build_cluster(record: ClusterRecord) -> DocumentCluster:
             sentences.append(Sentence(
                 raw, tokens, document.doc_id, len(tokens) >= MIN_SENTENCE_TOKENS
             ))
-    return DocumentCluster(
-        cluster_id=record.cluster_id,
-        documents=record.documents,
-        sentences=tuple(sentences),
-        references=record.references,
-    )
+    return DocumentCluster(record.cluster_id, tuple(sentences), record.references)
 
 
 def _read_text(path: Path) -> str:

@@ -256,12 +256,14 @@ def tfidf_vectors(features: ClusterFeatures) -> tuple[np.ndarray, np.ndarray, np
     """TF-IDF weights as sparse (sentence, token id, weight) arrays, in
     ``features.first_entries`` order.  tf is the within-sentence count;
     idf = ln(D / df) by ``math.log``, with document frequency taken over the
-    cluster's own documents.  Tokens present in every document are dropped."""
+    cluster's own documents, its sentences' distinct ``doc_id``s (numbered
+    by first appearance).  Tokens present in every document are dropped."""
     cluster, vocab_size = features.cluster, len(features.ids)
     rows, cols, counts = features.first_entries
-    doc_index = {d.doc_id: i for i, d in enumerate(cluster.documents)}
-    docs = np.array([doc_index[s.doc_id] for s in cluster.sentences], dtype=np.int64)
-    width, n_docs = max(vocab_size, 1), len(cluster.documents)
+    doc_ids = [s.doc_id for s in cluster.sentences]
+    doc_index = {d: i for i, d in enumerate(dict.fromkeys(doc_ids))}
+    docs = np.array([doc_index[d] for d in doc_ids], dtype=np.int64)
+    width, n_docs = max(vocab_size, 1), len(doc_index)
     pairs, _ = np.unique(docs[rows] * width + cols, return_counts=True)
     df = np.bincount(pairs % width, minlength=vocab_size)  # >= 1 for every token id
     idf = _math_log(n_docs / np.arange(1, n_docs + 1))[df - 1]  # one log per df value

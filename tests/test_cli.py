@@ -247,6 +247,27 @@ class TestRunCommand:
         assert main(["run", "--corpus", FIXTURE, "--out", str(defaults), "--emit", "json"]) == 0
         assert defaults.read_bytes() == readme.read_bytes()
 
+    @pytest.mark.parametrize("flags", [(), ("--budget", "bytes:665", "--redundancy-cap", "0.95")],
+                             ids=["uncapped", "capped"])
+    def test_duc_dir_copy_of_the_fixture_gives_the_jsonl_report(self, tmp_path, flags):
+        # each document and reference as a file, whose sorted names keep
+        # the fixture's order
+        for line in Path(FIXTURE).read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            for folder, entries, name in (("docs", record["documents"], "id"),
+                                          ("models", record["references"], "author")):
+                (tmp_path / "duc" / record["cluster_id"] / folder).mkdir(parents=True)
+                for entry in entries:
+                    path = tmp_path / "duc" / record["cluster_id"] / folder / f"{entry[name]}.txt"
+                    path.write_text(entry["text"], encoding="utf-8")
+        reports = []
+        for corpus, format in ((FIXTURE, "jsonl"), (tmp_path / "duc", "duc-dir")):
+            out = tmp_path / f"{format}.json"
+            assert main(["run", "--corpus", str(corpus), "--format", format,
+                         "--emit", "json", "--out", str(out), *flags]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestSummarizeCommand:
     def test_prints_summary(self, capsys):

@@ -362,7 +362,8 @@ class TestLoading:
             clusters = load_corpus(path, "jsonl")
             assert [c.cluster_id for c in clusters] == ["c1", "c2"]
             assert clusters[0].references[0].text == text
-            assert clusters[0].documents[0].text.startswith("Alpha beta")
+            assert read_corpus(path, "jsonl")[0].documents[0].text == text
+            assert clusters[0].sentences[0].raw_text.startswith("Alpha beta")
 
     def test_missing_field_reports_source(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -450,6 +451,16 @@ def write_duc_dir(root, clusters):
 BUILD_CONFIGS = ((tokenize, True), (words, False), (prepare_text, False))
 
 
+def assert_build_keeps_documents(records, built):
+    """Each built cluster keeps its record's references, and its
+    sentences' doc ids, deduplicated in order, are the record's doc ids:
+    every document has a sentence, which tf-idf's document count rests on."""
+    for cluster, record in zip(built, records, strict=True):
+        assert cluster.references == record.references
+        doc_ids = list(dict.fromkeys(s.doc_id for s in cluster.sentences))
+        assert doc_ids == [d.doc_id for d in record.documents]
+
+
 def assert_build_keeps_words(records, built, config):
     """Every sentence of a document is built, in order: the pipeline's
     tokens of the built sentences are those of the document."""
@@ -468,10 +479,7 @@ class TestReadThenBuild:
         records = read_corpus(FIXTURE, "jsonl")
         built = [build_cluster(r) for r in records]
         assert built == load_corpus(FIXTURE, "jsonl")
-        # a built cluster keeps its record's documents and references
-        for cluster, record in zip(built, records):
-            assert cluster.documents == record.documents
-            assert cluster.references == record.references
+        assert_build_keeps_documents(records, built)
         assert_build_keeps_words(records, built, config)
 
     @pytest.mark.parametrize("config", BUILD_CONFIGS)
@@ -486,6 +494,7 @@ class TestReadThenBuild:
         assert [d.doc_id for d in records[1].documents] == ["a", "x"]
         built = [build_cluster(r) for r in records]
         assert built == load_corpus(tmp_path, "duc-dir")
+        assert_build_keeps_documents(records, built)
         assert_build_keeps_words(records, built, config)
 
     def test_record_keeps_raw_text(self, tmp_path):
@@ -617,6 +626,7 @@ class TestJsonlFuzz:
             clusters = load_corpus(path, "jsonl")
         assert clusters == [build_cluster(r) for r in records]
         assert all(c.sentences for c in clusters)
+        assert_build_keeps_documents(records, clusters)
 
 
 # duc-dir trees: cluster folders, mostly with docs/ and often models/,
@@ -682,6 +692,7 @@ class TestDucDirFuzz:
             clusters = load_corpus(root, "duc-dir")
         assert clusters == [build_cluster(r) for r in records]
         assert all(c.sentences for c in clusters)
+        assert_build_keeps_documents(records, clusters)
 
 
 class TestDuplicateStats:

@@ -15,6 +15,7 @@ from summ.cli import main
 from summ.corpus import (
     ClusterRecord,
     Document,
+    ReferenceSummary,
     Sentence,
     build_cluster,
     load_corpus,
@@ -453,6 +454,70 @@ class TestRunEvaluation:
         ]
 
 
+def failing_for(cluster_id, function, error):
+    """``function``, except that it raises ``error`` on the named cluster,
+    which it reads off its ``ClusterFeatures`` argument."""
+    def wrapped(*args):
+        features = next(a for a in args if isinstance(a, summarizers.ClusterFeatures))
+        if features.cluster.cluster_id == cluster_id:
+            raise error
+        return function(*args)
+    return wrapped
+
+
+class TestFailuresStayPerCluster:
+    """The failure paths that the other tests never reach: each is
+    recorded for its cluster and unit, and the rest of the run is scored
+    as without it."""
+
+    def test_a_cluster_that_raises_fails_only_itself(self, monkeypatch, caplog):
+        config = fixture_config()
+        clean = run_evaluation(config)
+        assert clean.failures == {}
+        monkeypatch.setattr(harness, "extract_summary", failing_for(
+            "c03-probe", harness.extract_summary, MemoryError("no room"),
+        ))
+        report = run_evaluation(config)
+        assert report.failures == {"c03-probe": {"cluster": "no room"}}
+        assert "cluster c03-probe failed: no room" in caplog.text
+        assert report.stats["unscored_clusters"] == ["c03-probe"]
+        assert report.stats["clusters_scored"] == 2
+        assert report.per_cluster == {
+            c: row for c, row in clean.per_cluster.items() if c != "c03-probe"
+        }
+
+    def test_every_ranker_failing_fails_each_unit(self, monkeypatch):
+        config = fixture_config()
+        clean = run_evaluation(config)
+        for name, rank in harness._RANKERS.items():
+            monkeypatch.setitem(harness._RANKERS, name, failing_for(
+                "c02-election", rank, ValueError(f"{name} broke"),
+            ))
+        monkeypatch.setattr(harness, "topicsum_rank", failing_for(
+            "c02-election", harness.topicsum_rank, ValueError("topicsum broke"),
+        ))
+        report = run_evaluation(config)
+        assert report.failures == {"c02-election": {
+            **{s: f"{s} broke" for s in config.systems},
+            **{a: "no candidate system succeeded" for a in config.aggregators},
+        }}
+        assert report.stats["unscored_clusters"] == ["c02-election"]
+        assert report.per_cluster == {
+            c: row for c, row in clean.per_cluster.items() if c != "c02-election"
+        }
+
+    def test_an_order_no_reference_has_is_dropped_from_the_rows(self):
+        report = run_evaluation(fixture_config(rouge_orders=(1, 60)))
+        unigrams = run_evaluation(fixture_config(rouge_orders=(1,)))
+        assert report.failures == {
+            c: {"rouge-60": "no reference with n-grams of this order"}
+            for c in ("c01-storm", "c02-election", "c03-probe")
+        }
+        # so every row keeps R-1 only
+        assert report.per_cluster == unigrams.per_cluster
+        assert report.averages == unigrams.averages
+
+
 class TestTokenizeOnce:
     @pytest.mark.parametrize("cap", [None, 0.5])
     def test_each_summary_sentence_and_reference_once_per_cluster(self, monkeypatch, cap):
@@ -751,8 +816,8 @@ def test_loaded_corpus_config_counts_and_outcome_pickle():
     assert copies == values
     assert [type(c) for c in copies] == [type(v) for v in values]
     # a NamedTuple equals a plain tuple of its fields, so check the records' types
-    records = [x for c in copies[:len(clusters)] for x in c.sentences + c.documents]
-    assert {type(x) for x in records} == {Sentence, Document}
+    records = [x for c in copies[:len(clusters)] for x in c.sentences + c.references]
+    assert {type(x) for x in records} == {Sentence, ReferenceSummary}
     assert copies[-1].scored
 
 

@@ -51,16 +51,17 @@ def tfidf_vectors(cluster: DocumentCluster) -> list[SentenceVector]:
     """TF-IDF vector per sentence, aligned with sentence indices.
 
     tf is the within-sentence count; idf = ln(D / df) with document
-    frequency taken over the cluster's own documents.  Tokens present in
-    every document get weight 0 and are dropped.
+    frequency taken over the cluster's own documents, the distinct doc ids
+    of its sentences.  Tokens present in every document get weight 0 and
+    are dropped.
     """
-    doc_tokens: dict[str, set[str]] = {d.doc_id: set() for d in cluster.documents}
+    doc_tokens: dict[str, set[str]] = {}
     for sentence in cluster.sentences:
-        doc_tokens[sentence.doc_id].update(sentence.tokens)
+        doc_tokens.setdefault(sentence.doc_id, set()).update(sentence.tokens)
     df = Counter()
     for tokens in doc_tokens.values():
         df.update(tokens)
-    n_docs = len(cluster.documents)
+    n_docs = len(doc_tokens)
     idf = {t: math.log(n_docs / d) for t, d in df.items() if d < n_docs}
     vectors = []
     for sentence in cluster.sentences:
