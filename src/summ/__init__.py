@@ -8,8 +8,7 @@ them against reference summaries.
 """
 
 from .consensus import (
-    AggregateResult,
-    WeightVector,
+    WcsResult,
     borda_aggregate,
     cwcs_aggregate,
     cwcs_weights,

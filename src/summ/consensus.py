@@ -22,8 +22,7 @@ peers as stand-in references.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,21 +32,6 @@ from .summarizers import RankList
 from .sums import left_sum
 
 AGGREGATORS = ("borda", "wcs", "cwcs", "oracle")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative system weights summing to one."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("empty weight vector")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
 
 
 # a wcs restart stops once a step lowers its objective by no more than
@@ -63,32 +47,22 @@ def check_lambda(lambda_: float) -> None:
         raise ValueError("lambda must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """An aggregate rank list and what the method reports about it.
+class WcsResult(NamedTuple):
+    """The wcs rank list and what the optimizer reports about it.
 
-    For wcs, ``iterations``, ``converged`` and ``objective_trace`` describe
-    the winning restart only (the trace from running it again alone); the
+    ``iterations``, ``converged`` and ``objective_trace`` describe the
+    winning restart only (the trace from running it again alone); the
     other restarts' iterations are not counted anywhere.  ``converged`` is
     false when the restart stopped after ``WCS_MAX_ITER`` steps without a
     step that lowered its objective by no more than ``WCS_TOL``.
     """
 
-    method: str
     rank_list: RankList
-    weights: WeightVector | None = None
-    iterations: int | None = None
-    objective: float | None = None
-    converged: bool = True
-    objective_trace: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.method not in AGGREGATORS:
-            raise ValueError(f"method must be one of {AGGREGATORS}")
-        if (self.weights is not None) != (self.method in ("wcs", "cwcs")):
-            raise ValueError("weights are present exactly for wcs and cwcs")
-        if (self.objective is not None) != (self.method == "wcs"):
-            raise ValueError("objective is present exactly for wcs")
+    weights: tuple[float, ...]
+    iterations: int
+    objective: float
+    converged: bool
+    objective_trace: tuple[float, ...]
 
 
 def _common_length(rank_lists: Sequence[RankList]) -> int:
@@ -100,13 +74,12 @@ def _common_length(rank_lists: Sequence[RankList]) -> int:
     return n
 
 
-def borda_aggregate(rank_lists: Sequence[RankList]) -> AggregateResult:
+def borda_aggregate(rank_lists: Sequence[RankList]) -> RankList:
     """Order sentences by their mean rank across systems (lower wins)."""
     _common_length(rank_lists)
     k = len(rank_lists)
     mean_ranks = [sum(ranks) / k for ranks in zip(*(rl.ranks for rl in rank_lists))]
-    rank_list = RankList.from_scores("borda", [-m for m in mean_ranks])
-    return AggregateResult(method="borda", rank_list=rank_list)
+    return RankList.from_scores([-m for m in mean_ranks])
 
 
 def _project_row(y: list[float]) -> list[float]:
@@ -137,9 +110,7 @@ def _project_row(y: list[float]) -> list[float]:
     return weights
 
 
-def wcs_aggregate(
-    rank_lists: Sequence[RankList], lambda_: float
-) -> AggregateResult:
+def wcs_aggregate(rank_lists: Sequence[RankList], lambda_: float) -> WcsResult:
     """Alternating minimization of the weighted-consensus objective.
 
     Eliminating r* leaves an indefinite quadratic over the simplex, so a
@@ -153,9 +124,7 @@ def wcs_aggregate(
     leaves the active set once a step lowers its objective by no more than
     ``WCS_TOL``, or after ``WCS_MAX_ITER`` steps.
     The winning restart is then run again alone to record its
-    ``objective_trace``.  ``iterations``, ``converged`` and
-    ``objective_trace`` of the result describe the winning restart only,
-    not the work of all restarts.
+    ``objective_trace``.
     """
     check_lambda(lambda_)
     n = _common_length(rank_lists)
@@ -231,11 +200,9 @@ def wcs_aggregate(
         current = minimize_weights(distances)
         trace.append(objective(current, distances).item())
     trace.append(final[best])
-    rank_list = RankList.from_scores("wcs", [-v for v in r_star[best]])
-    return AggregateResult(
-        method="wcs",
-        rank_list=rank_list,
-        weights=WeightVector(tuple(weights[best])),
+    return WcsResult(
+        rank_list=RankList.from_scores([-v for v in r_star[best]]),
+        weights=tuple(weights[best].tolist()),
         iterations=int(iterations[best]),
         objective=final[best],
         converged=bool(converged[best]),
@@ -255,7 +222,7 @@ def cwcs_raw_weights(unigrams: Sequence[Counter]) -> list[float]:
     ]
 
 
-def cwcs_weights(raw: Sequence[float]) -> WeightVector:
+def cwcs_weights(raw: Sequence[float]) -> tuple[float, ...]:
     """Peer-agreement weights (``cwcs_raw_weights``), normalized to the
     simplex.
 
@@ -264,13 +231,11 @@ def cwcs_weights(raw: Sequence[float]) -> WeightVector:
     """
     total = left_sum(raw)
     if total == 0.0:
-        return WeightVector(tuple(1.0 / len(raw) for _ in raw))
-    return WeightVector(tuple(r / total for r in raw))
+        return tuple(1.0 / len(raw) for _ in raw)
+    return tuple(r / total for r in raw)
 
 
-def cwcs_aggregate(
-    rank_lists: Sequence[RankList], weights: WeightVector
-) -> AggregateResult:
+def cwcs_aggregate(rank_lists: Sequence[RankList], weights: Sequence[float]) -> RankList:
     """Weighted sum of normalized rank scores.
 
     A sentence at rank r in a list of N contributes (N - r)/(N - 1), so
@@ -283,9 +248,9 @@ def cwcs_aggregate(
     """
     n = _common_length(rank_lists)
     k = len(rank_lists)
-    if len(weights.weights) != k:
+    if len(weights) != k:
         raise ValueError("one weight per rank list is required")
-    ratios = [w.as_integer_ratio() for w in weights.weights]
+    ratios = [w.as_integer_ratio() for w in weights]
     denominator = max(d for _, d in ratios)
     numerators = [p * (denominator // d) for p, d in ratios]
     if n == 1:
@@ -295,8 +260,7 @@ def cwcs_aggregate(
             sum(w * (n - r) for w, r in zip(numerators, ranks)) / (denominator * (n - 1))
             for ranks in zip(*(rl.ranks for rl in rank_lists))
         ]
-    rank_list = RankList.from_scores("cwcs", scores)
-    return AggregateResult(method="cwcs", rank_list=rank_list, weights=weights)
+    return RankList.from_scores(scores)
 
 
 def oracle_select(

@@ -322,6 +322,8 @@ def duplicate_stats(cluster: DocumentCluster) -> int:
 
     Sequences are the sentences' ``words`` (stopwords kept, no stemming),
     so near-identical wire copy in different documents counts as a repeat.
+    A sentence with no word is keyed by its raw text instead, so different
+    word-less sentences (all non-ASCII, say) are not one repeat.
     """
-    counts = Counter(tuple(words(s.raw_text)) for s in cluster.sentences)
+    counts = Counter(tuple(words(s.raw_text)) or s.raw_text for s in cluster.sentences)
     return sum(1 for n in counts.values() if n >= 2)

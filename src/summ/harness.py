@@ -283,7 +283,7 @@ class _ClusterPipeline:
         if not lists:
             raise ValueError("no candidate system succeeded")
         if aggregator == "borda":
-            return borda_aggregate(lists).rank_list, None
+            return borda_aggregate(lists), None
         if aggregator == "wcs":
             return wcs_aggregate(lists, self.config.lambda_).rank_list, None
         if aggregator == "cwcs":
@@ -291,7 +291,7 @@ class _ClusterPipeline:
                 weights = cwcs_weights(self.raw_weights)
             except ValueError as exc:
                 raise ValueError("peer-agreement weights unavailable") from exc
-            return cwcs_aggregate(lists, weights).rank_list, None
+            return cwcs_aggregate(lists, weights), None
         if not self.references.references(1):
             raise ValueError("oracle requires reference summaries")
         recalls = [self.recall(unit, 1) for unit in self.system_units.values()]

@@ -80,7 +80,6 @@ class RankList:
     give: higher score first, ties to the smaller sentence index.  The
     order and ``ranks`` are derived once, on first use."""
 
-    system_id: str
     scores: tuple[float, ...]
 
     def __post_init__(self):
@@ -88,8 +87,8 @@ class RankList:
             raise ValueError("scores must not contain NaN")
 
     @classmethod
-    def from_scores(cls, system_id: str, scores: Sequence[float]) -> "RankList":
-        return cls(system_id=system_id, scores=tuple(map(float, scores)))
+    def from_scores(cls, scores: Sequence[float]) -> "RankList":
+        return cls(tuple(map(float, scores)))
 
     @cached_property
     def _order(self) -> tuple[int, ...]:
@@ -117,10 +116,6 @@ class Summary(NamedTuple):
     sentence_indices: tuple[int, ...]
 
 
-def _uniform_ranklist(system_id: str, n: int) -> RankList:
-    return RankList.from_scores(system_id, [1.0 / n] * n)
-
-
 def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     """Stationary distribution of the damped, row-normalized walk.  The
     adjacency is row-normalized in place; a row with no edges is uniform."""
@@ -140,17 +135,17 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
     return p
 
 
-def _graph_rank(system_id: str, adjacency: np.ndarray, cluster: DocumentCluster) -> RankList:
+def _graph_rank(name: str, adjacency: np.ndarray, cluster: DocumentCluster) -> RankList:
     n = len(cluster.sentences)
     if n == 1:
-        return RankList.from_scores(system_id, [1.0])
+        return RankList.from_scores([1.0])
     if adjacency.sum() == 0.0:
         logger.warning(
             "%s: no graph edges in cluster %s, falling back to uniform scores",
-            system_id, cluster.cluster_id,
+            name, cluster.cluster_id,
         )
-        return _uniform_ranklist(system_id, n)
-    return RankList.from_scores(system_id, _power_iteration(adjacency))
+        return RankList.from_scores([1.0 / n] * n)
+    return RankList.from_scores(_power_iteration(adjacency))
 
 
 class ClusterFeatures:
@@ -419,7 +414,7 @@ def centroid_rank(features: ClusterFeatures) -> RankList:
     rows, cols, weights = features.tfidf
     n = len(features.cluster.sentences)
     centroid = np.bincount(cols, weights, minlength=len(features.ids)) / n
-    return RankList.from_scores("centroid", np.bincount(rows, centroid[cols], minlength=n))
+    return RankList.from_scores(np.bincount(rows, centroid[cols], minlength=n))
 
 
 def freqsum_rank(features: ClusterFeatures) -> RankList:
@@ -429,7 +424,7 @@ def freqsum_rank(features: ClusterFeatures) -> RankList:
     lengths = features.lengths
     frequencies = features.counts[tokens] / len(tokens)
     sums = np.bincount(rows, frequencies, minlength=len(lengths))
-    return RankList.from_scores("freqsum", sums / np.maximum(lengths, 1))
+    return RankList.from_scores(sums / np.maximum(lengths, 1))
 
 
 def _binomial_lls(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -498,7 +493,7 @@ def topicsum_rank(features: ClusterFeatures, corpus: CorpusCounts) -> RankList:
     in_signature = np.zeros(len(features.ids), dtype=bool)
     in_signature[np.fromiter(map(features.ids.__getitem__, signature), np.int64)] = True
     hits = np.bincount(rows, in_signature[tokens], minlength=len(lengths))
-    return RankList.from_scores("topicsum", hits / np.maximum(lengths, 1))
+    return RankList.from_scores(hits / np.maximum(lengths, 1))
 
 
 def _math_log(values: np.ndarray) -> np.ndarray:
@@ -543,7 +538,7 @@ def greedykl_rank(features: ClusterFeatures) -> RankList:
     n = len(features.cluster.sentences)
     counts, total = features.counts, len(features.stream[1])
     if total == 0:
-        return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
+        return RankList.from_scores([-(i + 1) for i in range(n)])
     vocab_size = len(counts)
     k = KL_SMOOTHING * vocab_size  # > 0: the cluster has a token
     log_pc = _math_log(counts / total)
@@ -615,7 +610,7 @@ def greedykl_rank(features: ClusterFeatures) -> RankList:
             slots = slots[live]
             addends = addends[:len(slots)]
             head, dead = n - step, 0
-    return RankList.from_scores("greedykl", scores)
+    return RankList.from_scores(scores)
 
 
 def extract_summary(

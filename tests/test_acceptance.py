@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from summ.consensus import (
-    WeightVector,
     _project_row,
     borda_aggregate,
     cwcs_aggregate,
@@ -52,10 +51,10 @@ def report_line(criterion: str, ok: bool, detail: str = "") -> None:
 
 def random_permutation_lists(rng, k, n):
     lists = []
-    for s in range(k):
+    for _ in range(k):
         ranks = list(range(1, n + 1))
         rng.shuffle(ranks)
-        lists.append(RankList.from_scores(f"s{s}", [n - r for r in ranks]))
+        lists.append(RankList.from_scores([n - r for r in ranks]))
     return lists
 
 
@@ -163,7 +162,7 @@ def test_criterion_2_wcs_matches_grid_search():
         if not all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1)):
             report_line("criterion 2: consensus optimizer vs grid search", False,
                         f"objective increased (instance {instance})")
-        weights = result.weights.weights
+        weights = result.weights
         if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
             report_line("criterion 2: consensus optimizer vs grid search", False,
                         f"weights off the simplex (instance {instance})")
@@ -226,24 +225,21 @@ def test_criterion_4_consensus_identities():
         n = rng.randint(2, 8)
         k = rng.randint(2, 6)
         lists = []
-        for s in range(k):
+        for _ in range(k):
             scores = [rng.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(n)]
-            lists.append(RankList.from_scores(f"s{s}", scores))
-        uniform = WeightVector(tuple(1.0 / k for _ in range(k)))
-        if (
-            cwcs_aggregate(lists, uniform).rank_list.order()
-            != borda_aggregate(lists).rank_list.order()
-        ):
+            lists.append(RankList.from_scores(scores))
+        uniform = tuple(1.0 / k for _ in range(k))
+        if cwcs_aggregate(lists, uniform).order() != borda_aggregate(lists).order():
             report_line("criterion 4: consensus identities", False,
                         f"uniform weights diverge from borda (instance {instance})")
         pick = rng.randrange(k)
-        basis = WeightVector(tuple(1.0 if i == pick else 0.0 for i in range(k)))
-        if cwcs_aggregate(lists, basis).rank_list.ranks != lists[pick].ranks:
+        basis = tuple(1.0 if i == pick else 0.0 for i in range(k))
+        if cwcs_aggregate(lists, basis).ranks != lists[pick].ranks:
             report_line("criterion 4: consensus identities", False,
                         f"degenerate weight does not reproduce system {pick}")
     summary = [["storm", "hit", "coast"], ["crews", "fixed", "lines"]]
     weights = cwcs_weights(cwcs_raw_weights([ngram_counts(summary, 1)] * 3))
-    if weights.weights != pytest.approx((1 / 3,) * 3):
+    if weights != pytest.approx((1 / 3,) * 3):
         report_line("criterion 4: consensus identities", False,
                     "identical summaries did not give uniform weights")
     report_line("criterion 4: consensus identities", True,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from summ.cli import _build_parser, _run_config, main
+from summ.cli import _FILE_KEYS, _build_parser, _run_config, main
 from summ.harness import RunConfig
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
@@ -379,6 +379,16 @@ class TestSummarizeCommand:
         ])
         assert code == 3
         assert "oracle requires reference summaries" in capsys.readouterr().err
+
+
+def test_config_file_keys_are_the_flags():
+    # a flag added to either command must be accepted from a config file too
+    dests = set()
+    for command in ("run", "summarize"):
+        dests |= set(vars(_build_parser().parse_args([command])))
+    dests -= {"command", "config"}
+    flags = {"lambda" if dest == "lambda_" else dest for dest in dests}
+    assert flags == _FILE_KEYS
 
 
 def test_run_and_summarize_never_import_numpy_ma(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 
 from summ import consensus
 from summ.consensus import (
-    AggregateResult,
-    WeightVector,
+    WcsResult,
     _project_row,
     borda_aggregate,
     cwcs_aggregate,
@@ -30,47 +29,35 @@ def peer_weights(summaries):
     return cwcs_weights(cwcs_raw_weights(unigrams(summaries)))
 
 
-def ranklist_with_ranks(system_id, ranks):
+def ranklist_with_ranks(ranks):
     """Build a rank list whose ranks equal the given permutation."""
     n = len(ranks)
-    return RankList.from_scores(system_id, [n - r for r in ranks])
-
-
-class TestWeightVector:
-    def test_validation(self):
-        WeightVector((0.5, 0.5))
-        with pytest.raises(ValueError):
-            WeightVector((0.6, 0.6))
-        with pytest.raises(ValueError):
-            WeightVector((-0.1, 1.1))
-        with pytest.raises(ValueError):
-            WeightVector(())
+    return RankList.from_scores([n - r for r in ranks])
 
 
 class TestBorda:
     def test_single_list_identity(self):
-        rl = ranklist_with_ranks("a", [2, 1, 3])
+        rl = ranklist_with_ranks([2, 1, 3])
         result = borda_aggregate([rl])
-        assert result.rank_list.ranks == rl.ranks
-        assert result.method == "borda"
-        assert result.weights is None
+        assert result.ranks == rl.ranks
+        assert isinstance(result, RankList)
 
     def test_hand_example(self):
-        a = ranklist_with_ranks("a", [1, 2, 3])
-        b = ranklist_with_ranks("b", [3, 1, 2])
+        a = ranklist_with_ranks([1, 2, 3])
+        b = ranklist_with_ranks([3, 1, 2])
         result = borda_aggregate([a, b])
         # mean ranks (2.0, 1.5, 2.5) -> order s1, s0, s2
-        assert result.rank_list.order() == [1, 0, 2]
+        assert result.order() == [1, 0, 2]
 
     def test_identical_lists(self):
-        rl = ranklist_with_ranks("a", [4, 1, 3, 2])
+        rl = ranklist_with_ranks([4, 1, 3, 2])
         result = borda_aggregate([rl, rl, rl])
-        assert result.rank_list.ranks == rl.ranks
+        assert result.ranks == rl.ranks
 
     def test_mismatched_length(self):
         with pytest.raises(ValueError):
             borda_aggregate(
-                [ranklist_with_ranks("a", [1, 2]), ranklist_with_ranks("b", [1, 2, 3])]
+                [ranklist_with_ranks([1, 2]), ranklist_with_ranks([1, 2, 3])]
             )
 
     def test_input_order_invariance(self):
@@ -78,14 +65,14 @@ class TestBorda:
         for _ in range(50):
             n = rng.randint(2, 8)
             lists = []
-            for s in range(rng.randint(2, 5)):
+            for _ in range(rng.randint(2, 5)):
                 ranks = list(range(1, n + 1))
                 rng.shuffle(ranks)
-                lists.append(ranklist_with_ranks(f"s{s}", ranks))
+                lists.append(ranklist_with_ranks(ranks))
             result = borda_aggregate(lists)
             shuffled = lists[:]
             rng.shuffle(shuffled)
-            assert borda_aggregate(shuffled).rank_list.ranks == result.rank_list.ranks
+            assert borda_aggregate(shuffled).ranks == result.ranks
 
     def test_sentence_relabeling_maps_output(self):
         # applying one index bijection to every input maps the output ranks
@@ -100,15 +87,15 @@ class TestBorda:
                 rank_rows.append(ranks)
             mapping = list(range(n))
             rng.shuffle(mapping)  # old index i -> new index mapping[i]
-            lists = [ranklist_with_ranks(f"s{i}", r) for i, r in enumerate(rank_rows)]
+            lists = [ranklist_with_ranks(r) for r in rank_rows]
             relabeled = []
-            for i, ranks in enumerate(rank_rows):
+            for ranks in rank_rows:
                 moved = [0] * n
                 for old, rank in enumerate(ranks):
                     moved[mapping[old]] = rank
-                relabeled.append(ranklist_with_ranks(f"s{i}", moved))
-            base = borda_aggregate(lists).rank_list.scores
-            mapped = borda_aggregate(relabeled).rank_list.scores
+                relabeled.append(ranklist_with_ranks(moved))
+            base = borda_aggregate(lists).scores
+            mapped = borda_aggregate(relabeled).scores
             assert all(
                 mapped[mapping[old]] == base[old] for old in range(n)
             )
@@ -183,26 +170,26 @@ def dense_grid_min_2x2(rank_rows, lam, step=0.01):
 
 class TestWcs:
     def test_identical_lists_fixed_point(self):
-        rl = ranklist_with_ranks("a", [2, 1, 3])
+        rl = ranklist_with_ranks([2, 1, 3])
         result = wcs_aggregate([rl, rl, rl], 0.5)
-        assert result.method == "wcs"
-        assert result.weights.weights == pytest.approx((1 / 3,) * 3)
+        assert isinstance(result, WcsResult)
+        assert result.weights == pytest.approx((1 / 3,) * 3)
         assert result.objective == pytest.approx(0.5 / 3)
         assert result.rank_list.ranks == rl.ranks
         assert result.converged
 
     def test_high_lambda_forces_uniform(self):
-        a = ranklist_with_ranks("a", [1, 2, 3, 4])
-        b = ranklist_with_ranks("b", [4, 3, 2, 1])
-        c = ranklist_with_ranks("c", [1, 3, 2, 4])
+        a = ranklist_with_ranks([1, 2, 3, 4])
+        b = ranklist_with_ranks([4, 3, 2, 1])
+        c = ranklist_with_ranks([1, 3, 2, 4])
         result = wcs_aggregate([a, b, c], 0.999)
-        assert result.weights.weights == pytest.approx((1 / 3,) * 3, abs=1e-2)
+        assert result.weights == pytest.approx((1 / 3,) * 3, abs=1e-2)
 
     def test_derived_symmetric_instance(self):
-        a = ranklist_with_ranks("a", [1, 2])  # normalized (0, 1)
-        b = ranklist_with_ranks("b", [2, 1])  # normalized (1, 0)
+        a = ranklist_with_ranks([1, 2])  # normalized (0, 1)
+        b = ranklist_with_ranks([2, 1])  # normalized (1, 0)
         result = wcs_aggregate([a, b], 0.5)
-        assert result.weights.weights == pytest.approx((0.5, 0.5))
+        assert result.weights == pytest.approx((0.5, 0.5))
         assert result.objective == pytest.approx(0.5)
         grid = dense_grid_min_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
         assert result.objective <= grid + 1e-3
@@ -211,7 +198,7 @@ class TestWcs:
         perms = [[1, 2], [2, 1]]
         for pa in perms:
             for pb in perms:
-                lists = [ranklist_with_ranks("a", pa), ranklist_with_ranks("b", pb)]
+                lists = [ranklist_with_ranks(pa), ranklist_with_ranks(pb)]
                 result = wcs_aggregate(lists, 0.5)
                 rows = np.array([
                     [(r - 1) for r in pa], [(r - 1) for r in pb]
@@ -225,59 +212,59 @@ class TestWcs:
             n = rng.randint(2, 6)
             k = rng.randint(2, 4)
             lists = []
-            for s in range(k):
+            for _ in range(k):
                 ranks = list(range(1, n + 1))
                 rng.shuffle(ranks)
-                lists.append(ranklist_with_ranks(f"s{s}", ranks))
+                lists.append(ranklist_with_ranks(ranks))
             result = wcs_aggregate(lists, 0.5)
             trace = result.objective_trace
             assert all(
                 trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1)
             )
-            weights = result.weights.weights
+            weights = result.weights
             assert all(w >= 0 for w in weights)
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_lambda_validation(self):
-        a = ranklist_with_ranks("a", [1, 2, 3])
-        b = ranklist_with_ranks("b", [1, 3, 2])
-        assert wcs_aggregate([a, b], 0.0).method == "wcs"
+        a = ranklist_with_ranks([1, 2, 3])
+        b = ranklist_with_ranks([1, 3, 2])
+        wcs_aggregate([a, b], 0.0)
         for lambda_ in (1.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
                 wcs_aggregate([a, b], lambda_)
 
     def test_non_convergence_flag(self, monkeypatch):
         monkeypatch.setattr(consensus, "WCS_MAX_ITER", 1)
-        a = ranklist_with_ranks("a", [1, 2, 3, 4])
-        b = ranklist_with_ranks("b", [4, 3, 2, 1])
+        a = ranklist_with_ranks([1, 2, 3, 4])
+        b = ranklist_with_ranks([4, 3, 2, 1])
         result = wcs_aggregate([a, b], 0.5)
         assert not result.converged
         assert result.iterations == 1
 
     def test_needs_two_lists(self):
         with pytest.raises(ValueError):
-            wcs_aggregate([ranklist_with_ranks("a", [1, 2])], 0.5)
+            wcs_aggregate([ranklist_with_ranks([1, 2])], 0.5)
 
 
 class TestCwcsWeights:
     def test_identical_summaries_uniform(self):
         s = [["storm", "hit", "coast"]]
         weights = peer_weights([s, s, s, s])
-        assert weights.weights == pytest.approx((0.25,) * 4)
+        assert weights == pytest.approx((0.25,) * 4)
 
     def test_disjoint_third_summary(self):
         s1 = [["storm", "hit"]]
         s3 = [["vote", "held"]]
         weights = peer_weights([s1, s1, s3])
-        assert weights.weights == pytest.approx((0.5, 0.5, 0.0))
+        assert weights == pytest.approx((0.5, 0.5, 0.0))
 
     def test_two_summaries_half_overlap(self):
         weights = peer_weights([[["a", "b"]], [["a", "c"]]])
-        assert weights.weights == pytest.approx((0.5, 0.5))
+        assert weights == pytest.approx((0.5, 0.5))
 
     def test_all_disjoint_falls_back_to_uniform(self):
         weights = peer_weights([[["a"]], [["b"]], [["c"]]])
-        assert weights.weights == pytest.approx((1 / 3,) * 3)
+        assert weights == pytest.approx((1 / 3,) * 3)
 
     def test_peers_required(self):
         with pytest.raises(ValueError, match="peers required"):
@@ -292,11 +279,11 @@ class TestCwcsWeights:
 
 class TestCwcsAggregate:
     def test_hand_example(self):
-        a = ranklist_with_ranks("a", [1, 2, 3])
-        b = ranklist_with_ranks("b", [3, 1, 2])
-        result = cwcs_aggregate([a, b], WeightVector((0.75, 0.25)))
-        assert result.rank_list.scores == pytest.approx((0.75, 0.625, 0.125))
-        assert result.rank_list.order() == [0, 1, 2]
+        a = ranklist_with_ranks([1, 2, 3])
+        b = ranklist_with_ranks([3, 1, 2])
+        result = cwcs_aggregate([a, b], (0.75, 0.25))
+        assert result.scores == pytest.approx((0.75, 0.625, 0.125))
+        assert result.order() == [0, 1, 2]
 
     def test_uniform_weights_equal_borda_order(self):
         rng = random.Random(83)
@@ -304,14 +291,14 @@ class TestCwcsAggregate:
             n = rng.randint(2, 8)
             k = rng.randint(2, 5)
             lists = []
-            for s in range(k):
+            for _ in range(k):
                 # discrete scores force plenty of rank ties across systems
                 scores = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
-                lists.append(RankList.from_scores(f"s{s}", scores))
-            uniform = WeightVector(tuple(1.0 / k for _ in range(k)))
+                lists.append(RankList.from_scores(scores))
+            uniform = tuple(1.0 / k for _ in range(k))
             assert (
-                cwcs_aggregate(lists, uniform).rank_list.order()
-                == borda_aggregate(lists).rank_list.order()
+                cwcs_aggregate(lists, uniform).order()
+                == borda_aggregate(lists).order()
             )
 
     def test_degenerate_weight_reproduces_system(self):
@@ -320,18 +307,18 @@ class TestCwcsAggregate:
             n = rng.randint(2, 8)
             k = rng.randint(2, 4)
             lists = []
-            for s in range(k):
+            for _ in range(k):
                 scores = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
-                lists.append(RankList.from_scores(f"s{s}", scores))
+                lists.append(RankList.from_scores(scores))
             pick = rng.randrange(k)
             basis = tuple(1.0 if i == pick else 0.0 for i in range(k))
-            result = cwcs_aggregate(lists, WeightVector(basis))
-            assert result.rank_list.ranks == lists[pick].ranks
+            result = cwcs_aggregate(lists, basis)
+            assert result.ranks == lists[pick].ranks
 
     def test_dimension_mismatch(self):
-        lists = [ranklist_with_ranks("a", [1, 2]), ranklist_with_ranks("b", [2, 1])]
+        lists = [ranklist_with_ranks([1, 2]), ranklist_with_ranks([2, 1])]
         with pytest.raises(ValueError):
-            cwcs_aggregate(lists, WeightVector((1.0,)))
+            cwcs_aggregate(lists, (1.0,))
 
 
 class TestOracleSelect:
@@ -372,17 +359,3 @@ class TestOracleSelect:
     def test_requires_references(self):
         with pytest.raises(ValueError):
             oracle_select(unigrams([[["a"]]]), [])
-
-
-class TestAggregateResultInvariants:
-    def test_weights_only_for_weighted_methods(self):
-        rl = ranklist_with_ranks("x", [1, 2])
-        with pytest.raises(ValueError):
-            AggregateResult(method="borda", rank_list=rl, weights=WeightVector((1.0,)))
-        with pytest.raises(ValueError):
-            AggregateResult(method="cwcs", rank_list=rl)
-        with pytest.raises(ValueError):
-            AggregateResult(
-                method="cwcs", rank_list=rl, weights=WeightVector((1.0,)),
-                objective=0.5,
-            )

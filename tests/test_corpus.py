@@ -727,6 +727,14 @@ class TestDuplicateStats:
         cluster = self.build(["The fox runs.", "Fox runs."])
         assert duplicate_stats(cluster) == 0
 
+    def test_different_wordless_sentences_are_not_a_repeat(self):
+        cluster = self.build(["日本語。 中文。", "Русский текст."])
+        assert duplicate_stats(cluster) == 0
+
+    def test_identical_wordless_sentences_repeat(self):
+        cluster = self.build(["Русский текст.", "Русский текст."])
+        assert duplicate_stats(cluster) == 1
+
 
 def test_stopword_list_is_fixed_and_lowercase():
     assert len(STOPWORDS) > 100

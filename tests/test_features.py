@@ -152,7 +152,7 @@ def test_cosine_norms_and_capped_extraction_match_oracle(docs, seed):
             want = tfidf_reference.cosine_similarity(vectors[i], vectors[j])
             assert cosine_similarity(features, i, j) == want
     rng = random.Random(seed)
-    rank_list = RankList.from_scores("x", [rng.random() for _ in range(n)])
+    rank_list = RankList.from_scores([rng.random() for _ in range(n)])
     for budget in (LengthBudget("words", 40), LengthBudget("bytes", 200)):
         for cap in (0.0, 0.5, 0.95, 1.0):
             got = extract_summary(rank_list, features, budget, cap)

@@ -140,7 +140,7 @@ def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
         cluster_counts.update(sentence.tokens)
     total = sum(cluster_counts.values())
     if total == 0:
-        return RankList.from_scores("greedykl", [-(i + 1) for i in range(n)])
+        return RankList.from_scores([-(i + 1) for i in range(n)])
     k = KL_SMOOTHING * len(cluster_counts)
     log_pc = {t: math.log(c / total) for t, c in cluster_counts.items()}
     vocab_size = len(cluster_counts)
@@ -179,7 +179,7 @@ def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
         current_sum = best_sum
         remaining.remove(best_idx)
         scores[best_idx] = -float(step)
-    return RankList.from_scores("greedykl", scores)
+    return RankList.from_scores(scores)
 
 
 def greedykl_compactions(cluster: DocumentCluster, share: float, least: int) -> list[int]:
@@ -215,7 +215,7 @@ def reference_centroid_rank(cluster: DocumentCluster) -> RankList:
     for sentence in cluster.sentences:
         seen = dict.fromkeys(sentence.tokens)
         scores.append(left_sum(centroid.get(t, 0.0) for t in seen))
-    return RankList.from_scores("centroid", scores)
+    return RankList.from_scores(scores)
 
 
 def reference_freqsum_rank(cluster: DocumentCluster) -> RankList:
@@ -230,7 +230,7 @@ def reference_freqsum_rank(cluster: DocumentCluster) -> RankList:
         scores.append(
             left_sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
         )
-    return RankList.from_scores("freqsum", scores)
+    return RankList.from_scores(scores)
 
 
 PAIRS = {
@@ -481,7 +481,7 @@ def reference_topicsum_rank(cluster: DocumentCluster, background: Counter) -> Ra
             continue
         hits = sum(1 for t in sentence.tokens if t in signature)
         scores.append(hits / len(sentence.tokens))
-    return RankList.from_scores("topicsum", scores)
+    return RankList.from_scores(scores)
 
 
 def assert_topicsum_identical(corpus_docs, threshold):

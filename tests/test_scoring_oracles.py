@@ -29,8 +29,7 @@ from summ import consensus
 from summ.consensus import (
     WCS_MAX_ITER,
     WCS_TOL,
-    AggregateResult,
-    WeightVector,
+    WcsResult,
     _common_length,
     _project_row,
     cwcs_aggregate,
@@ -60,7 +59,7 @@ logger = logging.getLogger(__name__)
 # -- reference: wcs, one restart at a time ------------------------------------
 
 
-def reference_project_simplex(y: Sequence[float]) -> WeightVector:
+def reference_project_simplex(y: Sequence[float]) -> tuple[float, ...]:
     """Euclidean projection onto {w : w >= 0, sum w = 1}.
 
     Sorted-threshold method: with the entries sorted descending, find the
@@ -76,7 +75,7 @@ def reference_project_simplex(y: Sequence[float]) -> WeightVector:
     supported = np.nonzero(u - (cumulative - 1.0) / j > 0.0)[0]
     rho = supported[-1]
     tau = (cumulative[rho] - 1.0) / (rho + 1.0)
-    return WeightVector(tuple(np.maximum(y - tau, 0.0)))
+    return tuple(np.maximum(y - tau, 0.0).tolist())
 
 
 def reference_alternate_minimize(
@@ -104,7 +103,7 @@ def reference_alternate_minimize(
             weights = at_min / at_min.sum()
         else:
             weights = np.asarray(
-                reference_project_simplex(-(1.0 - lam) / (2.0 * lam) * distances).weights
+                reference_project_simplex(-(1.0 - lam) / (2.0 * lam) * distances)
             )
         current = objective(weights, distances)
         trace.append(current)
@@ -122,7 +121,7 @@ def reference_alternate_minimize(
 
 def reference_wcs_aggregate(
     rank_lists: Sequence[RankList], lam: float, tol: float, max_iter: int
-) -> AggregateResult:
+) -> WcsResult:
     """Alternating minimization of the weighted-consensus objective,
     restarted from uniform, each vertex and each edge midpoint."""
     n = _common_length(rank_lists)
@@ -146,11 +145,9 @@ def reference_wcs_aggregate(
         if best is None or run[0] < best[0]:
             best = run
     final, weights, r_star, iterations, converged, trace = best
-    rank_list = RankList.from_scores("wcs", [-v for v in r_star])
-    return AggregateResult(
-        method="wcs",
-        rank_list=rank_list,
-        weights=WeightVector(tuple(weights)),
+    return WcsResult(
+        rank_list=RankList.from_scores([-v for v in r_star]),
+        weights=tuple(weights.tolist()),
         iterations=iterations,
         objective=final,
         converged=converged,
@@ -162,15 +159,15 @@ def reference_wcs_aggregate(
 
 
 def reference_cwcs_aggregate(
-    rank_lists: Sequence[RankList], weights: WeightVector
-) -> AggregateResult:
+    rank_lists: Sequence[RankList], weights: Sequence[float]
+) -> RankList:
     """Weighted sum of normalized rank scores, each sentence's summed as a
     ``Fraction`` and rounded to a float once."""
     n = _common_length(rank_lists)
     k = len(rank_lists)
-    if len(weights.weights) != k:
+    if len(weights) != k:
         raise ValueError("one weight per rank list is required")
-    exact_weights = [Fraction(w) for w in weights.weights]
+    exact_weights = [Fraction(w) for w in weights]
     scores = []
     for i in range(n):
         if n == 1:
@@ -182,8 +179,7 @@ def reference_cwcs_aggregate(
                 start=Fraction(0),
             )
         scores.append(float(score))
-    rank_list = RankList.from_scores("cwcs", scores)
-    return AggregateResult(method="cwcs", rank_list=rank_list, weights=weights)
+    return RankList.from_scores(scores)
 
 
 # -- reference: ROUGE on token lists -------------------------------------------
@@ -267,13 +263,13 @@ def reference_cwcs_raw_weights(summaries: Sequence[TokenLists]) -> list[float]:
     ]
 
 
-def reference_cwcs_weights(summaries: Sequence[TokenLists]) -> WeightVector:
+def reference_cwcs_weights(summaries: Sequence[TokenLists]) -> tuple[float, ...]:
     """Peer-agreement weights, normalized to the simplex."""
     raw = reference_cwcs_raw_weights(summaries)
     total = left_sum(raw)
     if total == 0.0:
-        return WeightVector(tuple(1.0 / len(raw) for _ in raw))
-    return WeightVector(tuple(r / total for r in raw))
+        return tuple(1.0 / len(raw) for _ in raw)
+    return tuple(r / total for r in raw)
 
 
 def reference_oracle_select(
@@ -329,8 +325,8 @@ def rank_list_sets(draw, k_max=6):
     # few distinct values force tied scores, and so tied ranks across systems
     values = st.sampled_from([0.0, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0, 1)
     return [
-        RankList.from_scores(f"s{i}", draw(st.lists(values, min_size=n, max_size=n)))
-        for i in range(k)
+        RankList.from_scores(draw(st.lists(values, min_size=n, max_size=n)))
+        for _ in range(k)
     ]
 
 
@@ -358,10 +354,10 @@ def many_short_rank_lists(seed: int) -> list[RankList]:
     rng = random.Random(seed)
     shared = [rng.random() for _ in range(24)]
     lists = []
-    for i in range(6):
+    for _ in range(6):
         agreement = rng.random()
         scores = [agreement * s + (1.0 - agreement) * rng.random() for s in shared]
-        lists.append(RankList.from_scores(f"s{i}", scores))
+        lists.append(RankList.from_scores(scores))
     return lists
 
 
@@ -373,8 +369,8 @@ def test_batched_wcs_matches_on_the_many_short_shape():
 
 
 def test_wcs_identical_and_reversed_lists_match():
-    forward = RankList.from_scores("a", [4.0, 3.0, 2.0, 1.0])
-    backward = RankList.from_scores("b", [1.0, 2.0, 3.0, 4.0])
+    forward = RankList.from_scores([4.0, 3.0, 2.0, 1.0])
+    backward = RankList.from_scores([1.0, 2.0, 3.0, 4.0])
     for lists in ([forward, forward], [forward, backward], [forward, backward, forward]):
         for lam in (0.0, 0.1, 0.5, 0.99):
             assert_same_wcs(lists, lam)
@@ -384,7 +380,7 @@ def test_wcs_identical_and_reversed_lists_match():
 @given(y=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
 def test_row_projection_matches_the_one_dimensional_projection(y):
     row = tuple(_project_row(y))
-    assert row == reference_project_simplex(y).weights
+    assert row == reference_project_simplex(y)
 
 
 def test_projection_of_entries_too_large_fails():
@@ -404,34 +400,34 @@ def weighted_rank_lists(draw):
     n = draw(st.integers(1, 40))
     values = st.sampled_from([0.0, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0, 1)
     rank_lists = [
-        RankList.from_scores(f"s{i}", draw(st.lists(values, min_size=n, max_size=n)))
-        for i in range(k)
+        RankList.from_scores(draw(st.lists(values, min_size=n, max_size=n)))
+        for _ in range(k)
     ]
     # 1e-300 and 5e-324 need denominators far beyond a float's exponent
     raw = draw(st.lists(st.sampled_from([0.0, 1e-300, 5e-324, 1 / 3]) | st.floats(0, 1),
                         min_size=k, max_size=k))
     total = sum(raw)
     if total == 0.0:
-        return rank_lists, WeightVector(tuple(1.0 / k for _ in raw))
-    return rank_lists, WeightVector(tuple(w / total for w in raw))
+        return rank_lists, tuple(1.0 / k for _ in raw)
+    return rank_lists, tuple(w / total for w in raw)
 
 
 _THREE = [
-    RankList.from_scores(f"s{i}", scores)
-    for i, scores in enumerate(([0.0, 1.0, 0.5, 1.0], [1.0, 0.5, 1.0, 0.0], [0.5, 1.0, 0.0, 1.0]))
+    RankList.from_scores(scores)
+    for scores in ([0.0, 1.0, 0.5, 1.0], [1.0, 0.5, 1.0, 0.0], [0.5, 1.0, 0.0, 1.0])
 ]
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=weighted_rank_lists())
-@example(case=(_THREE, WeightVector((1 / 3, 1 / 3, 1 / 3))))
-@example(case=(_THREE, WeightVector((1.0, 0.0, 1e-300))))
-@example(case=(_THREE[:1], WeightVector((1.0,))))
+@example(case=(_THREE, (1 / 3, 1 / 3, 1 / 3)))
+@example(case=(_THREE, (1.0, 0.0, 1e-300)))
+@example(case=(_THREE[:1], (1.0,)))
 def test_integer_cwcs_matches_fractions(case):
     rank_lists, weights = case
     got = cwcs_aggregate(rank_lists, weights)
     expected = reference_cwcs_aggregate(rank_lists, weights)
-    assert got.rank_list.scores == expected.rank_list.scores
+    assert got.scores == expected.scores
     assert got == expected
 
 

@@ -41,22 +41,22 @@ def pooled(counts):
 
 class TestRankList:
     def test_from_scores_tie_break(self):
-        rl = RankList.from_scores("x", [0.5, 0.9, 0.5])
+        rl = RankList.from_scores([0.5, 0.9, 0.5])
         assert rl.ranks == (2, 1, 3)
         assert rl.order() == [1, 0, 2]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RankList.from_scores("x", [float("nan"), 1.0])
+            RankList.from_scores([float("nan"), 1.0])
         with pytest.raises(ValueError):
-            RankList("x", (1.0, float("nan")))
+            RankList((1.0, float("nan")))
 
     def test_permutation_property(self):
         rng = random.Random(31)
         for _ in range(100):
             n = rng.randint(1, 20)
             scores = [rng.choice([0.0, 0.25, 0.5, rng.random()]) for _ in range(n)]
-            rl = RankList.from_scores("x", scores)
+            rl = RankList.from_scores(scores)
             assert sorted(rl.ranks) == list(range(1, n + 1))
 
     def test_checks_match_sorted_key_reference(self):
@@ -71,7 +71,7 @@ class TestRankList:
             derived = [0] * n
             for position, idx in enumerate(expected):
                 derived[idx] = position + 1
-            rl = RankList.from_scores("x", scores)
+            rl = RankList.from_scores(scores)
             assert rl.ranks == tuple(derived), scores
             assert rl.order() == expected, scores
             # derived once: a second read gives the same objects
@@ -376,7 +376,7 @@ class TestExtractSummary:
     def test_word_budget_prefix(self):
         sentences = [" ".join([f"w{i}{j}" for j in range(40)]) for i in range(3)]
         cluster = make_cluster([sentences])
-        rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
+        rl = RankList.from_scores([3.0, 2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("words", 100))
         assert summary.sentence_indices == (0, 1)
         assert word_cost(cluster, summary) == 80
@@ -390,7 +390,7 @@ class TestExtractSummary:
             " ".join([f"c{j}" for j in range(30)]),
         ]
         cluster = make_cluster([sentences])
-        rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
+        rl = RankList.from_scores([3.0, 2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("words", 100))
         assert summary.sentence_indices == (0,)
 
@@ -400,27 +400,27 @@ class TestExtractSummary:
             ["unrelated words entirely"],
         ]
         cluster = make_cluster(docs)
-        rl = RankList.from_scores("x", [4.0, 3.0, 2.0, 1.0])
+        rl = RankList.from_scores([4.0, 3.0, 2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("words", 6), cap=0.99)
         assert summary.sentence_indices == (0, 2)
 
     def test_byte_budget_hand_simulation(self):
         # costs: 9, then 1 + 9, then 1 + 2; budget 19 fits exactly two
         cluster = make_cluster([["aaaa bbbb", "cccc dddd", "ee"]])
-        rl = RankList.from_scores("x", [3.0, 2.0, 1.0])
+        rl = RankList.from_scores([3.0, 2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("bytes", 19))
         assert summary.sentence_indices == (0, 1)
         assert byte_cost(cluster, summary) == 19
 
     def test_ineligible_sentences_skipped(self):
         cluster = make_cluster([["too short", "this one is long enough"]], min_tokens=3)
-        rl = RankList.from_scores("x", [2.0, 1.0])
+        rl = RankList.from_scores([2.0, 1.0])
         summary = extract(rl, cluster, LengthBudget("words", 10))
         assert summary.sentence_indices == (1,)
 
     def test_budget_below_first_sentence(self, caplog):
         cluster = make_cluster([["five words are in here"]])
-        rl = RankList.from_scores("x", [1.0])
+        rl = RankList.from_scores([1.0])
         with caplog.at_level("WARNING"):
             summary = extract(rl, cluster, LengthBudget("words", 3))
         assert summary.sentence_indices == ()
@@ -434,9 +434,7 @@ class TestExtractSummary:
                 for i in range(rng.randint(1, 8))
             ]
             cluster = make_cluster([sentences])
-            rl = RankList.from_scores(
-                "x", [rng.random() for _ in range(len(sentences))]
-            )
+            rl = RankList.from_scores([rng.random() for _ in range(len(sentences))])
             limit = rng.randint(1, 40)
             summary = extract(rl, cluster, LengthBudget("words", limit))
             used = word_cost(cluster, summary)
