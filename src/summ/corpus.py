@@ -31,11 +31,11 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from . import porter
+from .record import FrozenRecord
 from .stopwords import STOPWORDS
 
 
@@ -72,15 +72,20 @@ class ClusterRecord(NamedTuple):
     references: tuple[ReferenceSummary, ...]
 
 
-@dataclass(frozen=True)
-class DocumentCluster:
+class DocumentCluster(FrozenRecord):
     """A segmented cluster, its documents known only by their sentences'
     ``doc_id``s: ``_record`` rejects a blank document, and every other
     document segments into at least one sentence."""
 
-    cluster_id: str
-    sentences: tuple[Sentence, ...]
-    references: tuple[ReferenceSummary, ...] = ()
+    _fields = ("cluster_id", "sentences", "references")
+
+    def __init__(
+        self,
+        cluster_id: str,
+        sentences: tuple[Sentence, ...],
+        references: tuple[ReferenceSummary, ...] = (),
+    ):
+        self._set(cluster_id, sentences, references)
 
     def __len__(self) -> int:
         return len(self.sentences)

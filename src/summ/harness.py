@@ -13,7 +13,6 @@ import logging
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -39,6 +38,7 @@ from .corpus import (
     read_corpus,
     words,
 )
+from .record import FrozenRecord, Record
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .stopwords import STOPWORDS
 from .sums import left_sum
@@ -75,9 +75,13 @@ class NoSuccessfulClustersError(Exception):
     """The run produced no scorable cluster at all."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    corpus: str | Path
+class RunConfig(FrozenRecord):
+    """One run's settings.  The class attributes are the defaults."""
+
+    _fields = (
+        "corpus", "corpus_format", "budget", "lambda_", "systems", "aggregators",
+        "rouge_orders", "redundancy_cap", "jobs",
+    )
     corpus_format: str = "jsonl"
     budget: LengthBudget = LengthBudget("words", 100)
     lambda_: float = 0.5  # the uniformity penalty of wcs
@@ -87,7 +91,22 @@ class RunConfig:
     redundancy_cap: float | None = None
     jobs: int = 1  # validated, not yet used: reserved for a process pool
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        corpus: str | Path,
+        corpus_format: str = corpus_format,
+        budget: LengthBudget = budget,
+        lambda_: float = lambda_,
+        systems: tuple[str, ...] = systems,
+        aggregators: tuple[str, ...] = aggregators,
+        rouge_orders: tuple[int, ...] = rouge_orders,
+        redundancy_cap: float | None = redundancy_cap,
+        jobs: int = jobs,
+    ):
+        self._set(
+            corpus, corpus_format, budget, lambda_, systems, aggregators,
+            rouge_orders, redundancy_cap, jobs,
+        )
         unknown = [s for s in self.systems if s not in CANDIDATE_SYSTEMS]
         if unknown:
             raise ValueError(f"unknown systems: {unknown}")
@@ -115,26 +134,30 @@ class RunConfig:
             raise ValueError("duplicate aggregator names")
 
 
-@dataclass
-class EvalReport:
+class EvalReport(Record):
     """Per-cluster and averaged recalls, plus run-level statistics.
 
     ``per_cluster[cluster][unit]["R-n"]`` holds a recall; ``failures``
-    records why a unit (or a whole cluster) could not be scored.
+    records why a unit (or a whole cluster) could not be scored.  A field
+    left out starts as a new empty dict.
     """
 
-    per_cluster: dict = field(default_factory=dict)
-    averages: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    failures: dict = field(default_factory=dict)
+    _fields = ("per_cluster", "averages", "stats", "failures")
+
+    def __init__(
+        self,
+        per_cluster: dict | None = None,
+        averages: dict | None = None,
+        stats: dict | None = None,
+        failures: dict | None = None,
+    ):
+        self.per_cluster = {} if per_cluster is None else per_cluster
+        self.averages = {} if averages is None else averages
+        self.stats = {} if stats is None else stats
+        self.failures = {} if failures is None else failures
 
     def to_dict(self) -> dict:
-        return {
-            "per_cluster": self.per_cluster,
-            "averages": self.averages,
-            "stats": self.stats,
-            "failures": self.failures,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class SignTestResult(NamedTuple):

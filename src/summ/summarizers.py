@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import Mapping, NamedTuple, Sequence
@@ -22,6 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import DocumentCluster
+from .record import FrozenRecord
 from .sums import left_sum
 
 logger = logging.getLogger(__name__)
@@ -52,14 +52,13 @@ TOPIC_LLR_THRESHOLD = 10.83
 KL_SMOOTHING = 0.0005
 
 
-@dataclass(frozen=True)
-class LengthBudget:
+class LengthBudget(FrozenRecord):
     """Summary size cap: word count or UTF-8 byte count."""
 
-    kind: str
-    limit: int
+    _fields = ("kind", "limit")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, limit: int):
+        self._set(kind, limit)
         if self.kind not in BUDGET_KINDS:
             raise ValueError(f"budget kind must be one of {BUDGET_KINDS}")
         if self.limit <= 0:
@@ -74,15 +73,16 @@ class LengthBudget:
         return cls(kind=kind, limit=int(limit))
 
 
-@dataclass(frozen=True)
-class RankList:
+class RankList(FrozenRecord):
     """A system's scores over a cluster's sentences, and the order they
     give: higher score first, ties to the smaller sentence index.  The
-    order and ``ranks`` are derived once, on first use."""
+    order and ``ranks`` are derived once, on first use; the scores cannot
+    change, so they stay valid."""
 
-    scores: tuple[float, ...]
+    _fields = ("scores",)
 
-    def __post_init__(self):
+    def __init__(self, scores: tuple[float, ...]):
+        self._set(scores)
         if any(map(math.isnan, self.scores)):
             raise ValueError("scores must not contain NaN")
 

@@ -15,6 +15,7 @@ from summ.cli import main
 from summ.corpus import (
     ClusterRecord,
     Document,
+    DocumentCluster,
     ReferenceSummary,
     Sentence,
     build_cluster,
@@ -35,7 +36,7 @@ from summ.harness import (
 )
 from summ.rouge import prepare_sentences, prepare_text, rouge_n_recall
 from summ.stopwords import STOPWORDS
-from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget
+from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget, RankList
 
 from ngram_counting import ngram_counts
 
@@ -819,6 +820,48 @@ def test_loaded_corpus_config_counts_and_outcome_pickle():
     records = [x for c in copies[:len(clusters)] for x in c.sentences + c.references]
     assert {type(x) for x in records} == {Sentence, ReferenceSummary}
     assert copies[-1].scored
+
+
+def test_value_classes_compare_pickle_and_stay_frozen():
+    # the five value classes: equality, pickling, frozen fields, RunConfig's
+    # defaults on the class and a cluster's length
+    cluster = load_corpus(FIXTURE, "jsonl")[0]
+    pairs = [
+        (cluster, DocumentCluster(cluster.cluster_id, cluster.sentences, cluster.references)),
+        (LengthBudget("bytes", 665), LengthBudget(kind="bytes", limit=665)),
+        (RankList.from_scores([0.5, 0.9, 0.5]), RankList((0.5, 0.9, 0.5))),
+        (fixture_config(lambda_=0.25), fixture_config(lambda_=0.25)),
+        (EvalReport({"c": {"borda": {"R-1": 0.5}}}, {"borda": {"R-1": 0.5}}, {"clusters": 1}),
+         EvalReport({"c": {"borda": {"R-1": 0.5}}}, {"borda": {"R-1": 0.5}}, {"clusters": 1}, {})),
+    ]
+    # a derived order is not compared, nor does it block a pickle
+    assert pairs[2][0].ranks == (2, 1, 3)
+    for value, twin in pairs:
+        assert value == twin and value is not twin
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert LengthBudget("bytes", 665) != LengthBudget("words", 665)
+    assert RankList((0.5,)) != RankList((0.25,))
+    assert EvalReport() != EvalReport(stats={"clusters": 1})
+    frozen = [(cluster, "sentences"), (pairs[1][0], "limit"), (pairs[2][0], "scores"),
+              (pairs[3][0], "lambda_")]
+    for value, name in frozen:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    # RunConfig's defaults are read on the class
+    assert (RunConfig.corpus_format, RunConfig.budget, RunConfig.lambda_) == (
+        "jsonl", LengthBudget("words", 100), 0.5)
+    assert (RunConfig.systems, RunConfig.aggregators, RunConfig.rouge_orders) == (
+        CANDIDATE_SYSTEMS, consensus.AGGREGATORS, (1, 2, 4))
+    assert (RunConfig.redundancy_cap, RunConfig.jobs) == (None, 1)
+    config = RunConfig(corpus=FIXTURE)
+    for name in ("corpus_format", "budget", "lambda_", "systems", "aggregators",
+                 "rouge_orders", "redundancy_cap", "jobs"):
+        assert getattr(config, name) is getattr(RunConfig, name)
+    assert len(cluster) == len(cluster.sentences) > 0
 
 
 README = Path(__file__).parent.parent / "README.md"

@@ -11,8 +11,10 @@ here stay far shorter.
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,11 @@ from summ.corpus import words as surface_words
 from summ.porter import TAILS, stem
 
 FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from corpus_gen import corpus_lines  # noqa: E402
+from run import WORKLOADS  # noqa: E402
 
 # -- reference implementation -------------------------------------------------
 
@@ -281,6 +288,22 @@ def test_matches_oracle_on_fixture_tokens():
         for text in texts:
             words.update(surface_words(text))
     assert len(words) > 350
+    for word in words:
+        assert stem.__wrapped__(word) == oracle_stem(word), word
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+def test_matches_oracle_on_benchmark_words(workload):
+    # every surface word of the benchmark's seed-0 corpus of each shape:
+    # the vocabulary its set-up time stems cold
+    words = set()
+    for line in corpus_lines(0, WORKLOADS[workload].shape):
+        record = json.loads(line)
+        texts = [d["text"] for d in record["documents"]]
+        texts += [r["text"] for r in record["references"]]
+        for text in texts:
+            words.update(surface_words(text))
+    assert len(words) > 2000
     for word in words:
         assert stem.__wrapped__(word) == oracle_stem(word), word
 

@@ -46,9 +46,9 @@ class TestRankList:
         assert rl.order() == [1, 0, 2]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scores must not contain NaN"):
             RankList.from_scores([float("nan"), 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="scores must not contain NaN"):
             RankList((1.0, float("nan")))
 
     def test_permutation_property(self):
@@ -83,8 +83,9 @@ class TestConfigs:
     def test_budget_parse(self):
         assert LengthBudget.parse("words:100") == LengthBudget("words", 100)
         assert LengthBudget.parse("bytes:665") == LengthBudget("bytes", 665)
-        for bad in ("words", "chars:10", "words:0", "words:x"):
-            with pytest.raises(ValueError):
+        for bad, message in (("words", "bad budget"), ("chars:10", "budget kind must be one of"),
+                             ("words:0", "budget limit must be > 0"), ("words:x", "bad budget")):
+            with pytest.raises(ValueError, match=message):
                 LengthBudget.parse(bad)
 
     def test_budget_limit_is_ascii_digits(self):
