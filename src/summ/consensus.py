@@ -22,10 +22,11 @@ peers as stand-in references.
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .record import TupleRecord, _tuple_new
 from .rouge import RougeScore, pairwise_sim_matrix, rouge_n_recall
 from .rouge import prepare_text  # noqa: F401  (traced here by bench/tracing.py)
 from .summarizers import RankList
@@ -47,7 +48,7 @@ def check_lambda(lambda_: float) -> None:
         raise ValueError("lambda must lie in [0, 1)")
 
 
-class WcsResult(NamedTuple):
+class WcsResult(TupleRecord):
     """The wcs rank list and what the optimizer reports about it.
 
     ``iterations``, ``converged`` and ``objective_trace`` describe the
@@ -57,12 +58,21 @@ class WcsResult(NamedTuple):
     step that lowered its objective by no more than ``WCS_TOL``.
     """
 
-    rank_list: RankList
-    weights: tuple[float, ...]
-    iterations: int
-    objective: float
-    converged: bool
-    objective_trace: tuple[float, ...]
+    __slots__ = ()
+    _fields = ("rank_list", "weights", "iterations", "objective", "converged", "objective_trace")
+
+    def __new__(
+        cls,
+        rank_list: RankList,
+        weights: tuple[float, ...],
+        iterations: int,
+        objective: float,
+        converged: bool,
+        objective_trace: tuple[float, ...],
+    ):
+        return _tuple_new(
+            cls, (rank_list, weights, iterations, objective, converged, objective_trace)
+        )
 
 
 def _common_length(rank_lists: Sequence[RankList]) -> int:

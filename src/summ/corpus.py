@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import json
 import re
-import string
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
 
 from . import porter
-from .record import FrozenRecord
+from .record import FrozenRecord, TupleRecord, _tuple_new
 from .stopwords import STOPWORDS
 
 
@@ -47,29 +45,49 @@ class CorpusError(Exception):
 MIN_SENTENCE_TOKENS = 3
 
 
-class Sentence(NamedTuple):
-    raw_text: str
-    tokens: tuple[str, ...]
-    doc_id: str
-    eligible: bool = True  # long enough for summary membership
+class Sentence(TupleRecord):
+    __slots__ = ()
+    _fields = ("raw_text", "tokens", "doc_id", "eligible")
+
+    def __new__(
+        cls,
+        raw_text: str,
+        tokens: tuple[str, ...],
+        doc_id: str,
+        eligible: bool = True,  # long enough for summary membership
+    ):
+        return _tuple_new(cls, (raw_text, tokens, doc_id, eligible))
 
 
-class Document(NamedTuple):
-    doc_id: str
-    text: str
+class Document(TupleRecord):
+    __slots__ = ()
+    _fields = ("doc_id", "text")
+
+    def __new__(cls, doc_id: str, text: str):
+        return _tuple_new(cls, (doc_id, text))
 
 
-class ReferenceSummary(NamedTuple):
-    author_id: str
-    text: str
+class ReferenceSummary(TupleRecord):
+    __slots__ = ()
+    _fields = ("author_id", "text")
+
+    def __new__(cls, author_id: str, text: str):
+        return _tuple_new(cls, (author_id, text))
 
 
-class ClusterRecord(NamedTuple):
+class ClusterRecord(TupleRecord):
     """One cluster as read from disk and validated, not yet segmented."""
 
-    cluster_id: str
-    documents: tuple[Document, ...]  # raw document text
-    references: tuple[ReferenceSummary, ...]
+    __slots__ = ()
+    _fields = ("cluster_id", "documents", "references")
+
+    def __new__(
+        cls,
+        cluster_id: str,
+        documents: tuple[Document, ...],  # raw document text
+        references: tuple[ReferenceSummary, ...],
+    ):
+        return _tuple_new(cls, (cluster_id, documents, references))
 
 
 class DocumentCluster(FrozenRecord):
@@ -94,7 +112,7 @@ class DocumentCluster(FrozenRecord):
 # byte map for ``bytes.translate``: ASCII letters and digits kept, ``A-Z``
 # lowered, every other byte made a space
 _WORD_TABLE = bytes(
-    ord(chr(b).lower()) if chr(b) in string.ascii_letters + string.digits else ord(" ")
+    ord(chr(b).lower()) if b < 128 and chr(b).isalnum() else ord(" ")
     for b in range(256)
 )
 

@@ -9,16 +9,15 @@ the report is byte-identical for every ``jobs`` value.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from . import porter
+from . import log, porter
 from .consensus import (
     AGGREGATORS,
     borda_aggregate,
@@ -38,7 +37,7 @@ from .corpus import (
     read_corpus,
     words,
 )
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, Record, TupleRecord, _tuple_new
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .stopwords import STOPWORDS
 from .sums import left_sum
@@ -57,8 +56,6 @@ from .summarizers import (
     textrank_rank,
     topicsum_rank,
 )
-
-logger = logging.getLogger(__name__)
 
 EMIT_FORMATS = ("csv", "markdown", "json")
 
@@ -160,11 +157,12 @@ class EvalReport(Record):
         return dict(zip(self._fields, self._values()))
 
 
-class SignTestResult(NamedTuple):
-    p_value: float
-    wins_a: int
-    wins_b: int
-    ties: int
+class SignTestResult(TupleRecord):
+    __slots__ = ()
+    _fields = ("p_value", "wins_a", "wins_b", "ties")
+
+    def __new__(cls, p_value: float, wins_a: int, wins_b: int, ties: int):
+        return _tuple_new(cls, (p_value, wins_a, wins_b, ties))
 
 
 def kendall_tau(order_a: Sequence, order_b: Sequence) -> float:
@@ -209,12 +207,19 @@ def sign_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> SignTestR
     return SignTestResult(p, wins_a, wins_b, ties)
 
 
-class _ClusterOutcome(NamedTuple):
-    cluster_id: str
-    duplicates: int
-    scores: dict  # unit -> {"R-n": recall}
-    failures: dict  # unit or stage -> reason
-    raw_weights: dict  # candidate system -> raw peer-agreement weight
+class _ClusterOutcome(TupleRecord):
+    __slots__ = ()
+    _fields = ("cluster_id", "duplicates", "scores", "failures", "raw_weights")
+
+    def __new__(
+        cls,
+        cluster_id: str,
+        duplicates: int,
+        scores: dict,  # unit -> {"R-n": recall}
+        failures: dict,  # unit or stage -> reason
+        raw_weights: dict,  # candidate system -> raw peer-agreement weight
+    ):
+        return _tuple_new(cls, (cluster_id, duplicates, scores, failures, raw_weights))
 
     @property
     def scored(self) -> bool:
@@ -329,7 +334,7 @@ def _evaluate_cluster(
     try:
         return _evaluate_cluster_inner(cluster, corpus, config, duplicates)
     except Exception as exc:  # a broken cluster must not abort the run
-        logger.warning("cluster %s failed: %s", cluster.cluster_id, exc)
+        log.warning(__name__, "cluster %s failed: %s", cluster.cluster_id, exc)
         return _ClusterOutcome(
             cluster_id=cluster.cluster_id,
             duplicates=duplicates,
@@ -589,7 +594,7 @@ def summarize_cluster(
     corpus = _cluster_corpus_counts(records, cluster) if "topicsum" in config.systems else None
     pipeline = _ClusterPipeline(cluster, corpus, config)
     for name, reason in pipeline.failures.items():
-        logger.warning("system %s skipped for %s: %s", name, cluster_id, reason)
+        log.warning(__name__, "system %s skipped for %s: %s", name, cluster_id, reason)
     # a cluster too poor for the aggregator (no system ranked it, too few
     # for wcs and cwcs, no references for the oracle) is a data outcome,
     # not a usage error; cwcs names why its peer weights are unavailable

@@ -20,11 +20,10 @@ trying every suffix.
 from __future__ import annotations
 
 import functools
-import string
 
 # "y" stays "y" here; _consonant_map resolves it by its left neighbour
 _CV_CLASSES = str.maketrans(
-    {c: "v" if c in "aeiou" else "c" for c in string.ascii_lowercase if c != "y"}
+    {c: "v" if c in "aeiou" else "c" for c in "abcdefghijklmnopqrstuvwxyz" if c != "y"}
 )
 
 

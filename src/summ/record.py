@@ -1,13 +1,27 @@
 """Value classes written out by hand.
 
 A ``dataclass`` generates its methods' source and compiles it when the
-class is defined, which is a large share of ``import summ``; these two
-bases need no code built at import.  A subclass names its fields in
-``_fields`` and sets them in its own ``__init__``.  Instances keep their
-fields in the instance dict, so they pickle with Python's default protocol.
+class is defined, and so does ``typing.NamedTuple`` (through
+``collections.namedtuple``'s ``eval``): together a large share of
+``import summ``.  These three bases need no code built at import.
+
+``Record`` and ``FrozenRecord`` are plain classes: a subclass names its
+fields in ``_fields`` and sets them in its own ``__init__``.  Instances
+keep their fields in the instance dict, so they pickle with Python's
+default protocol.
+
+``TupleRecord`` is a tuple with named fields, as a namedtuple is: a
+subclass names its fields in ``_fields``, declares ``__slots__ = ()`` and
+builds itself in its own ``__new__`` by ``_tuple_new(cls, (a, b, ...))``.
 """
 
 from __future__ import annotations
+
+# the C-level field getter namedtuple's classes use; it reads a field
+# faster than ``property(operator.itemgetter(i))``
+from collections import _tuplegetter
+
+_tuple_new = tuple.__new__
 
 
 class Record:
@@ -45,3 +59,28 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TupleRecord(tuple):
+    """A tuple whose items are also read by the names in ``_fields``.
+
+    Like a namedtuple it is indexable and iterable, equal to (and hashed
+    as) the plain tuple of its fields, always truthy while it has a field,
+    and immutable: assigning a field raises ``AttributeError``.  It
+    pickles by its fields, and its repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Field number {index}"))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"

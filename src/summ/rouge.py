@@ -14,25 +14,24 @@ cluster's many summaries are counted through its ``NgramIndex``.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
-from . import porter
+from . import log, porter
 from .corpus import words
+from .record import TupleRecord, _tuple_new
 from .sums import left_sum
-
-logger = logging.getLogger(__name__)
 
 TokenLists = Sequence[Sequence[str]]
 
 
-class RougeScore(NamedTuple):
-    n: int
-    recall: float
-    match_count: int
-    reference_count: int
+class RougeScore(TupleRecord):
+    __slots__ = ()
+    _fields = ("n", "recall", "match_count", "reference_count")
+
+    def __new__(cls, n: int, recall: float, match_count: int, reference_count: int):
+        return _tuple_new(cls, (n, recall, match_count, reference_count))
 
 
 def prepare_text(text: str) -> list[str]:
@@ -105,7 +104,7 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
         raise ValueError("pairwise similarity needs at least two summaries")
     for i, counts in enumerate(unigrams):
         if not counts:
-            logger.warning("pairwise_sim_matrix: summary %d is empty", i)
+            log.warning(__name__, "pairwise_sim_matrix: summary %d is empty", i)
     totals = [sum(counts.values()) for counts in unigrams]
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):

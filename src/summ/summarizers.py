@@ -11,20 +11,18 @@ Ties are broken by the smaller sentence index everywhere.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import log
 from .corpus import DocumentCluster
-from .record import FrozenRecord
+from .record import FrozenRecord, TupleRecord, _tuple_new
 from .sums import left_sum
-
-logger = logging.getLogger(__name__)
 
 CANDIDATE_SYSTEMS = (
     "lexrank",
@@ -109,11 +107,15 @@ class RankList(FrozenRecord):
         return list(self._order)
 
 
-class Summary(NamedTuple):
+class Summary(TupleRecord):
     """Extracted sentence indices in selection order.  As a one-field tuple
     it is always truthy: an empty summary has empty ``sentence_indices``."""
 
-    sentence_indices: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("sentence_indices",)
+
+    def __new__(cls, sentence_indices: tuple[int, ...]):
+        return _tuple_new(cls, (sentence_indices,))
 
 
 def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
@@ -131,7 +133,7 @@ def _power_iteration(adjacency: np.ndarray) -> np.ndarray:
         if np.abs(p_next - p).sum() <= POWER_ITER_TOL:
             return p_next
         p = p_next
-    logger.warning("power iteration did not reach tol in %d steps", POWER_ITER_MAX)
+    log.warning(__name__, "power iteration did not reach tol in %d steps", POWER_ITER_MAX)
     return p
 
 
@@ -140,8 +142,8 @@ def _graph_rank(name: str, adjacency: np.ndarray, cluster: DocumentCluster) -> R
     if n == 1:
         return RankList.from_scores([1.0])
     if adjacency.sum() == 0.0:
-        logger.warning(
-            "%s: no graph edges in cluster %s, falling back to uniform scores",
+        log.warning(
+            __name__, "%s: no graph edges in cluster %s, falling back to uniform scores",
             name, cluster.cluster_id,
         )
         return RankList.from_scores([1.0 / n] * n)
@@ -438,13 +440,16 @@ def _binomial_lls(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     return k * log_p + (n - k) * log_q
 
 
-class CorpusCounts(NamedTuple):
+class CorpusCounts(TupleRecord):
     """TopicSum's pooled corpus tokens, the ranked cluster's included:
     ``total`` tokens, ``counts[t]`` of them ``t``.  ``counts`` need only
     hold the ranked cluster's own tokens."""
 
-    counts: Mapping[str, int]
-    total: int
+    __slots__ = ()
+    _fields = ("counts", "total")
+
+    def __new__(cls, counts: Mapping[str, int], total: int):
+        return _tuple_new(cls, (counts, total))
 
 
 def topic_words(
@@ -647,8 +652,8 @@ def extract_summary(
         chosen.append(idx)
         used += cost
     if not chosen:
-        logger.warning(
-            "budget %s:%d fits no sentence of cluster %s; summary is empty",
+        log.warning(
+            __name__, "budget %s:%d fits no sentence of cluster %s; summary is empty",
             budget.kind, budget.limit, cluster.cluster_id,
         )
     return Summary(sentence_indices=tuple(chosen))

@@ -412,3 +412,21 @@ def test_run_and_summarize_never_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-3:] == ["False", "False", "False"]
+
+
+def test_warning_reaches_stderr_in_the_cli_form():
+    # a budget that fits no sentence warns for every system summary; the
+    # CLI prints each warning as "WARNING <message>" and still exits 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "summ.cli", "summarize", "--corpus", FIXTURE,
+            "--cluster", "c01-storm", "--budget", "words:1",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert "WARNING budget words:1 fits no sentence of cluster c01-storm; summary is empty" in lines
+    assert all(line.startswith("WARNING ") for line in lines)

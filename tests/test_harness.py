@@ -816,7 +816,7 @@ def test_loaded_corpus_config_counts_and_outcome_pickle():
     copies = [pickle.loads(pickle.dumps(value)) for value in values]
     assert copies == values
     assert [type(c) for c in copies] == [type(v) for v in values]
-    # a NamedTuple equals a plain tuple of its fields, so check the records' types
+    # a tuple record equals a plain tuple of its fields, so check the records' types
     records = [x for c in copies[:len(clusters)] for x in c.sentences + c.references]
     assert {type(x) for x in records} == {Sentence, ReferenceSummary}
     assert copies[-1].scored
