@@ -6,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from summ.cli import _FILE_KEYS, _build_parser, _run_config, main
+from summ.cli import _SETTINGS, UsageError, _flag, _parse, _run_config, _values, main
 from summ.harness import RunConfig
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
+
+
+def config_of(argv):
+    """The RunConfig that ``summ run`` builds from ``argv``."""
+    return _run_config(_values(*_parse(argv)))
 
 
 def run_args(out, emit="csv", extra=()):
@@ -224,15 +229,14 @@ class TestRunCommand:
         assert main(["run", "--help"]) == 0
 
     def test_unset_settings_take_the_config_classes_defaults(self):
-        args = _build_parser().parse_args(["run", "--corpus", FIXTURE])
-        assert _run_config(args, {}) == RunConfig(corpus=FIXTURE)
+        assert config_of(["run", "--corpus", FIXTURE]) == RunConfig(corpus=FIXTURE)
 
-    def test_lambda_from_flag_and_config_file(self):
+    def test_lambda_from_flag_and_config_file(self, tmp_path):
         want = RunConfig(corpus=FIXTURE, lambda_=0.25)
-        flag = _build_parser().parse_args(["run", "--corpus", FIXTURE, "--lambda", "0.25"])
-        assert _run_config(flag, {}) == want
-        unset = _build_parser().parse_args(["run", "--corpus", FIXTURE])
-        assert _run_config(unset, {"lambda": 0.25}) == want
+        assert config_of(["run", "--corpus", FIXTURE, "--lambda", "0.25"]) == want
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lambda": 0.25}), encoding="utf-8")
+        assert config_of(["run", "--corpus", FIXTURE, "--config", str(config)]) == want
 
     def test_readme_flags_give_the_defaults_report(self, tmp_path):
         # README's run command spells out every default
@@ -381,14 +385,120 @@ class TestSummarizeCommand:
         assert "oracle requires reference summaries" in capsys.readouterr().err
 
 
-def test_config_file_keys_are_the_flags():
-    # a flag added to either command must be accepted from a config file too
-    dests = set()
+# one value a flag or a config file can give for each setting but --config,
+# as JSON would hold it; a flag gives its str()
+SAMPLE_SETTINGS = {
+    "corpus": FIXTURE, "format": "jsonl", "budget": "words:50", "systems": "lexrank,centroid",
+    "lambda": 0.25, "redundancy-cap": 0.9, "aggregators": "borda", "rouge": "1,2", "jobs": 2,
+    "out": "report.json", "emit": "json", "cluster": "c01-storm", "aggregator": "borda",
+}
+
+
+def test_config_file_keys_are_the_flags(tmp_path):
+    # every flag but --config is accepted from a config file too, under its
+    # own name with "_" for "-", and gives the flag's value
+    assert set(SAMPLE_SETTINGS) == set(_SETTINGS) - {"config"}
+    config = tmp_path / "both.json"
+    config.write_text(json.dumps({
+        name.replace("-", "_"): value for name, value in SAMPLE_SETTINGS.items()
+    }), encoding="utf-8")
     for command in ("run", "summarize"):
-        dests |= set(vars(_build_parser().parse_args([command])))
-    dests -= {"command", "config"}
-    flags = {"lambda" if dest == "lambda_" else dest for dest in dests}
-    assert flags == _FILE_KEYS
+        flags = [command]
+        for name, (commands, *_) in _SETTINGS.items():
+            if command in commands and name != "config":
+                flags += [f"--{name}", str(SAMPLE_SETTINGS[name])]
+        from_flags = _values(*_parse(flags))
+        from_file = _values(*_parse([command, "--config", str(config)]))
+        assert from_file.pop("config") == str(config)
+        assert from_file == from_flags
+        assert len(from_flags) == len(flags) // 2
+
+
+class TestFlagGrammar:
+    @pytest.mark.parametrize("flag, value", [
+        ("format", "duc-dir"), ("budget", "bytes:665"), ("systems", "lexrank,centroid"),
+        ("lambda", "0.25"), ("redundancy-cap", "0.9"), ("aggregators", "borda"),
+        ("rouge", "1,2"), ("jobs", "3"), ("corpus", "a=b.jsonl"),
+    ])
+    def test_equals_form_gives_the_space_forms_config(self, flag, value):
+        spaced = config_of(["run", "--corpus", FIXTURE, f"--{flag}", value])
+        assert config_of(["run", "--corpus", FIXTURE, f"--{flag}={value}"]) == spaced
+        assert spaced != RunConfig(corpus=FIXTURE)
+
+    def test_a_unique_prefix_names_its_flag(self):
+        assert config_of(["run", "--corp", FIXTURE, "--agg", "borda", "--redun=0.5"]) == (
+            RunConfig(corpus=FIXTURE, aggregators=("borda",), redundancy_cap=0.5))
+        # in run, --aggregator is a prefix of --aggregators
+        assert _parse(["run", "--aggregator", "wcs"]) == ("run", {"aggregators": ("wcs",)})
+        assert _parse(["summarize", "--aggregator", "wcs"]) == (
+            "summarize", {"aggregator": "wcs"})
+
+    def test_an_exact_name_wins_over_a_longer_one(self):
+        assert _flag("--out", ["outline", "out"]) == "out"
+        assert _flag("--ou", ["outline", "hour"]) == "outline"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--c", "x"], "ambiguous flag --c: could be --corpus, --config"),
+        (["run", "--r=1"], "ambiguous flag --r: could be --redundancy-cap, --rouge"),
+        (["summarize", "--c", "x"], "ambiguous flag --c: could be --corpus, --config, --cluster"),
+    ])
+    def test_an_ambiguous_prefix_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(UsageError, match=message):
+            _parse(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_the_last_repeat_wins(self):
+        assert config_of([
+            "run", "--corpus", "first.jsonl", "--lambda", "0.9", "--corpus", FIXTURE,
+            "--lambda=0.25", "--budget", "words:10", "--budget", "words:100",
+        ]) == RunConfig(corpus=FIXTURE, lambda_=0.25)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "no command"),
+        (["bogus"], "unknown command 'bogus'"),
+        (["--corpus", FIXTURE], "unknown flag --corpus"),
+        (["run", "--bogus", "x"], "unknown flag --bogus"),
+        (["run", "--corpus", FIXTURE, "--cluster", "c01-storm"], "unknown flag --cluster"),
+        (["summarize", "--corpus", FIXTURE, "--out", "x.csv"], "unknown flag --out"),
+        (["run", "--corpus", FIXTURE, "--out"], "--out needs a value"),
+        (["run", "--corpus", "--out", "x.csv"], "--corpus needs a value"),
+        (["run", "--corpus", FIXTURE, "--lambda", "half"], "lambda: could not convert"),
+        (["run", "--corpus", FIXTURE, "--jobs", "2.5"], "jobs: invalid literal for int()"),
+        (["run", "--corpus", FIXTURE, "--budget=pages:3"], "budget: budget kind must be one of"),
+        (["run", "--corpus", FIXTURE, "--format", "xml"], "format must be one of"),
+        (["run", "--corpus", FIXTURE, "--emit=xml"], "emit must be one of"),
+        (["run", "--corpus", FIXTURE, "report.csv"], "unexpected argument 'report.csv'"),
+        (["summarize", "-x", "--corpus", FIXTURE], "unexpected argument '-x'"),
+    ])
+    def test_usage_errors_exit_one(self, argv, message, monkeypatch, capsys):
+        def no_run(*args):
+            raise AssertionError("the command started")
+
+        monkeypatch.setattr("summ.cli.run_evaluation", no_run)
+        monkeypatch.setattr("summ.cli.summarize_cluster", no_run)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["--he"], ["-h", "run"],
+        ["run", "--help"], ["run", "--corpus", FIXTURE, "-h"],
+        ["summarize", "--help"], ["summarize", "--h"], ["summarize", "--help=yes"],
+    ])
+    def test_help_exits_zero_and_lists_each_flag(self, argv, capsys):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        command = argv[0] if argv[0] in ("run", "summarize") else None
+        assert out.startswith(f"usage: summ {command or '{run,summarize}'} ")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        if command is None:
+            assert listed == ["run", "summarize"]
+        else:
+            assert listed == [
+                f"--{name}" for name, (commands, *_) in _SETTINGS.items() if command in commands]
 
 
 def test_run_and_summarize_never_import_numpy_ma(tmp_path):

@@ -7,7 +7,8 @@ its own line carries ``# noqa: F401``.
 
 A run that warns about nothing never imports ``logging`` (nor
 ``traceback`` and ``string``, which it imports), and ``import summ``
-builds no namedtuple class.
+builds no namedtuple class.  Nor does a quiet ``summ`` command import
+``logging``, or ``argparse`` with the ``gettext`` and ``locale`` it loads.
 """
 
 import ast
@@ -94,6 +95,31 @@ def test_cold_run_imports_no_logging_and_builds_no_namedtuple():
     made, after_import, after_run, clusters, failures = json.loads(done.stdout)
     assert (made, after_import, after_run) == ([], [], [])
     assert clusters > 0 and failures == {}
+
+
+def test_quiet_cli_commands_import_no_argparse_nor_logging(tmp_path):
+    # summ.cli parses its flags from its own table, and sets up its stderr
+    # log format only when the first warning is logged
+    report = str(tmp_path / "report.csv")
+    script = "\n".join([
+        "import json, sys",
+        "LAZY = ('argparse', 'gettext', 'locale', 'logging')",
+        "import summ.cli",
+        "after_import = [m for m in LAZY if m in sys.modules]",
+        f"codes = [summ.cli.main(['run', '--corpus', {FIXTURE!r}, '--out', {report!r}]),",
+        f"         summ.cli.main(['summarize', '--corpus', {FIXTURE!r},",
+        "                        '--cluster', 'c01-storm'])]",
+        "print(json.dumps([after_import, [m for m in LAZY if m in sys.modules], codes]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == f"wrote {report}\n"  # and no warning
+    after_import, after_run, codes = json.loads(done.stdout.splitlines()[-1])
+    assert (after_import, after_run, codes) == ([], [], [0, 0])
+    assert len(done.stdout.splitlines()) > 1  # the summary's sentences
 
 
 def test_warning_is_logged_under_the_module_logger(caplog):
