@@ -51,15 +51,15 @@ def check_lambda(lambda_: float) -> None:
 class WcsResult(TupleRecord):
     """The wcs rank list and what the optimizer reports about it.
 
-    ``iterations``, ``converged`` and ``objective_trace`` describe the
-    winning restart only (the trace from running it again alone); the
-    other restarts' iterations are not counted anywhere.  ``converged`` is
-    false when the restart stopped after ``WCS_MAX_ITER`` steps without a
-    step that lowered its objective by no more than ``WCS_TOL``.
+    ``iterations`` and ``converged`` describe the winning restart only;
+    the other restarts' iterations are not counted anywhere.
+    ``converged`` is false when the restart stopped after ``WCS_MAX_ITER``
+    steps without a step that lowered its objective by no more than
+    ``WCS_TOL``.
     """
 
     __slots__ = ()
-    _fields = ("rank_list", "weights", "iterations", "objective", "converged", "objective_trace")
+    _fields = ("rank_list", "weights", "iterations", "objective", "converged")
 
     def __new__(
         cls,
@@ -68,11 +68,8 @@ class WcsResult(TupleRecord):
         iterations: int,
         objective: float,
         converged: bool,
-        objective_trace: tuple[float, ...],
     ):
-        return _tuple_new(
-            cls, (rank_list, weights, iterations, objective, converged, objective_trace)
-        )
+        return _tuple_new(cls, (rank_list, weights, iterations, objective, converged))
 
 
 def _common_length(rank_lists: Sequence[RankList]) -> int:
@@ -100,7 +97,7 @@ def _project_row(y: list[float]) -> list[float]:
     water level tau, then clip at tau.  Plain floats cost less than numpy's
     fixed cost per call on a row of a few weights.  Every operation is
     elementwise or, like ``np.cumsum``, left to right, so the result has
-    the bits of the numpy projection in ``tests/test_scoring_oracles.py``
+    the bits of the numpy projection in ``tests/wcs_reference.py``
     for any length.
     """
     tau = None
@@ -132,9 +129,8 @@ def wcs_aggregate(rank_lists: Sequence[RankList], lambda_: float) -> WcsResult:
 
     The restarts run together, one row of a weight matrix each; a row
     leaves the active set once a step lowers its objective by no more than
-    ``WCS_TOL``, or after ``WCS_MAX_ITER`` steps.
-    The winning restart is then run again alone to record its
-    ``objective_trace``.
+    ``WCS_TOL``, or after ``WCS_MAX_ITER`` steps, so each restart's steps
+    run once.
     """
     check_lambda(lambda_)
     n = _common_length(rank_lists)
@@ -174,7 +170,8 @@ def wcs_aggregate(rank_lists: Sequence[RankList], lambda_: float) -> WcsResult:
         + [(eye[i] + eye[j]) / 2.0 for i in range(k) for j in range(i + 1, k)]
     )
     restarts = len(starts)
-    weights = starts.copy()
+    # every row is filled in when its restart stops
+    weights = np.empty_like(starts)
     iterations = np.full(restarts, WCS_MAX_ITER)
     converged = np.zeros(restarts, dtype=bool)
     running = np.arange(restarts)
@@ -200,23 +197,12 @@ def wcs_aggregate(rank_lists: Sequence[RankList], lambda_: float) -> WcsResult:
     r_star, distances = consensus(weights)
     final = objective(weights, distances).tolist()
     best = min(range(restarts), key=final.__getitem__)
-    # each row's arithmetic does not depend on the rows beside it, so the
-    # winner alone retraces its batch steps bit for bit
-    trace: list[float] = []
-    current = starts[best : best + 1]
-    for _ in range(iterations[best]):
-        _, distances = consensus(current)
-        trace.append(objective(current, distances).item())
-        current = minimize_weights(distances)
-        trace.append(objective(current, distances).item())
-    trace.append(final[best])
     return WcsResult(
         rank_list=RankList.from_scores([-v for v in r_star[best]]),
         weights=tuple(weights[best].tolist()),
         iterations=int(iterations[best]),
         objective=final[best],
         converged=bool(converged[best]),
-        objective_trace=tuple(trace),
     )
 
 

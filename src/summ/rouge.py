@@ -18,7 +18,7 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from . import log, porter
+from . import porter
 from .corpus import words
 from .record import TupleRecord, _tuple_new
 from .sums import left_sum
@@ -102,9 +102,6 @@ def pairwise_sim_matrix(unigrams: Sequence[Counter]) -> list[list[float]]:
     k = len(unigrams)
     if k < 2:
         raise ValueError("pairwise similarity needs at least two summaries")
-    for i, counts in enumerate(unigrams):
-        if not counts:
-            log.warning(__name__, "pairwise_sim_matrix: summary %d is empty", i)
     totals = [sum(counts.values()) for counts in unigrams]
     matrix = [[0.0] * k for _ in range(k)]
     for i in range(k):

@@ -540,3 +540,5 @@ def test_warning_reaches_stderr_in_the_cli_form():
     lines = done.stderr.splitlines()
     assert "WARNING budget words:1 fits no sentence of cluster c01-storm; summary is empty" in lines
     assert all(line.startswith("WARNING ") for line in lines)
+    # the peer matrix does not repeat the empty summaries' warnings
+    assert not any("pairwise_sim_matrix" in line for line in lines)

@@ -19,6 +19,7 @@ from summ.rouge import prepare_text
 from summ.summarizers import RankList
 
 from ngram_counting import ngram_counts
+from wcs_reference import non_increasing, reference_wcs_aggregate
 
 
 def unigrams(summaries):
@@ -217,10 +218,11 @@ class TestWcs:
                 rng.shuffle(ranks)
                 lists.append(ranklist_with_ranks(ranks))
             result = wcs_aggregate(lists, 0.5)
-            trace = result.objective_trace
-            assert all(
-                trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1)
+            expected, traces = reference_wcs_aggregate(
+                lists, 0.5, consensus.WCS_TOL, consensus.WCS_MAX_ITER
             )
+            assert result == expected
+            assert all(non_increasing(trace) for trace in traces)
             weights = result.weights
             assert all(w >= 0 for w in weights)
             assert sum(weights) == pytest.approx(1.0, abs=1e-9)

@@ -28,7 +28,7 @@ RECORDS = [
     (Summary, {"sentence_indices": ()}),  # empty, and still truthy
     (CorpusCounts, {"counts": {"storm": 2}, "total": 2}),
     (WcsResult, {"rank_list": RankList((0.5, 0.9)), "weights": (0.75, 0.25), "iterations": 3,
-                 "objective": 0.125, "converged": True, "objective_trace": (0.25, 0.125)}),
+                 "objective": 0.125, "converged": True}),
 ]
 
 

@@ -140,10 +140,8 @@ class TestPairwiseSim:
         assert matrix[0][1] == pytest.approx(0.5)
         assert matrix[1][0] == pytest.approx(0.5)
 
-    def test_empty_summary_rows(self, caplog):
-        with caplog.at_level("WARNING"):
-            matrix = peer_matrix([[["a", "b"]], [], [["a"]]])
-        assert "empty" in caplog.text
+    def test_empty_summary_rows(self):
+        matrix = peer_matrix([[["a", "b"]], [], [["a"]]])
         assert matrix[1] == [0.0, 1.0, 0.0]
         assert [row[1] for row in matrix] == [0.0, 1.0, 0.0]
 
