@@ -217,7 +217,7 @@ class _ClusterOutcome(TupleRecord):
         duplicates: int,
         scores: dict,  # unit -> {"R-n": recall}
         failures: dict,  # unit or stage -> reason
-        raw_weights: dict,  # candidate system -> raw peer-agreement weight
+        raw_weights: dict,  # candidate system -> raw cwcs weight
     ):
         return _tuple_new(cls, (cluster_id, duplicates, scores, failures, raw_weights))
 
@@ -315,11 +315,7 @@ class _ClusterPipeline:
         if aggregator == "wcs":
             return wcs_aggregate(lists, self.config.lambda_).rank_list, None
         if aggregator == "cwcs":
-            try:
-                weights = cwcs_weights(self.raw_weights)
-            except ValueError as exc:
-                raise ValueError("peer-agreement weights unavailable") from exc
-            return cwcs_aggregate(lists, weights), None
+            return cwcs_aggregate(lists, cwcs_weights(self.raw_weights)), None
         if not self.references.references(1):
             raise ValueError("oracle requires reference summaries")
         recalls = [self.recall(unit, 1) for unit in self.system_units.values()]
@@ -331,70 +327,56 @@ def _evaluate_cluster(
     cluster: DocumentCluster, corpus: CorpusCounts, config: RunConfig
 ) -> _ClusterOutcome:
     duplicates = duplicate_stats(cluster)
+    scores: dict[str, dict[str, float]] = {}
+    raw_weights: dict[str, float] = {}
     try:
-        return _evaluate_cluster_inner(cluster, corpus, config, duplicates)
+        # every sentence and reference is tokenized once into the index,
+        # which serves the peer matrix, the oracle and the scoring
+        pipeline = _ClusterPipeline(
+            cluster, corpus, config, sorted({1, *config.rouge_orders})
+        )
+        failures = pipeline.failures
+        # the stats compare every system's raw weight with its recall, so
+        # the weights are built whether or not cwcs runs
+        if len(pipeline.systems) >= 2:
+            raw_weights = dict(zip(pipeline.systems, pipeline.raw_weights))
+        units = dict(pipeline.system_units)
+        summaries: dict[str, Summary] = {}
+        for aggregator in config.aggregators:
+            try:
+                rank_list, picked = pipeline.fuse(aggregator)
+                if picked:
+                    units[aggregator] = units[picked]
+                else:
+                    summaries[aggregator] = pipeline.extract(rank_list)
+            except Exception as exc:
+                failures[aggregator] = str(exc)
+        units.update(pipeline.units(summaries))
+        reported = [u for u in (*config.systems, *config.aggregators) if u in units]
+        empty = [u for u in reported if not units[u]]
+        if empty:
+            log.warning(
+                __name__, "budget %s:%d fits no sentence of cluster %s; empty summaries: %s",
+                config.budget.kind, config.budget.limit, cluster.cluster_id, ", ".join(empty),
+            )
+
+        if cluster.references:
+            index = pipeline.references
+            for n in config.rouge_orders:
+                if not any(index.references(n)):
+                    failures[f"rouge-{n}"] = "no reference with n-grams of this order"
+            for unit in reported:
+                row = {
+                    f"R-{n}": pipeline.recall(units[unit], n)
+                    for n in config.rouge_orders if f"rouge-{n}" not in failures
+                }
+                if row:
+                    scores[unit] = row
+        else:
+            failures["cluster"] = "no reference summaries; excluded from averages"
     except Exception as exc:  # a broken cluster must not abort the run
         log.warning(__name__, "cluster %s failed: %s", cluster.cluster_id, exc)
-        return _ClusterOutcome(
-            cluster_id=cluster.cluster_id,
-            duplicates=duplicates,
-            scores={},
-            failures={"cluster": str(exc)},
-            raw_weights={},
-        )
-
-
-def _evaluate_cluster_inner(
-    cluster: DocumentCluster,
-    corpus: CorpusCounts,
-    config: RunConfig,
-    duplicates: int,
-) -> _ClusterOutcome:
-    # every sentence and reference is tokenized once into the index, which
-    # serves the peer matrix, the oracle and the scoring
-    pipeline = _ClusterPipeline(
-        cluster, corpus, config, sorted({1, *config.rouge_orders})
-    )
-    failures = pipeline.failures
-    # the stats compare every system's raw weight with its recall, so the
-    # weights are built whether or not cwcs runs
-    raw_weights: dict[str, float] = {}
-    if len(pipeline.systems) >= 2:
-        try:
-            raw_weights = dict(zip(pipeline.systems, pipeline.raw_weights))
-        except Exception as exc:
-            failures["cwcs-weights"] = str(exc)
-    units = dict(pipeline.system_units)
-    summaries: dict[str, Summary] = {}
-    for aggregator in config.aggregators:
-        try:
-            rank_list, picked = pipeline.fuse(aggregator)
-            if picked:
-                units[aggregator] = units[picked]
-            else:
-                summaries[aggregator] = pipeline.extract(rank_list)
-        except Exception as exc:
-            failures[aggregator] = str(exc)
-    units.update(pipeline.units(summaries))
-
-    scores: dict[str, dict[str, float]] = {}
-    if cluster.references:
-        index = pipeline.references
-        for n in config.rouge_orders:
-            if not any(index.references(n)):
-                failures[f"rouge-{n}"] = "no reference with n-grams of this order"
-        for unit in list(config.systems) + list(config.aggregators):
-            if unit not in units:
-                continue
-            row = {
-                f"R-{n}": pipeline.recall(units[unit], n)
-                for n in config.rouge_orders if f"rouge-{n}" not in failures
-            }
-            if row:
-                scores[unit] = row
-    else:
-        failures["cluster"] = "no reference summaries; excluded from averages"
-
+        scores, failures, raw_weights = {}, {"cluster": str(exc)}, {}
     return _ClusterOutcome(
         cluster_id=cluster.cluster_id,
         duplicates=duplicates,
@@ -477,7 +459,7 @@ def _assemble_stats(
     stats["mean_duplicate_sentences"] = _mean([o.duplicates for o in outcomes])
 
     # pseudo-reference validity: systems ranked by true recall vs by raw
-    # peer-agreement weight, corpus level and per cluster
+    # cwcs weight, corpus level and per cluster
     first_order = f"R-{config.rouge_orders[0]}"
     recalls = {s: _recalls(outcomes, s, first_order) for s in config.systems}
     true_means: dict[str, float] = {}
@@ -597,16 +579,21 @@ def summarize_cluster(
         log.warning(__name__, "system %s skipped for %s: %s", name, cluster_id, reason)
     # a cluster too poor for the aggregator (no system ranked it, too few
     # for wcs and cwcs, no references for the oracle) is a data outcome,
-    # not a usage error; cwcs names why its peer weights are unavailable
+    # not a usage error
     try:
         rank_list, _ = pipeline.fuse(aggregator)
     except ValueError as exc:
-        raise NoSuccessfulClustersError(str(exc.__cause__ or exc)) from exc
+        raise NoSuccessfulClustersError(str(exc)) from exc
     # under a redundancy cap this re-extracts the oracle's pick capped, while
     # `run` scores the pick's uncapped summary; aligning the two changes the
     # recorded summarize-one benchmark digests, so it is left for a change
     # that re-records them
     summary = pipeline.extract(rank_list)
+    if not summary.sentence_indices:
+        log.warning(
+            __name__, "budget %s:%d fits no sentence of cluster %s; summary is empty",
+            config.budget.kind, config.budget.limit, cluster_id,
+        )
     return [cluster.sentences[i].raw_text for i in summary.sentence_indices]
 
 

@@ -651,9 +651,4 @@ def extract_summary(
             break
         chosen.append(idx)
         used += cost
-    if not chosen:
-        log.warning(
-            __name__, "budget %s:%d fits no sentence of cluster %s; summary is empty",
-            budget.kind, budget.limit, cluster.cluster_id,
-        )
     return Summary(sentence_indices=tuple(chosen))

@@ -61,6 +61,10 @@ class TestBorda:
                 [ranklist_with_ranks([1, 2]), ranklist_with_ranks([1, 2, 3])]
             )
 
+    def test_no_rank_list(self):
+        with pytest.raises(ValueError, match="at least one rank list is required"):
+            borda_aggregate([])
+
     def test_input_order_invariance(self):
         rng = random.Random(67)
         for _ in range(50):

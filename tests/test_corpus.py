@@ -336,6 +336,12 @@ class TestLoading:
         with pytest.raises(CorpusError, match="empty cluster"):
             load_one(path, "jsonl")
 
+    def test_unknown_format_is_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [make_record()])
+        with pytest.raises(ValueError, match="unknown corpus format 'xml'"):
+            read_corpus(path, "xml")
+
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(

@@ -416,16 +416,22 @@ class TestRunEvaluation:
         assert r4_first["kendall_tau_per_cluster"] != stats["kendall_tau_per_cluster"]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            fixture_config(systems=())
-        with pytest.raises(ValueError):
-            fixture_config(systems=("nosuch",))
-        with pytest.raises(ValueError):
-            fixture_config(systems=("lexrank",), aggregators=("wcs",))
-        with pytest.raises(ValueError):
-            fixture_config(jobs=0)
-        with pytest.raises(ValueError):
-            fixture_config(rouge_orders=())
+        # each check fails with its own message
+        cases = [
+            ({"systems": ()}, "aggregators need candidate systems"),
+            ({"systems": ("nosuch",)}, r"unknown systems: \['nosuch'\]"),
+            ({"aggregators": ("magic",)}, r"unknown aggregators: \['magic'\]"),
+            ({"systems": (), "aggregators": ()}, "enable at least one system or aggregator"),
+            ({"systems": ("lexrank",), "aggregators": ("wcs",)},
+             r"\['wcs'\] need at least two systems"),
+            ({"jobs": 0}, "jobs must be >= 1"),
+            ({"rouge_orders": ()}, "rouge orders must be positive"),
+            ({"systems": ("lexrank", "lexrank")}, "duplicate system names"),
+            ({"aggregators": ("borda", "borda")}, "duplicate aggregator names"),
+        ]
+        for overrides, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fixture_config(**overrides)
 
     def test_lambda_validation(self):
         assert fixture_config(lambda_=0.0).lambda_ == 0.0
@@ -506,6 +512,47 @@ class TestFailuresStayPerCluster:
         assert report.per_cluster == {
             c: row for c, row in clean.per_cluster.items() if c != "c02-election"
         }
+
+    def test_one_ranked_system_fails_wcs_and_cwcs_in_their_own_words(
+        self, tmp_path, monkeypatch
+    ):
+        # topicsum needs other clusters as its background, so on a
+        # one-cluster corpus only lexrank ranks
+        corpus = tmp_path / "solo.jsonl"
+        write_jsonl(corpus, [{
+            "cluster_id": "solo",
+            "documents": [
+                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
+                {"id": "d1", "text": "The storm flooded roads. Crews worked all night."},
+            ],
+            "references": [{"author": "A", "text": "A storm hit the coast."}],
+        }])
+        outcomes, evaluate = [], harness._evaluate_cluster
+
+        def keep(*args):
+            outcomes.append(evaluate(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(harness, "_evaluate_cluster", keep)
+        report = run_evaluation(RunConfig(corpus, systems=("lexrank", "topicsum")))
+        failures = report.failures["solo"]
+        assert failures["cwcs"] == "peers required: need at least two summaries"
+        assert failures["wcs"] == "weighted consensus needs at least two rank lists"
+        assert set(failures) == {"topicsum", "wcs", "cwcs"}
+        assert set(report.per_cluster["solo"]) == {"lexrank", "borda", "oracle"}
+        [outcome] = outcomes
+        assert outcome.raw_weights == {}
+
+    def test_empty_summaries_warn_once_per_cluster(self, caplog):
+        config = fixture_config(budget=LengthBudget("words", 1))
+        with caplog.at_level("WARNING"):
+            run_evaluation(config)
+        units = ", ".join((*config.systems, *config.aggregators))
+        assert [(r.name, r.funcName, r.getMessage()) for r in caplog.records] == [
+            ("summ.harness", "_evaluate_cluster",
+             f"budget words:1 fits no sentence of cluster {c}; empty summaries: {units}")
+            for c in ("c01-storm", "c02-election", "c03-probe")
+        ]
 
     def test_an_order_no_reference_has_is_dropped_from_the_rows(self):
         report = run_evaluation(fixture_config(rouge_orders=(1, 60)))
@@ -842,6 +889,8 @@ def test_value_classes_compare_pickle_and_stay_frozen():
     assert LengthBudget("bytes", 665) != LengthBudget("words", 665)
     assert RankList((0.5,)) != RankList((0.25,))
     assert EvalReport() != EvalReport(stats={"clusters": 1})
+    # nor does a value class equal a plain tuple, not even of its own scores
+    assert RankList((0.5, 0.9)) != (0.5, 0.9) and (0.5, 0.9) != RankList((0.5, 0.9))
     frozen = [(cluster, "sentences"), (pairs[1][0], "limit"), (pairs[2][0], "scores"),
               (pairs[3][0], "lambda_")]
     for value, name in frozen:

@@ -18,8 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from summ.corpus import load_corpus
-from summ.summarizers import ClusterFeatures, LengthBudget, RankList, extract_summary
+from summ.harness import RunConfig, summarize_cluster
+from summ.summarizers import LengthBudget
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "summ"
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
@@ -123,13 +123,13 @@ def test_quiet_cli_commands_import_no_argparse_nor_logging(tmp_path):
 
 
 def test_warning_is_logged_under_the_module_logger(caplog):
-    cluster = load_corpus(FIXTURE, "jsonl")[0]
-    rank_list = RankList.from_scores([1.0] * len(cluster))
+    config = RunConfig(FIXTURE, budget=LengthBudget("words", 1))
     with caplog.at_level("WARNING"):
-        summary = extract_summary(rank_list, ClusterFeatures(cluster), LengthBudget("words", 1))
-    assert summary.sentence_indices == ()
+        sentences = summarize_cluster(config, "c01-storm", "cwcs")
+    assert sentences == []
+    # one record, though every cwcs peer's summary is empty too
     [record] = caplog.records
     assert (record.name, record.levelname, record.funcName) == (
-        "summ.summarizers", "WARNING", "extract_summary")
+        "summ.harness", "WARNING", "summarize_cluster")
     assert record.getMessage() == (
-        f"budget words:1 fits no sentence of cluster {cluster.cluster_id}; summary is empty")
+        "budget words:1 fits no sentence of cluster c01-storm; summary is empty")

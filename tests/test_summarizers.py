@@ -419,13 +419,11 @@ class TestExtractSummary:
         summary = extract(rl, cluster, LengthBudget("words", 10))
         assert summary.sentence_indices == (1,)
 
-    def test_budget_below_first_sentence(self, caplog):
+    def test_budget_below_first_sentence(self):
         cluster = make_cluster([["five words are in here"]])
         rl = RankList.from_scores([1.0])
-        with caplog.at_level("WARNING"):
-            summary = extract(rl, cluster, LengthBudget("words", 3))
+        summary = extract(rl, cluster, LengthBudget("words", 3))
         assert summary.sentence_indices == ()
-        assert "empty" in caplog.text
 
     def test_never_exceeds_budget_and_is_maximal(self):
         rng = random.Random(47)
