@@ -66,7 +66,7 @@ _SETTINGS = {
     "rouge": (_RUN, _rouge_orders, "rouge_orders", "comma-separated recall orders, e.g. 1,2,4"),
     "out": (_RUN, str, None, "report output path"),
     "emit": (_RUN, EMIT_FORMATS, None, "report format"),
-    "jobs": (_RUN, int, "jobs", "reserved; clusters are evaluated serially"),
+    "jobs": (_RUN, int, None, "accepted (N >= 1) and ignored; clusters run serially"),
     "cluster": (_SUMMARIZE, str, None, "cluster id to summarize"),
     "aggregator": (_SUMMARIZE, str, None, "aggregation method (default cwcs)"),
 }
@@ -190,6 +190,8 @@ def _run_config(values: dict) -> RunConfig:
 
 def _command_run(values: dict) -> int:
     config = _run_config(values)
+    if values.get("jobs", 1) < 1:
+        raise UsageError("jobs must be >= 1")
     out = values.get("out")
     if out is None:
         raise UsageError("--out is required")

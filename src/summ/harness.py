@@ -2,8 +2,7 @@
 score against references, and emit tabular reports.
 
 Per-cluster work is pure and independent.  Clusters are evaluated one
-after another on the calling thread and merged in cluster-id order, so
-the report is byte-identical for every ``jobs`` value.
+after another on the calling thread and merged in cluster-id order.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .corpus import (
     read_corpus,
     words,
 )
-from .record import FrozenRecord, Record, TupleRecord, _tuple_new
+from .record import FrozenRecord, TupleRecord, _tuple_new
 from .rouge import NgramIndex, prepare_sentences, prepare_text, rouge_n_recall
 from .stopwords import STOPWORDS
 from .sums import left_sum
@@ -77,7 +76,7 @@ class RunConfig(FrozenRecord):
 
     _fields = (
         "corpus", "corpus_format", "budget", "lambda_", "systems", "aggregators",
-        "rouge_orders", "redundancy_cap", "jobs",
+        "rouge_orders", "redundancy_cap",
     )
     corpus_format: str = "jsonl"
     budget: LengthBudget = LengthBudget("words", 100)
@@ -86,7 +85,6 @@ class RunConfig(FrozenRecord):
     aggregators: tuple[str, ...] = AGGREGATORS
     rouge_orders: tuple[int, ...] = (1, 2, 4)
     redundancy_cap: float | None = None
-    jobs: int = 1  # validated, not yet used: reserved for a process pool
 
     def __init__(
         self,
@@ -98,11 +96,10 @@ class RunConfig(FrozenRecord):
         aggregators: tuple[str, ...] = aggregators,
         rouge_orders: tuple[int, ...] = rouge_orders,
         redundancy_cap: float | None = redundancy_cap,
-        jobs: int = jobs,
     ):
         self._set(
             corpus, corpus_format, budget, lambda_, systems, aggregators,
-            rouge_orders, redundancy_cap, jobs,
+            rouge_orders, redundancy_cap,
         )
         unknown = [s for s in self.systems if s not in CANDIDATE_SYSTEMS]
         if unknown:
@@ -119,8 +116,6 @@ class RunConfig(FrozenRecord):
             raise ValueError(f"{sorted(needs_pair)} need at least two systems")
         if any(n < 1 for n in self.rouge_orders) or not self.rouge_orders:
             raise ValueError("rouge orders must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         # nan fails this too: no similarity exceeds it, so it disables the cap
         if self.redundancy_cap is not None and not 0.0 <= self.redundancy_cap <= 1.0:
             raise ValueError("redundancy cap must lie in [0, 1]")
@@ -131,12 +126,12 @@ class RunConfig(FrozenRecord):
             raise ValueError("duplicate aggregator names")
 
 
-class EvalReport(Record):
+class EvalReport(FrozenRecord):
     """Per-cluster and averaged recalls, plus run-level statistics.
 
     ``per_cluster[cluster][unit]["R-n"]`` holds a recall; ``failures``
     records why a unit (or a whole cluster) could not be scored.  A field
-    left out starts as a new empty dict.
+    left out is an empty dict.
     """
 
     _fields = ("per_cluster", "averages", "stats", "failures")
@@ -148,10 +143,8 @@ class EvalReport(Record):
         stats: dict | None = None,
         failures: dict | None = None,
     ):
-        self.per_cluster = {} if per_cluster is None else per_cluster
-        self.averages = {} if averages is None else averages
-        self.stats = {} if stats is None else stats
-        self.failures = {} if failures is None else failures
+        self._set(*({} if value is None else value
+                    for value in (per_cluster, averages, stats, failures)))
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -530,8 +523,6 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     clusters = load_corpus(config.corpus, config.corpus_format)
     counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
     corpus = CorpusCounts(counts, counts.total())
-    # serial for every jobs value: a thread pool was slower, since the
-    # pipeline holds the interpreter lock (README, --jobs)
     outcomes = [_evaluate_cluster(cluster, corpus, config) for cluster in clusters]
 
     if not any(o.scored for o in outcomes):
@@ -539,23 +530,17 @@ def run_evaluation(config: RunConfig) -> EvalReport:
             "no cluster produced scorable summaries (missing references?)"
         )
 
-    report = EvalReport()
-    for outcome in outcomes:
-        if outcome.scores:
-            report.per_cluster[outcome.cluster_id] = outcome.scores
-        if outcome.failures:
-            report.failures[outcome.cluster_id] = outcome.failures
+    per_cluster = {o.cluster_id: o.scores for o in outcomes if o.scores}
+    failures = {o.cluster_id: o.failures for o in outcomes if o.failures}
+    averages = {}
     for unit in list(config.systems) + list(config.aggregators):
         per_order: dict[str, list[float]] = {}
         for outcome in outcomes:
             for key, value in outcome.scores.get(unit, {}).items():
                 per_order.setdefault(key, []).append(value)
         if per_order:
-            report.averages[unit] = {
-                key: _mean(values) for key, values in sorted(per_order.items())
-            }
-    report.stats = _assemble_stats(outcomes, config)
-    return report
+            averages[unit] = {key: _mean(values) for key, values in sorted(per_order.items())}
+    return EvalReport(per_cluster, averages, _assemble_stats(outcomes, config), failures)
 
 
 def summarize_cluster(

@@ -3,12 +3,12 @@
 A ``dataclass`` generates its methods' source and compiles it when the
 class is defined, and so does ``typing.NamedTuple`` (through
 ``collections.namedtuple``'s ``eval``): together a large share of
-``import summ``.  These three bases need no code built at import.
+``import summ``.  These two bases need no code built at import.
 
-``Record`` and ``FrozenRecord`` are plain classes: a subclass names its
-fields in ``_fields`` and sets them in its own ``__init__``.  Instances
-keep their fields in the instance dict, so they pickle with Python's
-default protocol.
+``FrozenRecord`` is a plain class: a subclass names its fields in
+``_fields`` and sets them once, by ``_set``, in its own ``__init__``.
+Instances keep their fields in the instance dict, so they pickle with
+Python's default protocol.
 
 ``TupleRecord`` is a tuple with named fields, as a namedtuple is: a
 subclass names its fields in ``_fields``, declares ``__slots__ = ()`` and
@@ -24,11 +24,14 @@ from collections import _tuplegetter
 _tuple_new = tuple.__new__
 
 
-class Record:
+class FrozenRecord:
     """Equality and repr by the values of ``_fields``, in order.
 
-    Instances compare equal only to instances of the same class.  A record
-    is not hashable: a class that defines ``__eq__`` alone has no hash.
+    ``__init__`` sets the fields once, by ``_set`` in ``_fields`` order:
+    assigning or deleting an attribute afterwards raises
+    ``AttributeError``.  Instances compare equal only to instances of the
+    same class.  A record is not hashable: a class that defines ``__eq__``
+    alone has no hash.
     """
 
     _fields: tuple[str, ...] = ()
@@ -44,12 +47,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record whose ``__init__`` sets its fields once, by ``_set`` in
-    ``_fields`` order: assigning or deleting an attribute afterwards raises
-    ``AttributeError``."""
 
     def _set(self, *values) -> None:
         vars(self).update(zip(self._fields, values, strict=True))

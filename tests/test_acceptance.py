@@ -27,6 +27,7 @@ from summ.consensus import (
     cwcs_weights,
     wcs_aggregate,
 )
+from summ.cli import main
 from summ.harness import RunConfig, emit_report, run_evaluation
 from summ.rouge import rouge_n_recall
 from summ.summarizers import (
@@ -279,10 +280,14 @@ def test_criterion_5_oracle_dominance():
 
 def test_criterion_6_pipeline_determinism(tmp_path):
     outputs = []
-    for name, jobs in (("first", 1), ("second", 1), ("jobs4", 4)):
-        report = run_evaluation(fixture_config(jobs=jobs))
-        path = emit_report(report, "json", tmp_path / f"{name}.json")
+    for name in ("first", "second"):
+        path = emit_report(run_evaluation(fixture_config()), "json", tmp_path / f"{name}.json")
         outputs.append(path.read_bytes())
+    # --jobs is accepted and leaves the report as it is
+    path = tmp_path / "jobs4.json"
+    assert main(["run", "--corpus", str(FIXTURE), "--budget", "words:50", "--emit", "json",
+                 "--out", str(path), "--jobs", "4"]) == 0
+    outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     report_line("criterion 6: byte-identical reports across runs and jobs", ok,
                 f"{len(outputs[0])} bytes each")

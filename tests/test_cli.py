@@ -421,9 +421,12 @@ class TestFlagGrammar:
         ("rouge", "1,2"), ("jobs", "3"), ("corpus", "a=b.jsonl"),
     ])
     def test_equals_form_gives_the_space_forms_config(self, flag, value):
-        spaced = config_of(["run", "--corpus", FIXTURE, f"--{flag}", value])
-        assert config_of(["run", "--corpus", FIXTURE, f"--{flag}={value}"]) == spaced
-        assert spaced != RunConfig(corpus=FIXTURE)
+        spaced = ["run", "--corpus", FIXTURE, f"--{flag}", value]
+        assert _parse(["run", "--corpus", FIXTURE, f"--{flag}={value}"]) == _parse(spaced)
+        if flag == "jobs":  # read by the command, not a RunConfig field
+            assert _parse(spaced)[1]["jobs"] == 3
+        else:
+            assert config_of(spaced) != RunConfig(corpus=FIXTURE)
 
     def test_a_unique_prefix_names_its_flag(self):
         assert config_of(["run", "--corp", FIXTURE, "--agg", "borda", "--redun=0.5"]) == (
@@ -472,11 +475,16 @@ class TestFlagGrammar:
         (["summarize", "-x", "--corpus", FIXTURE], "unexpected argument '-x'"),
         (["run", "--corpus", FIXTURE, "--rouge", "1,x"], "--rouge must be integers"),
         (["run", "--corpus", FIXTURE], "--out is required"),
+        (["run", "--corpus", FIXTURE, "--jobs", "0", "--out", "x.csv"], "jobs must be >= 1"),
+        (["run", "--corpus", FIXTURE, "--config", "jobs0.json", "--out", "x.csv"],
+         "jobs must be >= 1"),
     ])
-    def test_usage_errors_exit_one(self, argv, message, monkeypatch, capsys):
+    def test_usage_errors_exit_one(self, argv, message, tmp_path, monkeypatch, capsys):
         def no_run(*args):
             raise AssertionError("the command started")
 
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "jobs0.json").write_text('{"jobs": 0}', encoding="utf-8")
         monkeypatch.setattr("summ.cli.run_evaluation", no_run)
         monkeypatch.setattr("summ.cli.summarize_cluster", no_run)
         assert main(argv) == 1
@@ -560,3 +568,22 @@ def test_warning_reaches_stderr_in_the_cli_form():
     # the cwcs peers' empty summaries do not repeat it
     assert lines == [
         "WARNING budget words:1 fits no sentence of cluster c01-storm; summary is empty"]
+
+
+@pytest.mark.parametrize("cap", [[], ["--redundancy-cap", "0.95"]], ids=["uncapped", "capped"])
+def test_the_report_does_not_depend_on_the_string_hash_seed(tmp_path, cap):
+    # sets and dicts of strings iterate in an order PYTHONHASHSEED picks
+    # per process; no report byte may follow it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"hash{seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "summ.cli", "run", "--corpus", FIXTURE, *cap,
+             "--emit", "json", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

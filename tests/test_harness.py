@@ -364,9 +364,6 @@ class TestRunEvaluation:
         with pytest.raises(NoSuccessfulClustersError):
             run_evaluation(fixture_config(corpus=path))
 
-    def test_jobs_1_and_4_give_the_same_report(self):
-        assert run_evaluation(fixture_config(jobs=1)) == run_evaluation(fixture_config(jobs=4))
-
     def test_every_cluster_runs_on_the_calling_thread(self, monkeypatch):
         # the benchmark's worker times clusters by wrapping _evaluate_cluster
         # and samples with SIGALRM, both of which need the main thread
@@ -378,7 +375,7 @@ class TestRunEvaluation:
             return evaluate(*args)
 
         monkeypatch.setattr(harness, "_evaluate_cluster", recording)
-        run_evaluation(fixture_config(jobs=4))
+        run_evaluation(fixture_config())
         assert threads == [threading.get_ident()] * 3
 
     def test_stats_contents(self):
@@ -402,7 +399,9 @@ class TestRunEvaluation:
         assert set(stats["true_rouge1_means"]) == set(fixture_config().systems)
         for system, mean in stats["true_rouge1_means"].items():
             assert mean == report.averages[system]["R-2"]
-        assert stats["true_rouge1_means"]["lexrank"] == pytest.approx(0.1016472868)
+        # R-2, not R-1: the default orders' stats hold another mean
+        r1_means = run_evaluation(fixture_config()).stats["true_rouge1_means"]
+        assert stats["true_rouge1_means"]["lexrank"] != r1_means["lexrank"]
         rows = list(report.per_cluster.values())
         for key, result in stats["sign_tests"].items():
             unit = key.removeprefix("cwcs_vs_")
@@ -424,7 +423,6 @@ class TestRunEvaluation:
             ({"systems": (), "aggregators": ()}, "enable at least one system or aggregator"),
             ({"systems": ("lexrank",), "aggregators": ("wcs",)},
              r"\['wcs'\] need at least two systems"),
-            ({"jobs": 0}, "jobs must be >= 1"),
             ({"rouge_orders": ()}, "rouge orders must be positive"),
             ({"systems": ("lexrank", "lexrank")}, "duplicate system names"),
             ({"aggregators": ("borda", "borda")}, "duplicate aggregator names"),
@@ -893,6 +891,7 @@ def test_value_classes_compare_pickle_and_stay_frozen():
     assert RankList((0.5, 0.9)) != (0.5, 0.9) and (0.5, 0.9) != RankList((0.5, 0.9))
     frozen = [(cluster, "sentences"), (pairs[1][0], "limit"), (pairs[2][0], "scores"),
               (pairs[3][0], "lambda_")]
+    frozen += [(pairs[4][0], name) for name in EvalReport._fields]
     for value, name in frozen:
         before = getattr(value, name)
         with pytest.raises(AttributeError):
@@ -905,10 +904,10 @@ def test_value_classes_compare_pickle_and_stay_frozen():
         "jsonl", LengthBudget("words", 100), 0.5)
     assert (RunConfig.systems, RunConfig.aggregators, RunConfig.rouge_orders) == (
         CANDIDATE_SYSTEMS, consensus.AGGREGATORS, (1, 2, 4))
-    assert (RunConfig.redundancy_cap, RunConfig.jobs) == (None, 1)
+    assert RunConfig.redundancy_cap is None and "jobs" not in RunConfig._fields
     config = RunConfig(corpus=FIXTURE)
     for name in ("corpus_format", "budget", "lambda_", "systems", "aggregators",
-                 "rouge_orders", "redundancy_cap", "jobs"):
+                 "rouge_orders", "redundancy_cap"):
         assert getattr(config, name) is getattr(RunConfig, name)
     assert len(cluster) == len(cluster.sentences) > 0
 
