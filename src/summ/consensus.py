@@ -97,7 +97,7 @@ def _project_row(y: list[float]) -> list[float]:
     water level tau, then clip at tau.  Plain floats cost less than numpy's
     fixed cost per call on a row of a few weights.  Every operation is
     elementwise or, like ``np.cumsum``, left to right, so the result has
-    the bits of the numpy projection in ``tests/wcs_reference.py``
+    the bits of the numpy projection in ``tests/reference/consensus.py``
     for any length.
     """
     tau = None
@@ -161,8 +161,23 @@ def wcs_aggregate(rank_lists: Sequence[RankList], lambda_: float) -> WcsResult:
         if lambda_ == 0.0:
             at_min = distances == distances.min(axis=1, keepdims=True)
             return at_min / at_min.sum(axis=1, keepdims=True)
-        scaled = -(1.0 - lambda_) / (2.0 * lambda_) * distances
-        return np.array([_project_row(row) for row in scaled.tolist()])
+        scale = -(1.0 - lambda_) / (2.0 * lambda_)
+        scaled = scale * distances
+        try:
+            return np.array([_project_row(row) for row in scaled.tolist()])
+        except ValueError:
+            # at a tiny lambda the scaled distances reach 1e8 and more, and a
+            # row's sum is off 1 by its rounding at that scale; such a row is
+            # projected again shifted by its least distance, so that its
+            # largest entry is 0 and its sum is rounded at the scale of 1
+            shifted = scale * (distances - distances.min(axis=1, keepdims=True))
+            rows = []
+            for row, shift in zip(scaled.tolist(), shifted.tolist()):
+                try:
+                    rows.append(_project_row(row))
+                except ValueError:
+                    rows.append(_project_row(shift))
+            return np.array(rows)
 
     eye = np.eye(k)
     starts = np.vstack(

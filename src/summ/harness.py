@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import log, porter
 from .consensus import (
@@ -317,7 +317,7 @@ class _ClusterPipeline:
 
 
 def _evaluate_cluster(
-    cluster: DocumentCluster, corpus: CorpusCounts, config: RunConfig
+    cluster: DocumentCluster, corpus: CorpusCounts | None, config: RunConfig
 ) -> _ClusterOutcome:
     duplicates = duplicate_stats(cluster)
     scores: dict[str, dict[str, float]] = {}
@@ -377,13 +377,6 @@ def _evaluate_cluster(
         failures=failures,
         raw_weights=raw_weights,
     )
-
-
-def _token_counts(token_streams: Iterable[Iterable[str]]) -> Counter:
-    """Token counts pooled over the streams: topicsum's corpus counts, from
-    every sentence of the corpus.  Every raw document gives the same,
-    since sentences split only at whitespace and no token spans it."""
-    return Counter(chain.from_iterable(token_streams))
 
 
 def _cluster_corpus_counts(
@@ -521,8 +514,13 @@ def run_evaluation(config: RunConfig) -> EvalReport:
     ``NoSuccessfulClustersError`` when nothing could be scored.
     """
     clusters = load_corpus(config.corpus, config.corpus_format)
-    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
-    corpus = CorpusCounts(counts, counts.total())
+    corpus = None
+    if "topicsum" in config.systems:
+        # topicsum's corpus counts, from every sentence of the corpus; every
+        # raw document gives the same, since sentences split only at
+        # whitespace and no token spans it
+        counts = Counter(chain.from_iterable(s.tokens for c in clusters for s in c.sentences))
+        corpus = CorpusCounts(counts, counts.total())
     outcomes = [_evaluate_cluster(cluster, corpus, config) for cluster in clusters]
 
     if not any(o.scored for o in outcomes):

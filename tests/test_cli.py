@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +6,7 @@ import pytest
 from summ.cli import _SETTINGS, UsageError, _flag, _parse, _run_config, _values, main
 from summ.harness import RunConfig
 
-FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
+from reference.fixture import FIXTURE, make_record, run_python, solo_record, write_jsonl
 
 
 def config_of(argv):
@@ -78,10 +75,7 @@ class TestRunCommand:
 
     def test_no_references_is_exit_three(self, tmp_path):
         corpus = tmp_path / "bare.jsonl"
-        corpus.write_text(json.dumps({
-            "cluster_id": "c1",
-            "documents": [{"id": "d0", "text": "Plain words sit here quietly."}],
-        }) + "\n", encoding="utf-8")
+        write_jsonl(corpus, [make_record(texts=("Plain words sit here quietly.",))])
         code = main([
             "run", "--corpus", str(corpus), "--out", str(tmp_path / "x.csv"),
         ])
@@ -91,14 +85,10 @@ class TestRunCommand:
         # a y's class depends on the letter before it, so a 1 500-letter
         # run of y once exhausted the recursion limit while loading
         corpus = tmp_path / "yyy.jsonl"
-        corpus.write_text(json.dumps({
-            "cluster_id": "c1",
-            "documents": [
-                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
-                {"id": "d1", "text": f"Crews heard {'y' * 1500} all night. Roads flooded."},
-            ],
-            "references": [{"author": "A", "text": "A storm hit the coast."}],
-        }) + "\n", encoding="utf-8")
+        write_jsonl(corpus, [make_record(texts=(
+            "The storm hit the coast. Crews fixed the lines.",
+            f"Crews heard {'y' * 1500} all night. Roads flooded.",
+        ), references=[("A", "A storm hit the coast.")])])
         out = tmp_path / "x.csv"
         assert main(["run", "--corpus", str(corpus), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").startswith("system,")
@@ -345,17 +335,8 @@ class TestSummarizeCommand:
         assert capsys.readouterr().err == f"data error: {expected}\n"
 
     def _one_cluster(self, tmp_path, references=True):
-        record = {
-            "cluster_id": "solo",
-            "documents": [
-                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
-                {"id": "d1", "text": "The storm flooded roads. Crews worked all night."},
-            ],
-        }
-        if references:
-            record["references"] = [{"author": "A", "text": "A storm hit the coast."}]
         corpus = tmp_path / "solo.jsonl"
-        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        write_jsonl(corpus, [solo_record(references)])
         return str(corpus)
 
     # topicsum needs other clusters as its background, so on a one-cluster
@@ -542,11 +523,7 @@ def test_run_and_summarize_never_import_numpy_ma(tmp_path):
         "print('csv' in sys.modules)",
         "print('dataclasses' in sys.modules)",
     ])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-3:] == ["False", "False", "False"]
 
@@ -554,15 +531,8 @@ def test_run_and_summarize_never_import_numpy_ma(tmp_path):
 def test_warning_reaches_stderr_in_the_cli_form():
     # a budget that fits no sentence warns once for the printed summary;
     # the CLI prints the warning as "WARNING <message>" and still exits 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [
-            sys.executable, "-m", "summ.cli", "summarize", "--corpus", FIXTURE,
-            "--cluster", "c01-storm", "--budget", "words:1",
-        ],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = run_python("-m", "summ.cli", "summarize", "--corpus", FIXTURE,
+                      "--cluster", "c01-storm", "--budget", "words:1")
     assert done.returncode == 0, done.stderr
     lines = done.stderr.splitlines()
     # the cwcs peers' empty summaries do not repeat it
@@ -574,16 +544,11 @@ def test_warning_reaches_stderr_in_the_cli_form():
 def test_the_report_does_not_depend_on_the_string_hash_seed(tmp_path, cap):
     # sets and dicts of strings iterate in an order PYTHONHASHSEED picks
     # per process; no report byte may follow it
-    src = str(Path(__file__).resolve().parents[1] / "src")
     reports = []
     for seed in ("0", "12345"):
         out = tmp_path / f"hash{seed}.json"
-        done = subprocess.run(
-            [sys.executable, "-m", "summ.cli", "run", "--corpus", FIXTURE, *cap,
-             "--emit", "json", "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-            capture_output=True, text=True, timeout=120,
-        )
+        done = run_python("-m", "summ.cli", "run", "--corpus", FIXTURE, *cap,
+                          "--emit", "json", "--out", str(out), PYTHONHASHSEED=seed)
         assert done.returncode == 0, done.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]

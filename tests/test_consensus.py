@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -18,8 +17,14 @@ from summ.consensus import (
 from summ.rouge import prepare_text
 from summ.summarizers import RankList
 
-from ngram_counting import ngram_counts
-from wcs_reference import non_increasing, reference_wcs_aggregate
+from reference.consensus import (
+    nearest_simplex_point,
+    non_increasing,
+    reference_wcs_aggregate,
+    wcs_grid_minimum,
+)
+from reference.fixture import permutation_rank_lists, tied_rank_lists
+from reference.rouge import ngram_counts
 
 
 def unigrams(summaries):
@@ -69,11 +74,7 @@ class TestBorda:
         rng = random.Random(67)
         for _ in range(50):
             n = rng.randint(2, 8)
-            lists = []
-            for _ in range(rng.randint(2, 5)):
-                ranks = list(range(1, n + 1))
-                rng.shuffle(ranks)
-                lists.append(ranklist_with_ranks(ranks))
+            lists = permutation_rank_lists(rng, rng.randint(2, 5), n)
             result = borda_aggregate(lists)
             shuffled = lists[:]
             rng.shuffle(shuffled)
@@ -111,22 +112,6 @@ def project(y):
     return tuple(_project_row(y))
 
 
-def brute_force_projection(y, step=1e-3):
-    """Grid search over the simplex for the nearest point (2-D and 3-D)."""
-    y = np.asarray(y, dtype=float)
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    if y.size == 2:
-        grid = np.column_stack([ticks, 1.0 - ticks])
-    elif y.size == 3:
-        a, b = np.meshgrid(ticks, ticks)
-        mask = a + b <= 1.0 + 1e-12
-        grid = np.column_stack([a[mask], b[mask], 1.0 - a[mask] - b[mask]])
-    else:
-        raise NotImplementedError
-    distances = ((grid - y) ** 2).sum(axis=1)
-    return grid[distances.argmin()]
-
-
 class TestProjectSimplex:
     def test_feasible_point_unchanged(self):
         assert project([0.5, 0.5]) == (0.5, 0.5)
@@ -141,7 +126,7 @@ class TestProjectSimplex:
             dim = rng.choice([2, 3])
             y = [rng.uniform(-2, 2) for _ in range(dim)]
             projected = np.asarray(project(y))
-            brute = brute_force_projection(y)
+            brute = nearest_simplex_point(y)
             assert np.abs(projected - brute).max() <= 2e-3
 
     def test_idempotent_on_feasible(self):
@@ -153,24 +138,6 @@ class TestProjectSimplex:
             feasible = [r / total for r in raw]
             again = project(feasible)
             assert again == pytest.approx(tuple(feasible), abs=1e-12)
-
-
-def wcs_objective(weights, r_star, rank_rows, lam):
-    distances = ((rank_rows - r_star) ** 2).sum(axis=1)
-    return (1 - lam) * float(weights @ distances) + lam * float(weights @ weights)
-
-
-def dense_grid_min_2x2(rank_rows, lam, step=0.01):
-    """Exhaustive search over w and r* for K=2, N=2 instances."""
-    ticks = np.arange(0.0, 1.0 + step / 2, step)
-    r_grid = np.array([[a, b] for a in ticks for b in ticks])
-    d_all = ((r_grid[:, None, :] - rank_rows[None, :, :]) ** 2).sum(axis=2)
-    best = math.inf
-    for t in ticks:
-        w = np.array([t, 1.0 - t])
-        objective = (1 - lam) * (d_all @ w) + lam * float(w @ w)
-        best = min(best, float(objective.min()))
-    return best
 
 
 class TestWcs:
@@ -196,10 +163,11 @@ class TestWcs:
         result = wcs_aggregate([a, b], 0.5)
         assert result.weights == pytest.approx((0.5, 0.5))
         assert result.objective == pytest.approx(0.5)
-        grid = dense_grid_min_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5)
+        grid = wcs_grid_minimum(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.5, random.Random(0))
         assert result.objective <= grid + 1e-3
 
     def test_all_2x2_instances_match_dense_grid(self):
+        rng = random.Random(0)
         perms = [[1, 2], [2, 1]]
         for pa in perms:
             for pb in perms:
@@ -208,19 +176,14 @@ class TestWcs:
                 rows = np.array([
                     [(r - 1) for r in pa], [(r - 1) for r in pb]
                 ], dtype=float)
-                grid = dense_grid_min_2x2(rows, 0.5)
+                grid = wcs_grid_minimum(rows, 0.5, rng)
                 assert result.objective <= grid + 1e-3
 
     def test_trace_non_increasing_and_simplex_weights(self):
         rng = random.Random(79)
         for _ in range(30):
             n = rng.randint(2, 6)
-            k = rng.randint(2, 4)
-            lists = []
-            for _ in range(k):
-                ranks = list(range(1, n + 1))
-                rng.shuffle(ranks)
-                lists.append(ranklist_with_ranks(ranks))
+            lists = permutation_rank_lists(rng, rng.randint(2, 4), n)
             result = wcs_aggregate(lists, 0.5)
             expected, traces = reference_wcs_aggregate(
                 lists, 0.5, consensus.WCS_TOL, consensus.WCS_MAX_ITER
@@ -296,11 +259,8 @@ class TestCwcsAggregate:
         for _ in range(200):
             n = rng.randint(2, 8)
             k = rng.randint(2, 5)
-            lists = []
-            for _ in range(k):
-                # discrete scores force plenty of rank ties across systems
-                scores = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
-                lists.append(RankList.from_scores(scores))
+            # discrete scores force plenty of rank ties across systems
+            lists = tied_rank_lists(rng, k, n)
             uniform = tuple(1.0 / k for _ in range(k))
             assert (
                 cwcs_aggregate(lists, uniform).order()
@@ -312,10 +272,7 @@ class TestCwcsAggregate:
         for _ in range(50):
             n = rng.randint(2, 8)
             k = rng.randint(2, 4)
-            lists = []
-            for _ in range(k):
-                scores = [rng.choice([0.0, 0.5, 1.0]) for _ in range(n)]
-                lists.append(RankList.from_scores(scores))
+            lists = tied_rank_lists(rng, k, n)
             pick = rng.randrange(k)
             basis = tuple(1.0 if i == pick else 0.0 for i in range(k))
             result = cwcs_aggregate(lists, basis)

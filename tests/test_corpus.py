@@ -24,10 +24,10 @@ from summ import porter
 from summ.porter import stem
 from summ.rouge import prepare_text
 from summ.stopwords import STOPWORDS
-from test_porter import oracle_stem
-from word_clusters import word_cluster
 
-FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
+from reference.fixture import FIXTURE, make_record, record_words, word_cluster, write_jsonl
+from reference.text import oracle_scoring_tokens, oracle_tokens, oracle_words
+
 BOM = "\ufeff".encode()
 
 
@@ -47,19 +47,6 @@ texts = st.lists(TEXT_PIECES, max_size=40).map("".join)
 def load_one(path, format):
     [cluster] = load_corpus(path, format)
     return cluster
-
-
-def write_jsonl(path, records):
-    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
-
-
-def make_record(cluster_id="c1", texts=("Alpha beta gamma. Delta epsilon zeta.",),
-                references=()):
-    return {
-        "cluster_id": cluster_id,
-        "documents": [{"id": f"d{i}", "text": t} for i, t in enumerate(texts)],
-        "references": [{"author": a, "text": t} for a, t in references],
-    }
 
 
 class TestSegmentation:
@@ -145,24 +132,6 @@ class TestTokenize:
             text = " ".join(rng.choices(vocab, k=rng.randint(0, 12)))
             once = words(text)
             assert words(" ".join(once)) == once
-
-
-# the word rule stated plainly, kept as the oracle for ``words``
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
-
-
-def oracle_words(text):
-    return [w.lower() for w in _TOKEN_RE.findall(text)]
-
-
-def oracle_tokens(text):
-    """``tokenize``: the words, stopwords dropped, stemmed."""
-    return [oracle_stem(w) for w in oracle_words(text) if w not in STOPWORDS]
-
-
-def oracle_scoring_tokens(text):
-    """``rouge.prepare_text``: the words stemmed, stopwords kept."""
-    return [oracle_stem(w) for w in oracle_words(text)]
 
 
 # each token pipeline the package runs, with its oracle
@@ -280,15 +249,7 @@ class TestPorter:
         assert stem(word) == stem.__wrapped__(word)
 
     def test_cached_stem_matches_uncached_on_fixture(self):
-        found = set()
-        for line in FIXTURE.read_text(encoding="utf-8").split("\n"):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            texts = [d["text"] for d in record["documents"]]
-            texts += [r["text"] for r in record.get("references", [])]
-            for text in texts:
-                found.update(words(text))
+        found = record_words(Path(FIXTURE).read_text(encoding="utf-8").split("\n"))
         assert len(found) > 100
         for word in sorted(found):
             assert stem(word) == stem.__wrapped__(word), word
@@ -391,7 +352,7 @@ class TestLoading:
 
     def test_jsonl_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_bytes(BOM + FIXTURE.read_bytes())
+        path.write_bytes(BOM + Path(FIXTURE).read_bytes())
         assert load_corpus(path, "jsonl") == load_corpus(FIXTURE, "jsonl")
 
     def test_duc_dir_byte_order_mark_is_dropped(self, tmp_path):

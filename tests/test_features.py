@@ -13,10 +13,10 @@ from summ.summarizers import (
     extract_summary,
 )
 
-import tfidf_reference
-from ngram_counting import ngrams
-from tfidf_reference import tfidf_vectors
-from word_clusters import word_cluster as make_cluster
+from reference.features import cosine_similarity as oracle_cosine
+from reference.features import reference_extract, tfidf_vectors
+from reference.fixture import word_cluster as make_cluster
+from reference.rouge import ngrams
 
 
 class TestNgrams:
@@ -106,27 +106,6 @@ class TestCosine:
                     assert 0.0 <= ij <= 1.0
 
 
-def reference_extract(rank_list, cluster, budget, cap):
-    """``extract_summary`` over the string-keyed oracle vectors."""
-    vectors = tfidf_vectors(cluster)
-    chosen, used = [], 0
-    for idx in rank_list.order():
-        sentence = cluster.sentences[idx]
-        if not sentence.eligible or any(
-            tfidf_reference.cosine_similarity(vectors[idx], vectors[j]) > cap for j in chosen
-        ):
-            continue
-        if budget.kind == "words":
-            cost = len(sentence.raw_text.split())
-        else:
-            cost = len(sentence.raw_text.encode("utf-8")) + (1 if chosen else 0)
-        if used + cost > budget.limit:
-            break
-        chosen.append(idx)
-        used += cost
-    return tuple(chosen)
-
-
 # Every document ends with an empty sentence, one of the token "ash" alone,
 # which is in every document and so weighs nothing, and a one-token one.
 WORDS = ["ash", "birch", "cedar", "dune", "elm", "fern"]
@@ -149,7 +128,7 @@ def test_cosine_norms_and_capped_extraction_match_oracle(docs, seed):
     assert list(features.norms) == [v.norm() or 1.0 for v in vectors]
     for i in range(n):
         for j in range(n):
-            want = tfidf_reference.cosine_similarity(vectors[i], vectors[j])
+            want = oracle_cosine(vectors[i], vectors[j])
             assert cosine_similarity(features, i, j) == want
     rng = random.Random(seed)
     rank_list = RankList.from_scores([rng.random() for _ in range(n)])

@@ -38,47 +38,9 @@ from summ.rouge import prepare_sentences, prepare_text, rouge_n_recall
 from summ.stopwords import STOPWORDS
 from summ.summarizers import CANDIDATE_SYSTEMS, LengthBudget, RankList
 
-from ngram_counting import ngram_counts
-
-FIXTURE = Path(__file__).parent / "data" / "fixture.jsonl"
-
-
-def fixture_config(**overrides):
-    defaults = dict(
-        corpus=FIXTURE,
-        corpus_format="jsonl",
-        budget=LengthBudget("words", 50),
-    )
-    defaults.update(overrides)
-    return RunConfig(**defaults)
-
-
-def write_jsonl(path, records):
-    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
-
-
-def sentence_counts(clusters, pipeline=None):
-    """Oracle: token counts pooled over every built sentence of the corpus,
-    its tokens or, with ``pipeline``, that function of its text."""
-    total = Counter()
-    for cluster in clusters:
-        for sentence in cluster.sentences:
-            total.update(pipeline(sentence.raw_text) if pipeline else sentence.tokens)
-    return total
-
-
-def corpus_counts(clusters):
-    """Topicsum's corpus counts, as ``run_evaluation`` builds them."""
-    counts = sentence_counts(clusters)
-    return summarizers.CorpusCounts(counts, counts.total())
-
-
-def document_counts(records, pipeline=tokenize):
-    """Oracle: token counts pooled over every raw document of the corpus,
-    tokenized by ``pipeline``."""
-    return harness._token_counts(
-        pipeline(d.text) for r in records for d in r.documents
-    )
+from reference.corpus import corpus_counts, document_counts, sentence_counts
+from reference.fixture import FIXTURE, fixture_config, make_record, solo_record, write_jsonl
+from reference.rouge import ngram_counts
 
 # document text with every kind of sentence boundary and non-boundary:
 # abbreviations, initials, blank lines, quotes or brackets after a
@@ -151,10 +113,17 @@ class TestCorpusCounts:
         pipeline, sentence_pipeline = config
         counts = document_counts(read_corpus(FIXTURE, "jsonl"), pipeline)
         assert counts == sentence_counts(clusters, sentence_pipeline)
-        assert harness._token_counts(
-            sentence_pipeline(s.raw_text) if sentence_pipeline else s.tokens
-            for c in clusters for s in c.sentences
-        ) == counts
+
+    @pytest.mark.parametrize("systems", [CANDIDATE_SYSTEMS, ("lexrank", "textrank")])
+    def test_run_counts_the_corpus_only_for_topicsum(self, monkeypatch, systems):
+        # topicsum's corpus counts are every sentence's tokens
+        corpora, evaluate = [], harness._evaluate_cluster
+        monkeypatch.setattr(
+            harness, "_evaluate_cluster", lambda *a: corpora.append(a[1]) or evaluate(*a)
+        )
+        run_evaluation(fixture_config(systems=systems))
+        want = corpus_counts(load_corpus(FIXTURE, "jsonl")) if "topicsum" in systems else None
+        assert corpora == [want] * 3
 
     @settings(max_examples=150, deadline=None)
     @given(CORPORA)
@@ -275,6 +244,12 @@ class TestSignTest:
             sign_test([], [])
 
 
+# two storm documents and a reference to score them against
+STORM = ("Storm flooded the coast. Rescue teams arrived.",
+         "The storm cut power. Crews repaired lines.")
+STORM_REFERENCE = [("A", "Storm flooded the coast and cut power.")]
+
+
 class TestRunEvaluation:
     def test_fixture_report_shape(self):
         config = fixture_config()
@@ -309,16 +284,8 @@ class TestRunEvaluation:
 
     def test_verbatim_reference_gives_oracle_recall_one(self, tmp_path):
         text = "Storm rescue teams saved families from flooded homes overnight."
-        record = {
-            "cluster_id": "only",
-            "documents": [
-                {"id": "d0", "text": text},
-                {"id": "d1", "text": "Ok go."},
-            ],
-            "references": [{"author": "A", "text": text}],
-        }
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [record])
+        write_jsonl(path, [make_record("only", (text, "Ok go."), [("A", text)])])
         report = run_evaluation(fixture_config(corpus=path))
         assert report.averages["oracle"]["R-1"] == 1.0
         # a single-cluster corpus leaves topicsum no background
@@ -330,37 +297,20 @@ class TestRunEvaluation:
         assert list(report.averages) == list(config.systems)
 
     def test_cluster_without_references_excluded(self, tmp_path):
-        records = [
-            {
-                "cluster_id": "scored",
-                "documents": [
-                    {"id": "d0", "text": "Storm flooded the coast. Rescue teams arrived."},
-                    {"id": "d1", "text": "The storm cut power. Crews repaired lines."},
-                ],
-                "references": [{"author": "A", "text": "Storm flooded the coast and cut power."}],
-            },
-            {
-                "cluster_id": "unscored",
-                "documents": [
-                    {"id": "d0", "text": "Voters picked a mayor. The race was close."},
-                    {"id": "d1", "text": "The mayor promised transit fixes."},
-                ],
-            },
-        ]
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, records)
+        write_jsonl(path, [
+            make_record("scored", STORM, STORM_REFERENCE),
+            make_record("unscored", ("Voters picked a mayor. The race was close.",
+                                     "The mayor promised transit fixes.")),
+        ])
         report = run_evaluation(fixture_config(corpus=path))
         assert set(report.per_cluster) == {"scored"}
         assert report.stats["unscored_clusters"] == ["unscored"]
         assert report.stats["clusters_total"] == 2
 
     def test_no_references_anywhere_is_an_error(self, tmp_path):
-        record = {
-            "cluster_id": "c1",
-            "documents": [{"id": "d0", "text": "Words fill the page here."}],
-        }
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [record])
+        write_jsonl(path, [make_record(texts=("Words fill the page here.",))])
         with pytest.raises(NoSuccessfulClustersError):
             run_evaluation(fixture_config(corpus=path))
 
@@ -433,25 +383,19 @@ class TestRunEvaluation:
 
     def test_lambda_validation(self):
         assert fixture_config(lambda_=0.0).lambda_ == 0.0
+        # a tiny lambda scales wcs's distances to 1e10, and wcs still scores
+        assert run_evaluation(fixture_config(lambda_=1e-9)).failures == {}
         for lambda_ in (1.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\)"):
                 fixture_config(lambda_=lambda_)
 
     def test_report_lists_clusters_in_id_order(self, tmp_path):
         # the loader's order: run_evaluation keeps the clusters as read
-        documents = [
-            {"id": "d0", "text": "Storm flooded the coast. Rescue teams arrived."},
-            {"id": "d1", "text": "The storm cut power. Crews repaired lines."},
-        ]
-        reference = [{"author": "A", "text": "Storm flooded the coast and cut power."}]
-        records = [
-            {"cluster_id": "d-scored", "documents": documents, "references": reference},
-            {"cluster_id": "c-unscored", "documents": documents},
-            {"cluster_id": "a-scored", "documents": documents, "references": reference},
-            {"cluster_id": "b-unscored", "documents": documents},
-        ]
         path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, records)
+        write_jsonl(path, [
+            make_record("d-scored", STORM, STORM_REFERENCE), make_record("c-unscored", STORM),
+            make_record("a-scored", STORM, STORM_REFERENCE), make_record("b-unscored", STORM),
+        ])
         stats = run_evaluation(fixture_config(corpus=path)).stats
         assert stats["unscored_clusters"] == ["b-unscored", "c-unscored"]
         assert list(stats["duplicate_sentences"]) == [
@@ -517,14 +461,7 @@ class TestFailuresStayPerCluster:
         # topicsum needs other clusters as its background, so on a
         # one-cluster corpus only lexrank ranks
         corpus = tmp_path / "solo.jsonl"
-        write_jsonl(corpus, [{
-            "cluster_id": "solo",
-            "documents": [
-                {"id": "d0", "text": "The storm hit the coast. Crews fixed the lines."},
-                {"id": "d1", "text": "The storm flooded roads. Crews worked all night."},
-            ],
-            "references": [{"author": "A", "text": "A storm hit the coast."}],
-        }])
+        write_jsonl(corpus, [solo_record()])
         outcomes, evaluate = [], harness._evaluate_cluster
 
         def keep(*args):
@@ -920,7 +857,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch):
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     (tmp_path / "tests" / "data").mkdir(parents=True)
-    (tmp_path / "tests" / "data" / "fixture.jsonl").write_bytes(FIXTURE.read_bytes())
+    (tmp_path / "tests" / "data" / "fixture.jsonl").write_bytes(Path(FIXTURE).read_bytes())
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     report = (tmp_path / "report.md").read_text(encoding="utf-8")

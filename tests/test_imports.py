@@ -1,9 +1,14 @@
-"""What the package imports.
+"""What the package and its tests import.
 
 Every name a package module imports is used in that module.
 ``__init__.py`` is skipped: its imports are the package's exports.  An
 import kept on purpose (a name another module patches, say) is exempt when
 its own line carries ``# noqa: F401``.
+
+No test module imports from another (the oracles and fixtures they share
+live in ``tests/reference``), and no oracle there reads an ``_``-prefixed
+name of ``summ``: an oracle that calls the code it checks cannot catch
+that code's bugs.
 
 A run that warns about nothing never imports ``logging`` (nor
 ``traceback`` and ``string``, which it imports), and ``import summ``
@@ -13,16 +18,15 @@ builds no namedtuple class.  Nor does a quiet ``summ`` command import
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from summ.harness import RunConfig, summarize_cluster
 from summ.summarizers import LengthBudget
 
+from reference.fixture import FIXTURE, run_python
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "summ"
-FIXTURE = str(Path(__file__).parent / "data" / "fixture.jsonl")
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,6 +72,64 @@ def test_package_modules_have_no_unused_imports():
     assert found == {}
 
 
+def forbidden_imports(source: str, oracle: bool) -> list[str]:
+    """What ``source`` imports from a ``test_*`` module and, for an
+    ``oracle``, each ``_``-prefixed name of ``summ`` it imports or reads
+    off a name it imported from ``summ``; with their lines."""
+    tree = ast.parse(source)
+    found, from_summ = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports = [(a.name, "", a.asname or a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports = [(node.module or "", a.name, a.asname or a.name) for a in node.names]
+        else:
+            continue
+        for module, name, bound in imports:
+            in_summ = oracle and module.partition(".")[0] == "summ"
+            if module.startswith("test_") or (in_summ and name.startswith("_")):
+                found.append(f"{'.'.join(filter(None, (module, name)))} (line {node.lineno})")
+            if in_summ:
+                from_summ.add(bound)
+    for node in ast.walk(tree):
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__") and getattr(root, "id", None) in from_summ):
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_forbidden_imports_are_found():
+    source = (
+        "import summ.consensus\n"
+        "from summ import harness\n"
+        "from summ.rouge import RougeScore, _grams as grams\n"
+        "from test_porter import oracle_stem\n"
+        "import test_corpus as tc\n"
+        "x = summ.consensus._project_row, harness._RANKERS, RougeScore._fields\n"
+        "y = summ.consensus.WCS_TOL, harness.__name__\n"
+    )
+    assert forbidden_imports(source, oracle=True) == [
+        "summ.rouge._grams (line 3)", "test_porter.oracle_stem (line 4)", "test_corpus (line 5)",
+        "summ.consensus._project_row (line 6)", "harness._RANKERS (line 6)",
+        "RougeScore._fields (line 6)",
+    ]
+    assert forbidden_imports(source, oracle=False) == [
+        "test_porter.oracle_stem (line 4)", "test_corpus (line 5)"]
+
+
+def test_tests_import_no_test_module_and_oracles_no_private_name():
+    found = {
+        str(path.relative_to(TESTS)): forbidden
+        for path in sorted(TESTS.rglob("*.py"))
+        if (forbidden := forbidden_imports(
+            path.read_text(encoding="utf-8"), oracle=path.parent.name == "reference"))
+    }
+    assert found == {}
+
+
 def test_cold_run_imports_no_logging_and_builds_no_namedtuple():
     # numpy first, as bench/worker.py's setup does; collections.namedtuple
     # is what typing.NamedTuple calls to build its class
@@ -86,10 +148,7 @@ def test_cold_run_imports_no_logging_and_builds_no_namedtuple():
         "print(json.dumps([made, after_import, [m for m in LAZY if m in sys.modules],",
         "                  len(clusters), report.failures]))",
     ])
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""  # the run warned about nothing
     made, after_import, after_run, clusters, failures = json.loads(done.stdout)
@@ -111,10 +170,7 @@ def test_quiet_cli_commands_import_no_argparse_nor_logging(tmp_path):
         "                        '--cluster', 'c01-storm'])]",
         "print(json.dumps([after_import, [m for m in LAZY if m in sys.modules], codes]))",
     ])
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stderr == f"wrote {report}\n"  # and no warning
     after_import, after_run, codes = json.loads(done.stdout.splitlines()[-1])

@@ -1,15 +1,15 @@
 """Differential tests: the vectorized rankers against plain-loop references.
 
-The reference implementations below are the original pure-Python loops of
-``greedykl_rank``, ``lexrank_rank``, ``textrank_rank``, ``centroid_rank``
-and ``freqsum_rank``.  The package's numpy rankers must reproduce their
-scores and ranks exactly (``==``, no tolerance), since reports are
-compared byte for byte.  Likewise ``topicsum_rank``, given corpus totals,
-must reproduce the original leave-one-out background path and the
-scalar log-likelihood ratio of ``tests/llr_reference.py``,
-``ClusterFeatures.entries``, ``ids`` and ``counts`` the ``Counter``s they
-replaced, and ``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors
-of ``tests/tfidf_reference.py``, whose cosine the lexrank reference uses.
+The references, in ``reference.rankers``, are the original pure-Python
+loops of ``greedykl_rank``, ``lexrank_rank``, ``textrank_rank``,
+``centroid_rank`` and ``freqsum_rank``.  The package's numpy rankers must
+reproduce their scores and ranks exactly (``==``, no tolerance), since
+reports are compared byte for byte.  Likewise ``topicsum_rank``, given
+corpus totals, must reproduce the original leave-one-out background path
+and the scalar log-likelihood ratio, ``ClusterFeatures.entries``, ``ids``
+and ``counts`` the ``Counter``s they replaced, and
+``ClusterFeatures.vectors`` the string-keyed TF-IDF vectors of
+``reference.features``, whose cosine the lexrank reference uses.
 ``_cross_products``, which lexrank and textrank build their graphs from,
 must give the plain-loop ``M @ M.T`` off the diagonal from the pairs of
 entries that share a column, one chunk of pairs or several: exactly for
@@ -24,7 +24,6 @@ import math
 import operator
 from collections import Counter
 from functools import reduce
-from typing import Sequence
 from unittest.mock import patch
 
 import numpy as np
@@ -32,21 +31,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from summ.corpus import DocumentCluster
 from summ import summarizers
-from summ.harness import _token_counts
-from summ.sums import left_sum
+from summ.corpus import DocumentCluster
 from summ.summarizers import (
-    DAMPING,
-    KL_SMOOTHING,
     LEXRANK_THRESHOLD,
-    POWER_ITER_MAX,
-    POWER_ITER_TOL,
-    TOPIC_LLR_THRESHOLD,
     ClusterFeatures,
-    CorpusCounts,
-    RankList,
-    _graph_rank,
     _lexrank_adjacency,
     _power_iteration,
     centroid_rank,
@@ -58,38 +47,27 @@ from summ.summarizers import (
     topicsum_rank,
 )
 
-from llr_reference import log_likelihood_ratio
-from tfidf_reference import cosine_similarity, tfidf_vectors
-from word_clusters import word_cluster
-
-
-def reference_cosines(cluster: DocumentCluster) -> dict[tuple[int, int], float]:
-    """The oracle cosine of every sentence pair i < j."""
-    vectors = tfidf_vectors(cluster)
-    n = len(vectors)
-    return {
-        (i, j): cosine_similarity(vectors[i], vectors[j])
-        for i in range(n) for j in range(i + 1, n)
-    }
-
-
-def reference_lexrank_graph(
-    cluster: DocumentCluster, threshold: float, cosines=None
-) -> np.ndarray:
-    """0/1 graph of the pairs whose cosine exceeds ``threshold``;
-    ``cosines`` are ``reference_cosines(cluster)``, computed if not given."""
-    n = len(cluster.sentences)
-    adjacency = np.zeros((n, n))
-    for (i, j), cosine in (cosines or reference_cosines(cluster)).items():
-        if cosine > threshold:
-            adjacency[i, j] = adjacency[j, i] = 1.0
-    return adjacency
-
-
-def reference_lexrank_rank(cluster: DocumentCluster) -> RankList:
-    """Eigenvector centrality over the thresholded cosine-TF-IDF graph."""
-    adjacency = reference_lexrank_graph(cluster, LEXRANK_THRESHOLD)
-    return _graph_rank("lexrank", adjacency, cluster)
+from reference.corpus import corpus_counts
+from reference.features import (
+    reference_cosines,
+    reference_cross_products,
+    reference_entries,
+    tfidf_vectors,
+)
+from reference.fixture import word_cluster, zipf_corpus
+from reference.rankers import (
+    log_likelihood_ratio,
+    reference_background_counts,
+    reference_centroid_rank,
+    reference_freqsum_rank,
+    reference_greedykl_rank,
+    reference_lexrank_graph,
+    reference_lexrank_rank,
+    reference_power_iteration,
+    reference_textrank_rank,
+    reference_topic_words,
+    reference_topicsum_rank,
+)
 
 
 def assert_graph_identical(cluster, threshold, cosines=None):
@@ -99,87 +77,6 @@ def assert_graph_identical(cluster, threshold, cosines=None):
     want = reference_lexrank_graph(cluster, threshold, cosines)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want), threshold
-
-
-def textrank_edge_weight(a: Sequence[str], b: Sequence[str]) -> float:
-    """Shared-type count normalized by the log sentence lengths.
-
-    Zero for sentences of length <= 1 (the normalizer would vanish).
-    """
-    if len(a) <= 1 or len(b) <= 1:
-        return 0.0
-    overlap = len(set(a) & set(b))
-    if overlap == 0:
-        return 0.0
-    return overlap / (math.log(len(a)) + math.log(len(b)))
-
-
-def reference_textrank_rank(cluster: DocumentCluster) -> RankList:
-    """Centrality over the content-word-overlap graph."""
-    n = len(cluster.sentences)
-    adjacency = np.zeros((n, n))
-    tokens = [s.tokens for s in cluster.sentences]
-    for i in range(n):
-        for j in range(i + 1, n):
-            weight = textrank_edge_weight(tokens[i], tokens[j])
-            if weight > 0.0:
-                adjacency[i, j] = adjacency[j, i] = weight
-    return _graph_rank("textrank", adjacency, cluster)
-
-
-def reference_greedykl_rank(cluster: DocumentCluster) -> RankList:
-    """Greedy selection minimizing the summary-to-cluster KL divergence.
-
-    Selection continues past any length budget until every sentence is
-    ordered; the stored score of a sentence is minus its selection step.
-    """
-    sentences = cluster.sentences
-    n = len(sentences)
-    cluster_counts = Counter()
-    for sentence in sentences:
-        cluster_counts.update(sentence.tokens)
-    total = sum(cluster_counts.values())
-    if total == 0:
-        return RankList.from_scores([-(i + 1) for i in range(n)])
-    k = KL_SMOOTHING * len(cluster_counts)
-    log_pc = {t: math.log(c / total) for t, c in cluster_counts.items()}
-    vocab_size = len(cluster_counts)
-
-    def gain(count: int, token: str) -> float:
-        mass = count + k
-        return mass * (math.log(mass) - log_pc[token])
-
-    base = left_sum(gain(0, t) for t in cluster_counts)  # all-zero summary counts
-    current: Counter = Counter()
-    current_total = 0
-    current_sum = 0.0  # sum over present tokens of gain(c) - gain(0)
-    remaining = list(range(n))
-    deltas = [sorted(Counter(s.tokens).items()) for s in sentences]
-    scores = [0.0] * n
-    step = 0
-    while remaining:
-        step += 1
-        best_idx = None
-        best_kl = math.inf
-        best_sum = 0.0
-        for idx in remaining:
-            cand_sum = current_sum
-            for token, extra in deltas[idx]:
-                have = current[token]
-                cand_sum += gain(have + extra, token) - gain(have, token)
-            cand_total = current_total + sum(c for _, c in deltas[idx])
-            denom = cand_total + k * (vocab_size + 1)
-            mass = cand_total + k * vocab_size
-            kl = (base + cand_sum - mass * math.log(denom)) / denom
-            if best_idx is None or kl < best_kl:
-                best_idx, best_kl, best_sum = idx, kl, cand_sum
-        for token, extra in deltas[best_idx]:
-            current[token] += extra
-        current_total += sum(c for _, c in deltas[best_idx])
-        current_sum = best_sum
-        remaining.remove(best_idx)
-        scores[best_idx] = -float(step)
-    return RankList.from_scores(scores)
 
 
 def greedykl_compactions(cluster: DocumentCluster, share: float, least: int) -> list[int]:
@@ -196,43 +93,6 @@ def greedykl_compactions(cluster: DocumentCluster, share: float, least: int) -> 
     return steps
 
 
-def assert_greedykl_identical(cluster):
-    got, want = greedykl_rank(ClusterFeatures(cluster)), reference_greedykl_rank(cluster)
-    assert got.scores == want.scores
-    assert got.ranks == want.ranks
-
-
-def reference_centroid_rank(cluster: DocumentCluster) -> RankList:
-    """Sum of cluster-centroid TF-IDF weights over each sentence's types."""
-    vectors = tfidf_vectors(cluster)
-    n = len(vectors)
-    centroid: dict[str, float] = {}
-    for vector in vectors:
-        for token, weight in vector.weights.items():
-            centroid[token] = centroid.get(token, 0.0) + weight
-    centroid = {t: w / n for t, w in centroid.items()}
-    scores = []
-    for sentence in cluster.sentences:
-        seen = dict.fromkeys(sentence.tokens)
-        scores.append(left_sum(centroid.get(t, 0.0) for t in seen))
-    return RankList.from_scores(scores)
-
-
-def reference_freqsum_rank(cluster: DocumentCluster) -> RankList:
-    """Average cluster-frequency of a sentence's content words."""
-    counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
-    total = sum(counts.values())
-    scores = []
-    for sentence in cluster.sentences:
-        if total == 0 or not sentence.tokens:
-            scores.append(0.0)
-            continue
-        scores.append(
-            left_sum(counts[t] / total for t in sentence.tokens) / len(sentence.tokens)
-        )
-    return RankList.from_scores(scores)
-
-
 PAIRS = {
     "greedykl": (greedykl_rank, reference_greedykl_rank),
     "lexrank": (lexrank_rank, reference_lexrank_rank),
@@ -243,8 +103,9 @@ PAIRS = {
 VOCAB = ["ash", "birch", "cedar", "dune", "elm", "fern", "gale", "haze", "iris"]
 
 
-def assert_identical(cluster):
-    for name, (ranker, reference) in PAIRS.items():
+def assert_identical(cluster, names=tuple(PAIRS)):
+    for name in names:
+        ranker, reference = PAIRS[name]
         got, want = ranker(ClusterFeatures(cluster)), reference(cluster)
         assert got.scores == want.scores, name
         assert got.ranks == want.ranks, name
@@ -316,19 +177,6 @@ def test_edge_cases_match_references(docs, threshold):
     assert_graph_identical(cluster, threshold)
 
 
-def reference_entries(cluster: DocumentCluster, order=sorted) -> list[list[int]]:
-    """(sentence, token id, count) columns from per-sentence Counters, each
-    sentence's tokens in ``order``."""
-    vocab = sorted({t for s in cluster.sentences for t in s.tokens})
-    ids = {t: i for i, t in enumerate(vocab)}
-    entries = [
-        (row, ids[token], count)
-        for row, sentence in enumerate(cluster.sentences)
-        for token, count in order(Counter(sentence.tokens).items())
-    ]
-    return [[entry[c] for entry in entries] for c in range(3)]
-
-
 def assert_entries_identical(cluster):
     features = ClusterFeatures(cluster)
     for got, order in [(features.entries, sorted), (features.first_entries, list)]:
@@ -398,23 +246,6 @@ def test_long_cluster_matches_references():
     assert_identical(word_cluster(docs))
 
 
-def reference_power_iteration(adjacency: np.ndarray) -> np.ndarray:
-    """Stationary distribution of the damped, row-normalized walk."""
-    n = adjacency.shape[0]
-    row_sums = adjacency.sum(axis=1)
-    transition = np.full((n, n), 1.0 / n)
-    nonzero = row_sums > 0
-    transition[nonzero] = adjacency[nonzero] / row_sums[nonzero, None]
-    teleport = (1.0 - DAMPING) / n
-    p = np.full(n, 1.0 / n)
-    for _ in range(POWER_ITER_MAX):
-        p_next = DAMPING * (transition.T @ p) + teleport
-        if np.abs(p_next - p).sum() <= POWER_ITER_TOL:
-            return p_next
-        p = p_next
-    return p
-
-
 @pytest.mark.parametrize("n", [2, 5, 64, 300])
 def test_power_iteration_in_place_matches_reference(n):
     # weighted graphs with isolated nodes, whose rows become uniform
@@ -427,70 +258,12 @@ def test_power_iteration_in_place_matches_reference(n):
     assert _power_iteration(weights.copy()).tolist() == want.tolist()
 
 
-def reference_background_counts(
-    clusters: Sequence[DocumentCluster],
-) -> list[Counter]:
-    """Leave-one-out pooled token counts for each cluster."""
-    per_cluster = []
-    total = Counter()
-    for cluster in clusters:
-        counts = Counter()
-        for sentence in cluster.sentences:
-            counts.update(sentence.tokens)
-        per_cluster.append(counts)
-        total.update(counts)
-    backgrounds = []
-    for counts in per_cluster:
-        background = Counter(
-            {t: c - counts.get(t, 0) for t, c in total.items() if c > counts.get(t, 0)}
-        )
-        backgrounds.append(background)
-    return backgrounds
-
-
-def reference_topic_words(
-    cluster: DocumentCluster, background: Counter, threshold: float
-) -> set[str]:
-    """Tokens significantly over-represented in the cluster vs background."""
-    n2 = sum(background.values())
-    if n2 == 0:
-        raise ValueError("background required: no background token counts")
-    counts = Counter()
-    for sentence in cluster.sentences:
-        counts.update(sentence.tokens)
-    n1 = sum(counts.values())
-    if n1 == 0:
-        return set()
-    result = set()
-    for token, k1 in counts.items():
-        k2 = background.get(token, 0)
-        if k1 / n1 <= k2 / n2:
-            continue
-        if log_likelihood_ratio(k1, n1, k2, n2) > threshold:
-            result.add(token)
-    return result
-
-
-def reference_topicsum_rank(cluster: DocumentCluster, background: Counter) -> RankList:
-    """Fraction of a sentence's tokens that are topic-signature words."""
-    signature = reference_topic_words(cluster, background, TOPIC_LLR_THRESHOLD)
-    scores = []
-    for sentence in cluster.sentences:
-        if not sentence.tokens:
-            scores.append(0.0)
-            continue
-        hits = sum(1 for t in sentence.tokens if t in signature)
-        scores.append(hits / len(sentence.tokens))
-    return RankList.from_scores(scores)
-
-
 def assert_topicsum_identical(corpus_docs, threshold):
     """Over each cluster of the corpus, ``topic_words`` at ``threshold`` and
     ``topicsum_rank`` match their leave-one-out references, or both raise
     for want of a background."""
     clusters = [word_cluster(docs) for docs in corpus_docs]
-    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
-    corpus = CorpusCounts(counts, counts.total())
+    corpus = corpus_counts(clusters)
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
         features = ClusterFeatures(cluster)
         try:
@@ -555,28 +328,6 @@ def test_topicsum_edge_corpora_match_leave_one_out(corpus_docs):
     assert_topicsum_identical(corpus_docs, 0.5)
 
 
-def zipf_corpus(seed: int, clusters: int, docs: int, sentences: int) -> list:
-    """``clusters`` clusters of ``docs`` x ``sentences`` sentences of 0-24
-    words, drawn by a Zipf law over 400 words that each cluster rotates, so
-    the clusters share a vocabulary but favour different words, and the
-    frequent words repeat within sentences."""
-    rng = np.random.default_rng(seed)
-    vocab = [f"w{i}" for i in range(400)]
-    weights = 1.0 / np.arange(1, len(vocab) + 1)
-    corpus = []
-    for c in range(clusters):
-        p = np.roll(weights, 37 * c)
-        p /= p.sum()
-        corpus.append([
-            [
-                " ".join(rng.choice(vocab, size=int(rng.integers(0, 25)), p=p)) or "."
-                for _ in range(sentences)
-            ]
-            for _ in range(docs)
-        ])
-    return corpus
-
-
 def test_duc_scale_greedykl_matches_reference():
     # a DUC-sized cluster: 200 sentences, hundreds of distinct words, and
     # tokens repeated within a sentence, so every table row and step is used
@@ -586,7 +337,7 @@ def test_duc_scale_greedykl_matches_reference():
     # at the package's own rule, the gather is compacted several times
     rule = summarizers._GREEDYKL_DEAD, summarizers._GREEDYKL_MIN
     assert len(greedykl_compactions(cluster, *rule)) >= 3
-    assert_greedykl_identical(cluster)
+    assert_identical(cluster, ["greedykl"])
 
 
 @pytest.mark.parametrize("threshold", [3.84, 10.83])
@@ -600,8 +351,7 @@ def test_topic_threshold_at_realised_ratio():
     # there only a numpy ratio with the scalar rule's exact bits (its
     # operands, order of operations and math.log logs) picks the same tokens
     clusters = [word_cluster(docs) for docs in zipf_corpus(9, 3, 10, 20)]
-    counts = _token_counts(s.tokens for c in clusters for s in c.sentences)
-    corpus = CorpusCounts(counts, counts.total())
+    corpus = corpus_counts(clusters)
     tested = 0
     for cluster, background in zip(clusters, reference_background_counts(clusters)):
         counts = Counter(t for sentence in cluster.sentences for t in sentence.tokens)
@@ -617,22 +367,6 @@ def test_topic_threshold_at_realised_ratio():
                 got = topic_words(ClusterFeatures(cluster), corpus, threshold)
                 assert got == reference_topic_words(cluster, background, threshold)
     assert tested > 200
-
-
-def reference_cross_products(rows, cols, values) -> dict[tuple[int, int], list]:
-    """The terms of ``M @ M.T`` off the diagonal, for ``M[rows, cols] =
-    values``, by a plain loop over the columns: each cell's products, one
-    for each column its two rows share, in column order."""
-    columns: dict[int, list] = {}
-    for col, row, value in sorted(zip(cols.tolist(), rows.tolist(), values.tolist())):
-        columns.setdefault(col, []).append((row, value))
-    terms: dict[tuple[int, int], list] = {}
-    for entries in columns.values():
-        for a, x in entries:
-            for b, y in entries:
-                if a != b:
-                    terms.setdefault((a, b), []).append(x * y)
-    return terms
 
 
 def assert_cross_products_match(n, rows, cols, values=None):
@@ -709,11 +443,7 @@ def test_thousand_sentence_zipf_cluster_matches_references():
     assert n == 1000
     ranked = ranked_dfs(ClusterFeatures(cluster).entries[1])
     assert int((ranked * ranked).sum()) > n * n // 8
-    for name in ("lexrank", "textrank"):
-        ranker, reference = PAIRS[name]
-        got, want = ranker(ClusterFeatures(cluster)), reference(cluster)
-        assert got.scores == want.scores, name
-        assert got.ranks == want.ranks, name
+    assert_identical(cluster, ("lexrank", "textrank"))
 
 
 def test_threshold_at_realised_cosine_on_the_pair_route():
@@ -750,7 +480,7 @@ def test_greedykl_compacting_small_gathers_matches_reference(docs):
     # with no least count, every gather compacts, at the last step too
     cluster = word_cluster(docs)
     with patch.object(summarizers, "_GREEDYKL_MIN", 0):
-        assert_greedykl_identical(cluster)
+        assert_identical(cluster, ["greedykl"])
     steps = greedykl_compactions(cluster, summarizers._GREEDYKL_DEAD, 0)
     n = len(cluster.sentences)
     if any(s.tokens for s in cluster.sentences):
@@ -765,4 +495,4 @@ def test_greedykl_compacting_small_gathers_matches_reference(docs):
 @given(docs=cluster_docs)
 def test_random_clusters_greedykl_compacting_matches_reference(docs):
     with patch.object(summarizers, "_GREEDYKL_MIN", 0):
-        assert_greedykl_identical(word_cluster(docs))
+        assert_identical(word_cluster(docs), ["greedykl"])

@@ -5,7 +5,7 @@ import pytest
 
 from summ.rouge import pairwise_sim_matrix, prepare_text, rouge_n_recall
 
-from ngram_counting import ngram_counts
+from reference.rouge import clipped_match, ngram_counts
 
 
 def recall(candidate, references, n):
@@ -17,21 +17,6 @@ def recall(candidate, references, n):
 
 def peer_matrix(summaries):
     return pairwise_sim_matrix([ngram_counts(s, 1) for s in summaries])
-
-
-def brute_force_clipped_match(candidate_sentences, reference, n):
-    """Independent oracle: enumerate n-grams by hand, clip counts."""
-    cand = {}
-    for sentence in candidate_sentences:
-        for i in range(len(sentence) - n + 1):
-            gram = tuple(sentence[i : i + n])
-            cand[gram] = cand.get(gram, 0) + 1
-    ref = {}
-    for i in range(len(reference) - n + 1):
-        gram = tuple(reference[i : i + n])
-        ref[gram] = ref.get(gram, 0) + 1
-    match = sum(min(count, cand.get(gram, 0)) for gram, count in ref.items())
-    return match, sum(ref.values())
 
 
 class TestRougeRecall:
@@ -94,9 +79,7 @@ class TestRougeRecall:
                 for _ in range(rng.randint(1, 3))
             ]
             reference = rng.choices(vocab, k=rng.randint(n, 30))
-            expected_match, expected_total = brute_force_clipped_match(
-                sentences, reference, n
-            )
+            expected_match, expected_total = clipped_match(sentences, reference, n)
             score = recall(sentences, [reference], n)
             assert score.match_count == expected_match
             assert score.reference_count == expected_total

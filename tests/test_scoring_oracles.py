@@ -1,12 +1,12 @@
 """Differential tests: batched wcs, integer cwcs and counted ROUGE
 against the plain paths.
 
-The reference implementations are the original per-restart loop of
-``wcs_aggregate`` (with its 1-D simplex projection, in
-``wcs_reference.py``) and, below, the original ``Fraction`` sums of
-``cwcs_aggregate`` and the original token-list ROUGE path, in which
-every recall re-counts both sides, the peer matrix counts each pair
-afresh and the oracle tokenizes the references itself.  The
+The reference implementations, in ``reference.consensus`` and
+``reference.rouge``, are the original per-restart loop of
+``wcs_aggregate`` (with its 1-D simplex projection), the original
+``Fraction`` sums of ``cwcs_aggregate`` and the original token-list ROUGE
+path, in which every recall re-counts both sides, the peer matrix counts
+each pair afresh and the oracle tokenizes the references itself.  The
 per-cluster ``NgramIndex`` is checked through the public Counter
 functions: its counts must score as the ``ngram_counts`` they stand for.
 The package's versions must reproduce their references exactly (``==``,
@@ -15,9 +15,7 @@ no tolerance), since reports are compared byte for byte.
 
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 from unittest.mock import patch
 
 import pytest
@@ -28,7 +26,6 @@ from summ import consensus
 from summ.consensus import (
     WCS_MAX_ITER,
     WCS_TOL,
-    _common_length,
     _project_row,
     cwcs_aggregate,
     cwcs_raw_weights,
@@ -39,153 +36,28 @@ from summ.consensus import (
 from summ.corpus import ReferenceSummary
 from summ.rouge import (
     NgramIndex,
-    RougeScore,
-    TokenLists,
+    _grams,
     pairwise_sim_matrix,
     prepare_sentences,
     prepare_text,
     rouge_n_recall,
 )
 from summ.summarizers import RankList
-from summ.sums import left_sum
 
-from ngram_counting import ngram_counts, ngrams
-from wcs_reference import reference_project_simplex, reference_wcs_aggregate
-
-
-# -- reference: cwcs in exact rationals ----------------------------------------
-
-
-def reference_cwcs_aggregate(
-    rank_lists: Sequence[RankList], weights: Sequence[float]
-) -> RankList:
-    """Weighted sum of normalized rank scores, each sentence's summed as a
-    ``Fraction`` and rounded to a float once."""
-    n = _common_length(rank_lists)
-    k = len(rank_lists)
-    if len(weights) != k:
-        raise ValueError("one weight per rank list is required")
-    exact_weights = [Fraction(w) for w in weights]
-    scores = []
-    for i in range(n):
-        if n == 1:
-            score = Fraction(sum(exact_weights))
-        else:
-            score = sum(
-                (w * Fraction(n - rl.ranks[i], n - 1)
-                 for w, rl in zip(exact_weights, rank_lists)),
-                start=Fraction(0),
-            )
-        scores.append(float(score))
-    return RankList.from_scores(scores)
-
-
-# -- reference: ROUGE on token lists -------------------------------------------
-
-
-def reference_ngrams(tokens: list[str] | tuple[str, ...], n: int) -> Counter:
-    """Multiset of n-grams of ``tokens``; never crosses the list boundary."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
-
-
-def _candidate_ngrams(candidate: TokenLists, n: int) -> Counter:
-    counts = Counter()
-    for sentence_tokens in candidate:
-        counts.update(reference_ngrams(list(sentence_tokens), n))
-    return counts
-
-
-def reference_rouge_n_recall(candidate: TokenLists, references: TokenLists, n: int) -> RougeScore:
-    """ROUGE-N recall of ``candidate`` (token lists per sentence) against
-    one or more references (one flat token list each)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not references:
-        raise ValueError("at least one reference is required")
-    cand_counts = _candidate_ngrams(candidate, n)
-    recalls = []
-    match_total = 0
-    reference_total = 0
-    for reference in references:
-        ref_counts = reference_ngrams(list(reference), n)
-        ref_size = sum(ref_counts.values())
-        if ref_size == 0:
-            continue
-        match = sum(
-            min(c, cand_counts[g]) for g, c in ref_counts.items() if g in cand_counts
-        )
-        recalls.append(match / ref_size)
-        match_total += match
-        reference_total += ref_size
-    if not recalls:
-        raise ValueError(f"no scorable reference: none has {n}-grams")
-    return RougeScore(
-        n=n,
-        recall=left_sum(recalls) / len(recalls),
-        match_count=match_total,
-        reference_count=reference_total,
-    )
-
-
-def reference_pairwise_sim_matrix(summaries: Sequence[TokenLists]) -> list[list[float]]:
-    """K x K matrix of unigram recalls between peer summaries."""
-    k = len(summaries)
-    if k < 2:
-        raise ValueError("pairwise similarity needs at least two summaries")
-    flat = [[t for sent in s for t in sent] for s in summaries]
-    matrix = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        matrix[i][i] = 1.0
-        for j in range(k):
-            if i == j or not flat[i] or not flat[j]:
-                continue
-            matrix[i][j] = reference_rouge_n_recall(summaries[i], [flat[j]], 1).recall
-    return matrix
-
-
-def reference_cwcs_raw_weights(summaries: Sequence[TokenLists]) -> list[float]:
-    """Mean unigram recall of each summary against its peers."""
-    k = len(summaries)
-    if k < 2:
-        raise ValueError("peers required: need at least two summaries")
-    matrix = reference_pairwise_sim_matrix(summaries)
-    return [
-        left_sum(matrix[i][j] for j in range(k) if j != i) / (k - 1) for i in range(k)
-    ]
-
-
-def reference_cwcs_weights(summaries: Sequence[TokenLists]) -> tuple[float, ...]:
-    """Peer-agreement weights, normalized to the simplex."""
-    raw = reference_cwcs_raw_weights(summaries)
-    total = left_sum(raw)
-    if total == 0.0:
-        return tuple(1.0 / len(raw) for _ in raw)
-    return tuple(r / total for r in raw)
-
-
-def reference_oracle_select(
-    candidate_summaries: Sequence[TokenLists],
-    references: Sequence[ReferenceSummary],
-    n: int = 1,
-) -> tuple[int, RougeScore]:
-    """Index and score of the candidate scoring highest against the
-    references (ties go to the smaller index)."""
-    if not references:
-        raise ValueError("oracle requires reference summaries")
-    if not candidate_summaries:
-        raise ValueError("at least one candidate summary is required")
-    reference_streams = [prepare_text(r.text) for r in references]
-    best_index = 0
-    best_score = None
-    for i, candidate in enumerate(candidate_summaries):
-        score = reference_rouge_n_recall(candidate, reference_streams, n)
-        if best_score is None or score.recall > best_score.recall:
-            best_index, best_score = i, score
-    return best_index, best_score
+from reference.consensus import (
+    reference_cwcs_aggregate,
+    reference_cwcs_raw_weights,
+    reference_cwcs_weights,
+    reference_oracle_select,
+    reference_project_simplex,
+    reference_wcs_aggregate,
+)
+from reference.rouge import (
+    ngram_counts,
+    ngrams,
+    reference_pairwise_sim_matrix,
+    reference_rouge_n_recall,
+)
 
 
 def outcome(fn, *args):
@@ -213,8 +85,8 @@ def assert_same_wcs(rank_lists, lam, max_iter=WCS_MAX_ITER):
 
 
 @st.composite
-def rank_list_sets(draw, k_max=6):
-    k = draw(st.integers(2, k_max))
+def rank_list_sets(draw, k_max=6, k_min=2):
+    k = draw(st.integers(k_min, k_max))
     n = draw(st.integers(1, 40))
     # few distinct values force tied scores, and so tied ranks across systems
     values = st.sampled_from([0.0, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0, 1)
@@ -261,6 +133,30 @@ def test_batched_wcs_matches_on_the_many_short_shape():
     # checked
     for seed in range(120):
         assert_same_wcs(many_short_rank_lists(seed), 0.5)
+
+
+def test_batched_wcs_matches_at_a_tiny_lambda():
+    # at lambda 1e-9 the scaled distances over 245 sentences reach 1e10 and
+    # more, where a row's direct projection fails its sum check, so the
+    # rows projected again from the shifted distances are checked too
+    failed = 0
+
+    def counted(y):
+        nonlocal failed
+        try:
+            return _project_row(y)
+        except ValueError:
+            failed += 1
+            raise
+
+    for seed in range(3):
+        rng = random.Random(seed)
+        rank_lists = [RankList.from_scores(rng.sample(range(245), 245)) for _ in range(6)]
+        assert_same_wcs(rank_lists, 1e-9)
+        with patch.object(consensus, "_project_row", counted):
+            weights = wcs_aggregate(rank_lists, 1e-9).weights
+        assert min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9
+    assert failed > 0
 
 
 def assert_each_restart_steps_once(rank_lists, lam):
@@ -320,13 +216,8 @@ def test_projection_of_entries_too_large_fails():
 
 @st.composite
 def weighted_rank_lists(draw):
-    k = draw(st.integers(1, 11))
-    n = draw(st.integers(1, 40))
-    values = st.sampled_from([0.0, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0, 1)
-    rank_lists = [
-        RankList.from_scores(draw(st.lists(values, min_size=n, max_size=n)))
-        for _ in range(k)
-    ]
+    rank_lists = draw(rank_list_sets(k_max=11, k_min=1))
+    k = len(rank_lists)
     # 1e-300 and 5e-324 need denominators far beyond a float's exponent
     raw = draw(st.lists(st.sampled_from([0.0, 1e-300, 5e-324, 1 / 3]) | st.floats(0, 1),
                         min_size=k, max_size=k))
@@ -367,8 +258,8 @@ reference_streams = st.lists(st.lists(st.sampled_from(WORDS), max_size=12), min_
 @settings(max_examples=200, deadline=None)
 @given(tokens=st.lists(st.sampled_from(WORDS), max_size=12), n=st.integers(1, 5))
 def test_ngrams_match_slicing(tokens, n):
-    # same n-grams, counts and first-seen order
-    assert list(ngrams(tokens, n).items()) == list(reference_ngrams(tokens, n).items())
+    # the package's n-grams: same n-grams, counts and first-seen order
+    assert list(Counter(_grams(tokens, n)).items()) == list(ngrams(tokens, n).items())
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,13 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from summ import summarizers
 from summ.summarizers import (
     DAMPING,
     POWER_ITER_TOL,
     TOPIC_LLR_THRESHOLD,
     LengthBudget,
     ClusterFeatures,
-    CorpusCounts,
     RankList,
     _power_iteration,
     centroid_rank,
@@ -25,18 +25,15 @@ from summ.summarizers import (
     topicsum_rank,
 )
 
-from llr_reference import log_likelihood_ratio
-from test_ranker_oracles import textrank_edge_weight, zipf_corpus
-from word_clusters import word_cluster as make_cluster
-
-
-def cluster_counts(cluster):
-    return Counter(t for s in cluster.sentences for t in s.tokens)
-
-
-def pooled(counts):
-    """Corpus counts for topicsum, totalled from the ``Counter``."""
-    return CorpusCounts(counts, counts.total())
+from reference.corpus import pooled, sentence_counts
+from reference.fixture import word_cluster as make_cluster
+from reference.fixture import zipf_corpus
+from reference.rankers import (
+    log_likelihood_ratio,
+    reference_power_iteration,
+    summary_kl,
+    textrank_edge_weight,
+)
 
 
 class TestRankList:
@@ -117,6 +114,17 @@ class TestPowerIteration:
             transition[mask] = adjacency[mask] / row_sums[mask, None]
             step = DAMPING * transition.T @ p + (1 - DAMPING) / n
             assert np.abs(step - p).sum() <= POWER_ITER_TOL
+
+    def test_step_bound_warns_once_and_returns_the_last_step(self, monkeypatch, caplog):
+        # a three-sentence chain: its first step moves far more than the tolerance
+        monkeypatch.setattr(summarizers, "POWER_ITER_MAX", 1)
+        adjacency = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with caplog.at_level("WARNING"):
+            p = _power_iteration(adjacency.copy())
+        [record] = caplog.records
+        assert (record.name, record.funcName, record.getMessage()) == (
+            "summ.summarizers", "_power_iteration", "power iteration did not reach tol in 1 steps")
+        assert p.tolist() == reference_power_iteration(adjacency, max_iter=1).tolist()
 
 
 class TestLexrank:
@@ -266,51 +274,33 @@ class TestTopicsum:
 
     def test_background_equal_to_cluster_gives_all_zero(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
-        corpus = pooled(cluster_counts(cluster) + cluster_counts(cluster))
+        corpus = pooled(sentence_counts([cluster]) + sentence_counts([cluster]))
         rl = topicsum_rank(ClusterFeatures(cluster), corpus)
         assert rl.scores == (0.0,) * len(cluster.sentences)
 
     def test_overrepresented_token_becomes_topic_word(self):
         sentences = [["storm storm storm storm storm surge", "other words here"]]
         cluster = make_cluster(sentences)
-        corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 20 for i in range(20)}))
+        corpus = pooled(sentence_counts([cluster]) + Counter({f"w{i}": 20 for i in range(20)}))
         signature = topic_words(ClusterFeatures(cluster), corpus, TOPIC_LLR_THRESHOLD)
         assert "storm" in signature
 
     def test_pure_topic_sentence_scores_one(self):
         cluster = make_cluster([["storm storm storm storm storm", "calm words today"]])
-        corpus = pooled(cluster_counts(cluster) + Counter({f"w{i}": 30 for i in range(30)}))
+        corpus = pooled(sentence_counts([cluster]) + Counter({f"w{i}": 30 for i in range(30)}))
         rl = topicsum_rank(ClusterFeatures(cluster), corpus)
         assert max(rl.scores) == rl.scores[0] == 1.0
 
     def test_empty_background_is_error(self):
         cluster = make_cluster([["red fox runs"]])
         with pytest.raises(ValueError, match="background required"):
-            topicsum_rank(ClusterFeatures(cluster), pooled(cluster_counts(cluster)))
+            topicsum_rank(ClusterFeatures(cluster), pooled(sentence_counts([cluster])))
 
     def test_corpus_counts_must_include_the_cluster(self):
         cluster = make_cluster([["red fox runs", "red bird sings"]])
         background = pooled(Counter({"red": 1, "noise": 50}))
         with pytest.raises(ValueError, match="corpus counts miss"):
             topicsum_rank(ClusterFeatures(cluster), background)
-
-
-def brute_force_kl(cluster, indices, k):
-    """Independent direct computation of the smoothed summary-vs-cluster KL."""
-    cluster_counts = Counter()
-    for s in cluster.sentences:
-        cluster_counts.update(s.tokens)
-    total = sum(cluster_counts.values())
-    counts = Counter()
-    for i in indices:
-        counts.update(cluster.sentences[i].tokens)
-    t = sum(counts.values())
-    denom = t + k * (len(cluster_counts) + 1)
-    kl = 0.0
-    for token, c in sorted(cluster_counts.items()):
-        p = (counts[token] + k) / denom
-        kl += p * math.log(p / (c / total))
-    return kl
 
 
 class TestGreedyKL:
@@ -332,10 +322,10 @@ class TestGreedyKL:
             rl = greedykl_rank(ClusterFeatures(cluster))
             first = rl.order()[0]
             kls = [
-                brute_force_kl(cluster, [i], k)
+                summary_kl(cluster, [i], k)
                 for i in range(len(cluster.sentences))
             ]
-            assert brute_force_kl(cluster, [first], k) <= min(kls) + 1e-9
+            assert summary_kl(cluster, [first], k) <= min(kls) + 1e-9
 
     def test_incremental_matches_direct_formula(self):
         rng = random.Random(43)
@@ -351,10 +341,10 @@ class TestGreedyKL:
         for depth in range(len(order)):
             prefix = order[:depth]
             kls = [
-                brute_force_kl(cluster, prefix + [i], k)
+                summary_kl(cluster, prefix + [i], k)
                 for i in order[depth:]
             ]
-            assert brute_force_kl(cluster, prefix + [order[depth]], k) <= (
+            assert summary_kl(cluster, prefix + [order[depth]], k) <= (
                 min(kls) + 1e-9
             )
 
@@ -472,7 +462,7 @@ class TestRankerProperties:
         vocab = ["gale", "tide", "reef", "dune", "cove", "surf"]
         docs = random_cluster(rng, vocab)
         cluster = make_cluster(docs)
-        corpus = pooled(cluster_counts(cluster) + Counter({"noise": 50, "words": 50}))
+        corpus = pooled(sentence_counts([cluster]) + Counter({"noise": 50, "words": 50}))
         for name, ranker in SYSTEMS.items():
             assert ranker(ClusterFeatures(cluster)) == ranker(ClusterFeatures(cluster)), name
         assert topicsum_rank(ClusterFeatures(cluster), corpus) == topicsum_rank(
@@ -492,8 +482,8 @@ class TestRankerProperties:
                        for doc in docs]
             cluster = make_cluster(docs)
             mirrored = make_cluster(renamed)
-            corpus = pooled(cluster_counts(cluster) + Counter({w: 9 for w in vocab}))
-            renamed_corpus = pooled(cluster_counts(mirrored) + Counter(
+            corpus = pooled(sentence_counts([cluster]) + Counter({w: 9 for w in vocab}))
+            renamed_corpus = pooled(sentence_counts([mirrored]) + Counter(
                 {rename(w): 9 for w in vocab}
             ))
             for name, ranker in SYSTEMS.items():
