@@ -41,13 +41,6 @@ class TestRunCommand:
         assert sorted(data["averages"]) == ["borda", "centroid", "freqsum", "lexrank"]
         assert sorted(data["averages"]["borda"]) == ["R-1", "R-2"]
 
-    def test_jobs_flag_identical_output(self, tmp_path):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        assert main(run_args(first, "json", ["--jobs", "1"])) == 0
-        assert main(run_args(second, "json", ["--jobs", "4"])) == 0
-        assert first.read_bytes() == second.read_bytes()
-
     def test_missing_corpus_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["run", "--out", str(tmp_path / "x.csv")])
         assert code == 1

@@ -16,54 +16,30 @@ from summ.summarizers import (
 from reference.features import cosine_similarity as oracle_cosine
 from reference.features import reference_extract, tfidf_vectors
 from reference.fixture import word_cluster as make_cluster
-from reference.rouge import ngrams
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert ngrams(["a", "b", "c"], 2) == {("a", "b"): 1, ("b", "c"): 1}
-
-    def test_multiplicity(self):
-        assert ngrams(["a", "a", "a"], 1) == {("a",): 3}
-
-    def test_n_exceeds_length(self):
-        assert ngrams(["a", "b"], 4) == {}
-
-    def test_n_zero_is_error(self):
-        with pytest.raises(ValueError):
-            ngrams(["a"], 0)
-
-    def test_count_conservation(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            tokens = rng.choices("abcde", k=rng.randint(0, 20))
-            n = rng.randint(1, 5)
-            counts = ngrams(tokens, n)
-            assert sum(counts.values()) == max(0, len(tokens) - n + 1)
 
 
 class TestTfidf:
     def test_single_document_all_empty(self):
         cluster = make_cluster([["red fox runs", "red fox sleeps"]])
-        assert all(not v for v in tfidf_vectors(cluster))
+        assert all(not v for v in ClusterFeatures(cluster).vectors)
 
     def test_hand_weight(self):
         # "fox" twice in a d0 sentence, absent from d1: tf=2, idf=ln 2
-        cluster = make_cluster([["fox fox runs"], ["bird sings loudly"]])
-        vectors = tfidf_vectors(cluster)
-        assert vectors[0].weights["fox"] == pytest.approx(2 * math.log(2))
+        features = ClusterFeatures(make_cluster([["fox fox runs"], ["bird sings loudly"]]))
+        assert features.vectors[0][features.ids["fox"]] == pytest.approx(2 * math.log(2))
 
     def test_shared_token_dropped(self):
-        cluster = make_cluster([["fox runs"], ["fox sleeps"]])
-        vectors = tfidf_vectors(cluster)
-        assert all("fox" not in v.weights for v in vectors)
+        features = ClusterFeatures(make_cluster([["fox runs"], ["fox sleeps"]]))
+        assert all(features.ids["fox"] not in v for v in features.vectors)
 
     def test_document_order_invariant(self):
         docs = [["fox runs fast"], ["bird sings loudly"], ["frog jumps high"]]
-        forward = tfidf_vectors(make_cluster(docs))
-        # re-key documents so the same sentences arrive in reversed order
-        backward = tfidf_vectors(make_cluster(docs[::-1]))
-        assert [v.weights for v in forward] == [v.weights for v in backward][::-1]
+        forward = ClusterFeatures(make_cluster(docs))
+        # re-key documents so the same sentences arrive in reversed order;
+        # ids number the sorted vocabulary, so both clusters share them
+        backward = ClusterFeatures(make_cluster(docs[::-1]))
+        assert forward.ids == backward.ids
+        assert forward.vectors == backward.vectors[::-1]
 
 
 class TestCosine:

@@ -257,6 +257,9 @@ reference_streams = st.lists(st.lists(st.sampled_from(WORDS), max_size=12), min_
 
 @settings(max_examples=200, deadline=None)
 @given(tokens=st.lists(st.sampled_from(WORDS), max_size=12), n=st.integers(1, 5))
+@example(tokens=["storm", "coast", "flood"], n=2)  # two bigrams, in order
+@example(tokens=["storm", "storm", "storm"], n=1)  # one unigram, counted three times
+@example(tokens=["storm", "coast"], n=4)  # n past the end: no n-gram
 def test_ngrams_match_slicing(tokens, n):
     # the package's n-grams: same n-grams, counts and first-seen order
     assert list(Counter(_grams(tokens, n)).items()) == list(ngrams(tokens, n).items())
